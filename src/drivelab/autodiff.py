@@ -27,17 +27,15 @@ def _as_array(x):
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None, name=""):
+    def __init__(self, data, parents=(), backward=None):
         self.data = _as_array(data)
         if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(f"non-finite values in tensor {name or '<anon>'}")
+            raise NonFiniteError("non-finite values in tensor")
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
-        self.name = name
 
     @property
     def shape(self):
@@ -270,26 +268,6 @@ def scaled_dot_attention(q, k, v):
     return scores.softmax() @ v
 
 
-_PRIMITIVES = {
-    "linear": lambda x, w, b=None: linear(x, w, b),
-    "relu": lambda x: x.relu(),
-    "softmax": lambda x: x.softmax(),
-    "sigmoid": lambda x: x.sigmoid(),
-    "log": lambda x: x.log(),
-    "mean": lambda x: x.mean(),
-    "concat": lambda *xs: concat(list(xs)),
-    "add": lambda a, b: a + b,
-    "scaled_dot_attention": scaled_dot_attention,
-}
-
-
-def forward_primitive(op_kind, *inputs):
-    """Dispatch one recorded primitive by name; rejects unknown kinds."""
-    if op_kind not in _PRIMITIVES:
-        raise ValueError(f"unknown primitive {op_kind!r}")
-    return _PRIMITIVES[op_kind](*inputs)
-
-
 def backward(loss, params=None):
     """Backpropagate from a scalar loss through the recorded graph.
 
@@ -332,7 +310,7 @@ class ParameterStore:
     def add(self, name, data):
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(data, requires_grad=True, name=name)
+        t = Tensor(data)
         self._params[name] = t
         return t
 
@@ -448,7 +426,8 @@ def save_checkpoint(path, params, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (values dict, meta dict)."""
+    """Read a checkpoint; returns (values dict, meta dict). A checkpoint with
+    any non-finite value is rejected, naming the first such parameter."""
     with open(path, "rb") as f:
         raw = f.read()
     sep = raw.find(b"\n\n")
@@ -475,4 +454,8 @@ def load_checkpoint(path):
         if len(chunk) != n * 8:
             raise ValueError(f"{path}: truncated data for parameter {name!r}")
         values[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+    if not np.isfinite(np.frombuffer(body, dtype="<f8", count=len(body) // 8)).all():
+        for name, val in values.items():
+            if not np.isfinite(val).all():
+                raise ValueError(f"{path}: non-finite values in parameter {name!r}")
     return values, meta

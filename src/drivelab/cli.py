@@ -71,14 +71,9 @@ def _demo_worker(args):
     sc = cfg["scenario"]
     spec = sim.ScenarioSpec(kind=kind, seed=seed, route_length=sc["route_length"],
                             speed_limit=sc["speed_limit"])
-    try:
-        d = ds.collect_demos([spec], _expert_cfg(cfg), _policy_cfg(cfg),
-                             ControlVocabulary(), max_infraction_rate=1.0)
-    except RuntimeError:
-        return [], True
-    discarded = d.manifest["episodes_discarded"] > 0
-    step = cfg["demo_subsample"]
-    return [ds._sample_to_record(s) for s in d.samples[::step]], discarded
+    d = ds.collect_demos([spec], _expert_cfg(cfg), _policy_cfg(cfg),
+                         ControlVocabulary(), max_infraction_rate=1.0)
+    return d.samples[::cfg["demo_subsample"]], d.manifest["episodes_discarded"]
 
 
 def _eval_worker(args):
@@ -105,14 +100,11 @@ def _map_jobs(cfg, fn, items):
 def cmd_collect_demos(cfg, args):
     suite = expand_suite(cfg, "train")
     results = _map_jobs(cfg, _demo_worker, [(cfg, s.kind, s.seed) for s in suite])
-    records, discarded = [], 0
-    for recs, bad in results:
+    samples, discarded = [], 0
+    for kept, bad in results:
         discarded += bad
-        records.extend(recs)
-    if discarded > 0.2 * len(suite):
-        raise RuntimeError(f"expert misconfigured: {discarded}/{len(suite)} "
-                           "episodes had infractions")
-    samples = [ds._record_to_sample(r) for r in records]
+        samples.extend(kept)
+    ds.check_expert(discarded, len(suite))
     out = ds.Dataset(samples, kind="demo",
                      manifest={"episodes": len(suite), "episodes_discarded": discarded,
                                "subsample": cfg["demo_subsample"]})

@@ -2,18 +2,19 @@
 merging, and line-delimited JSON persistence."""
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expert as xp
 from . import world as sim
-from .policy import SceneSnapshot, PidTracker, SafetyCreep, encode_scene, ensemble
+from .metrics import MAX_EPISODE_TICKS, NeuralDriver
+from .policy import AGENT_FEATURES, MAP_FEATURES, SceneSnapshot, encode_scene
 
 EPS_STEER = 0.2                  # threshold-trigger steering gap
 TAKEOVER_TICKS = 40              # 2 s at dt = 0.05
 SUPPRESS_TICKS = 20              # 1 s re-trigger suppression after handback
-MAX_EPISODE_TICKS = 4000
+MAX_INFRACTION_RATE = 0.2        # discarded-episode share that aborts demo collection
 
 
 @dataclass
@@ -85,8 +86,8 @@ def _sample_to_record(s):
 
 def _record_to_sample(rec):
     base = dict(
-        agent_feats=np.array(rec["agent_feats"], dtype=np.float64).reshape(-1, 7),
-        map_feats=np.array(rec["map_feats"], dtype=np.float64).reshape(-1, 12),
+        agent_feats=np.array(rec["agent_feats"], dtype=np.float64).reshape(-1, AGENT_FEATURES),
+        map_feats=np.array(rec["map_feats"], dtype=np.float64).reshape(-1, MAP_FEATURES),
         cmd_onehot=np.array(rec["cmd_onehot"], dtype=np.float64),
         traj_waypoints=np.array(rec["traj_waypoints"], dtype=np.float64),
         ctrl_indices=tuple(rec["ctrl_indices"]),
@@ -145,13 +146,21 @@ def scenario_id(spec):
     return f"{spec.kind}:{spec.seed}"
 
 
+def check_expert(discarded, episodes, max_infraction_rate=MAX_INFRACTION_RATE):
+    """If more than max_infraction_rate of the episodes had infractions, the
+    expert is considered misconfigured and collection aborts."""
+    if discarded > max_infraction_rate * episodes:
+        raise RuntimeError(
+            f"expert misconfigured: {discarded}/{episodes} episodes had infractions "
+            f"(limit {max_infraction_rate:.0%})")
+
+
 def collect_demos(suite, expert_cfg, policy_cfg, control_vocab,
-                  max_infraction_rate=0.2):
+                  max_infraction_rate=MAX_INFRACTION_RATE):
     """Drive every route with the expert, one DemoSample per tick.
 
-    Episodes with any infraction are discarded whole; if more than
-    max_infraction_rate of the episodes misbehave the expert is considered
-    misconfigured and collection aborts.
+    Episodes with any infraction are discarded whole; see check_expert for
+    when collection aborts.
     """
     kept, discarded = [], 0
     for spec in suite:
@@ -170,17 +179,14 @@ def collect_demos(suite, expert_cfg, policy_cfg, control_vocab,
             discarded += 1
         else:
             kept.extend(episode)
-    if discarded > max_infraction_rate * len(suite):
-        raise RuntimeError(
-            f"expert misconfigured: {discarded}/{len(suite)} episodes had infractions "
-            f"(limit {max_infraction_rate:.0%})")
+    check_expert(discarded, len(suite), max_infraction_rate)
     return Dataset(kept, kind="demo",
                    manifest={"episodes": len(suite), "episodes_discarded": discarded})
 
 
-def run_shadow_collection(policy, suite, expert_cfg, round_index,
-                          eps_steer=EPS_STEER, creep_enabled=True):
-    """Run the policy closed-loop with the expert shadowing it.
+def run_shadow_collection(policy, suite, expert_cfg, round_index, eps_steer=EPS_STEER):
+    """Drive the policy closed-loop through the evaluation NeuralDriver
+    (safety creeping on), with the expert shadowing it.
 
     A takeover starts when the 2 s collision forecast hits or when the
     post-ensemble policy steer differs from the expert steer by more than
@@ -192,20 +198,14 @@ def run_shadow_collection(policy, suite, expert_cfg, round_index,
     trigger_counts = {"collision": 0, "threshold": 0}
     for spec in suite:
         w = sim.reset(spec)
-        pid = PidTracker()
-        creep = SafetyCreep(enabled=creep_enabled)
+        driver = NeuralDriver(policy)
         takeover_left = 0
         suppress_left = 0
         segment = None
         seg_counter = 0
         while not w.done and w.tick < MAX_EPISODE_TICKS:
-            snap = encode_scene(w, policy.cfg)
-            out = policy.infer(snap)
-            c_traj = pid.track(out.tau_plan, w.ego)
-            final = ensemble(out.c_ctrl, c_traj)
-            override = creep.update(w, final.steer)
-            if override is not None:
-                final = override
+            final = driver.act(w)
+            snap, out = driver.snap, driver.out
             expert_cmd = xp.expert_command(w, expert_cfg)
 
             if takeover_left == 0 and suppress_left == 0:
@@ -314,11 +314,6 @@ class MergedDataset:
 
     def __len__(self):
         return len(self.samples)
-
-    def sample_indices(self, n, rng):
-        """Weighted draws with replacement (the DAgger sampling distribution)."""
-        p = self.weights / self.weights.sum()
-        return rng.choice(len(self.samples), size=n, p=p)
 
     def epoch_indices(self, rng):
         """One deterministic epoch: each demo sample once, each takeover

@@ -206,8 +206,3 @@ def forecast_collision(w, horizon):
                                  ax, ay, a.heading, a.length, a.width):
                 return t
     return None
-
-
-def discretize_control(cmd, control_vocab):
-    """Nearest vocabulary value per group; ties resolve to the lower index."""
-    return control_vocab.discretize(cmd)

@@ -56,33 +56,39 @@ def score_episode(world):
 
 class NeuralDriver:
     """Closes the loop around a policy: scene encoding, both branches, PID
-    trajectory tracking, the branch ensemble, and the safety-creeping check."""
+    trajectory tracking, the branch ensemble, and the safety-creeping check.
+
+    Shadow-mode takeover collection and closed-loop evaluation both drive
+    through this class, so the policy that triggers takeovers is exactly the
+    one that is scored. The last tick's scene snapshot and policy output stay
+    on the driver as `snap` and `out`."""
 
     def __init__(self, policy, creep_enabled=True):
         self.policy = policy
         self.pid = PidTracker()
         self.creep = SafetyCreep(enabled=creep_enabled)
+        self.snap = self.out = None
 
     def act(self, world):
-        out = self.policy.infer(encode_scene(world, self.policy.cfg))
-        c_traj = self.pid.track(out.tau_plan, world.ego)
-        cmd = ensemble(out.c_ctrl, c_traj)
+        self.snap = encode_scene(world, self.policy.cfg)
+        self.out = self.policy.infer(self.snap)
+        c_traj = self.pid.track(self.out.tau_plan, world.ego)
+        cmd = ensemble(self.out.c_ctrl, c_traj)
         override = self.creep.update(world, cmd.steer)
         return override if override is not None else cmd
 
 
-def run_episode(driver, spec, max_ticks=MAX_EPISODE_TICKS):
+def run_episode(driver, spec):
     """Run any driver (object with act(world) -> ControlCommand) closed-loop."""
     w = sim.reset(spec)
-    while not w.done and w.tick < max_ticks:
+    while not w.done and w.tick < MAX_EPISODE_TICKS:
         sim.advance_world(w, driver.act(w))
     return score_episode(w)
 
 
-def run_closed_loop(policy, spec, creep_enabled=True, max_ticks=MAX_EPISODE_TICKS):
+def run_closed_loop(policy, spec, creep_enabled=True):
     """One policy evaluation episode on a scenario."""
-    return run_episode(NeuralDriver(policy, creep_enabled=creep_enabled), spec,
-                       max_ticks=max_ticks)
+    return run_episode(NeuralDriver(policy, creep_enabled=creep_enabled), spec)
 
 
 def efficiency(trace, speed_limit=8.0):

@@ -7,14 +7,14 @@ trajectory, an output ensemble, and the safety-creeping override.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import world as sim
 from .autodiff import Tensor, concat, scaled_dot_attention
-from .vocab import ControlVocabulary, TrajectoryVocabulary, WAYPOINT_DT
+from .vocab import ControlVocabulary, WAYPOINT_DT
 
 AGENT_FEATURES = 7      # rel x, rel y, sin/cos rel heading, speed, length, width
 MAP_FEATURES = 12       # midpoint x/y, sin/cos direction, distance, 7 command one-hot

@@ -5,7 +5,7 @@ takeover data, and the multi-round post-optimization loop."""
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,19 +41,6 @@ class TrainConfig:
                 raise ValueError(f"TrainConfig.{f} must be >= 1")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-
-
-@dataclass
-class PreferencePair:
-    """A preferred/dispreferred index pair within one output group.
-
-    y_l is always recomputed from the current distribution at loss time;
-    any stored argmax is diagnostic only.
-    """
-    snapshot: object
-    group: str            # trajectory | throttle | brake | steer
-    y_w: int
-    y_l: int
 
 
 def soft_trajectory_target(traj_vocab, waypoints, tau=1.0):
@@ -127,21 +114,6 @@ def _group_dist(out, group):
     if group == "trajectory":
         return out["d_traj"]
     return out["d_ctrl"][("throttle", "brake", "steer").index(group)]
-
-
-def simpo_loss(policy, pair, beta, gamma):
-    """SimPO loss for one pair; y_l is recomputed from the live distribution."""
-    out = policy.forward(pair.snapshot)
-    dist = _group_dist(out, pair.group)
-    y_l = int(np.argmax(dist.data))
-    return simpo_from_dist(dist, pair.y_w, y_l, beta, gamma)
-
-
-def po_loss(policy, pair, beta, gamma):
-    out = policy.forward(pair.snapshot)
-    dist = _group_dist(out, pair.group)
-    y_l = int(np.argmax(dist.data))
-    return po_from_dist(dist, pair.y_w, y_l, beta, gamma)
 
 
 # -- imitation ----------------------------------------------------------------
@@ -219,17 +191,6 @@ def pretrain(policy, demo, cfg, progress=None):
             if progress:
                 progress(f"pretrain {stage} epoch {epoch}: loss {mean:.4f}")
     return history
-
-
-def mean_imitation_loss(policy, samples, cfg):
-    """Evaluation-only mean (trajectory + control) KL over a sample list."""
-    if not samples:
-        return 0.0
-    vals = []
-    for s in samples:
-        l_traj, l_ctrl = _sample_losses(policy, s, cfg)
-        vals.append((l_traj + l_ctrl).data.item())
-    return float(np.mean(vals))
 
 
 def dagger_epoch(policy, merged, cfg, rng):

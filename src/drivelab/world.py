@@ -7,7 +7,7 @@ determines the episode given a policy.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -74,7 +74,7 @@ def test_criterion_1_preference_loss_correctness():
         failures.append(f"closed form: got {got!r}, oracle {oracle!r}")
 
     # exactly zero loss and zero gradient when the expert pick is the argmax
-    d = Tensor(np.array([0.2, 0.5, 0.3]), requires_grad=True)
+    d = Tensor(np.array([0.2, 0.5, 0.3]))
     loss = tr.po_from_dist(d, 1, 1, beta, gamma)
     ad.backward(loss)
     if loss.data.item() != 0.0:
@@ -109,16 +109,23 @@ def test_criterion_2_gradient_suite():
         demo = random_sample(rng)
         take = random_sample(rng)
         mixed = [demo, take]
-        pair = tr.PreferencePair(snapshot=demo.snapshot(), group="steer",
-                                 y_w=int(rng.integers(9)), y_l=0)
+        y_w_steer = int(rng.integers(9))
+
+        def simpo():
+            # steer group of the live forward pass, y_l its live argmax
+            steer = policy.forward(demo.snapshot())["d_ctrl"][2]
+            return tr.simpo_from_dist(steer, y_w_steer, int(np.argmax(steer.data)),
+                                      cfg.beta, cfg.gamma)
+
         losses = {
             "kl_trajectory": lambda: tr._batch_loss(
                 policy, [demo], cfg, want_traj=True, want_ctrl=False),
             "kl_control": lambda: tr._batch_loss(
                 policy, [demo], cfg, want_traj=False, want_ctrl=True),
             "dagger": lambda: tr._batch_loss(policy, mixed, cfg),
-            "simpo": lambda: tr.simpo_loss(policy, pair, cfg.beta, cfg.gamma),
-            "po": lambda: tr.po_loss(policy, pair, cfg.beta, cfg.gamma),
+            "simpo": simpo,
+            # the pair loss po_epoch trains on: all four groups, live argmax
+            "po": lambda: tr._pair_losses(policy, demo, cfg),
         }
         for name, fn in losses.items():
             err = policy_grad_check(policy, fn, rng, n_coords=n_coords, h=h)

@@ -23,7 +23,7 @@ def numeric_grad(fn, x, h=1e-6):
 
 def check_grad(build, x0, tol=1e-5):
     """build(Tensor) -> scalar Tensor; compares autodiff grad to numeric."""
-    t = Tensor(x0, requires_grad=True)
+    t = Tensor(x0)
     loss = build(t)
     ad.backward(loss)
     num = numeric_grad(lambda x: build(Tensor(x)).data.item(), x0)
@@ -111,7 +111,7 @@ def test_backward_is_deterministic():
     x0 = rng.normal(size=(6, 6))
     grads = []
     for _ in range(2):
-        t = Tensor(x0.copy(), requires_grad=True)
+        t = Tensor(x0.copy())
         loss = ((t @ t.transpose()).softmax() * 0.5).sum()
         ad.backward(loss)
         grads.append(t.grad.copy())
@@ -126,13 +126,6 @@ def test_backward_zeroes_unreachable_params():
     ad.backward(loss, store)
     assert np.array_equal(store["b"].grad, np.zeros(3))
     assert np.array_equal(store["a"].grad, np.full(3, 2.0))
-
-
-def test_forward_primitive_dispatch():
-    out = ad.forward_primitive("relu", Tensor(np.array([-1.0, 2.0])))
-    assert np.array_equal(out.data, [0.0, 2.0])
-    with pytest.raises(ValueError):
-        ad.forward_primitive("conv2d", Tensor(np.zeros(2)))
 
 
 class TestParameterStore:
@@ -246,3 +239,11 @@ class TestCheckpoint:
         (tmp_path / "trunc").write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="truncated"):
             ad.load_checkpoint(tmp_path / "trunc")
+
+    def test_nonfinite_value_rejected_with_path_and_parameter(self, tmp_path):
+        path = tmp_path / "nan.ckpt"
+        ad.save_checkpoint(path, {"layer.w": np.ones((2, 3)),
+                                  "layer.b": np.array([0.0, np.nan, 1.0])})
+        with pytest.raises(ValueError) as err:
+            ad.load_checkpoint(path)
+        assert str(err.value) == f"{path}: non-finite values in parameter 'layer.b'"

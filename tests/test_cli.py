@@ -6,6 +6,9 @@ import pytest
 
 from drivelab import cli
 from drivelab import config as cf
+from drivelab import dataset as ds
+from drivelab import expert as xp
+from drivelab import world as sim
 from drivelab.autodiff import load_checkpoint
 
 
@@ -110,6 +113,21 @@ class TestDispatch:
         cfg_path = write_config(tmp_path, tmp_path / "x",
                                 extra={"suites": {"test": {"seeds": [0]}}})
         assert cli.main(["--config", cfg_path, "report"]) == 1
+
+    def test_misconfigured_expert_exits_2_with_limit(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # an expert that floors the throttle rear-ends the braking lead
+        def reckless(w, cfg, control_vocab=None):
+            wp = np.stack([np.arange(1, 7) * 4.0, np.zeros(6)], axis=1)
+            return xp.ExpertLabel(waypoints=wp,
+                                  command=sim.ControlCommand(throttle=1.0))
+        monkeypatch.setattr(ds.xp, "expert_act", reckless)
+        cfg_path = write_config(tmp_path, tmp_path / "bad", extra={
+            "suites": {"train": {"kinds": ["EmergencyBrake"], "seeds": [0]}}})
+        code = cli.main(["--config", cfg_path, "--jobs", "1", "collect-demos"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "expert misconfigured: 1/1 episodes had infractions (limit 20%)" in err
 
     def test_pipeline_artifacts_exist(self, pipeline):
         _, out, _ = pipeline

@@ -190,12 +190,3 @@ class TestMerge:
                            vocab_hash="0000000000000000")
         with pytest.raises(ValueError, match="hash"):
             ds.MergedDataset(demo_dataset, [takeover_dataset, other])
-
-    def test_weighted_sampling_distribution(self, demo_dataset, takeover_dataset):
-        m = ds.MergedDataset(demo_dataset, [takeover_dataset], takeover_weight=4.0)
-        rng = np.random.default_rng(0)
-        draws = m.sample_indices(20000, rng)
-        frac_takeover = np.mean(draws >= len(demo_dataset))
-        expect = 4.0 * len(takeover_dataset) / (len(demo_dataset) +
-                                                4.0 * len(takeover_dataset))
-        assert frac_takeover == pytest.approx(expect, abs=0.02)

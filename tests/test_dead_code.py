@@ -1,0 +1,58 @@
+"""No code lives in `src/drivelab` unless the package itself refers to it.
+
+Every top-level function, class, method (dunders excepted) and module
+constant must be referenced somewhere in the package besides its own
+definition: as a loaded name, an attribute, or an imported name.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drivelab"
+
+# qualified name -> why it stays without a caller in the package
+ALLOWED = {
+    "world.export_trace": "to be wired to `eval --traces` (ROADMAP item 3)",
+}
+
+
+def _definitions(module, tree):
+    """(qualified name, bare name) of each checked definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    yield f"{module}.{t.id}", t.id
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unreferenced_names():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    return sorted(qual for module, tree in trees.items()
+                  for qual, name in _definitions(module, tree) if name not in used)
+
+
+def test_every_definition_is_referenced():
+    unreferenced = unreferenced_names()
+    dead = [name for name in unreferenced if name not in ALLOWED]
+    assert not dead, f"defined in src/drivelab but never referenced there: {dead}"
+    stale = [name for name in ALLOWED if name not in unreferenced]
+    assert not stale, f"allowlisted but referenced now; drop from ALLOWED: {stale}"

@@ -101,8 +101,8 @@ class TestPreferenceLosses:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_po_is_simpo_plus_constant_with_equal_grads(self):
-        d1 = Tensor(np.array([0.2, 0.5, 0.3]), requires_grad=True)
-        d2 = Tensor(np.array([0.2, 0.5, 0.3]), requires_grad=True)
+        d1 = Tensor(np.array([0.2, 0.5, 0.3]))
+        d2 = Tensor(np.array([0.2, 0.5, 0.3]))
         l_simpo = tr.simpo_from_dist(d1, 0, 1, 0.1, 0.1)
         l_po = tr.po_from_dist(d2, 0, 1, 0.1, 0.1)
         const = l_po.data.item() - l_simpo.data.item()
@@ -112,7 +112,7 @@ class TestPreferenceLosses:
         assert np.array_equal(d1.grad, d2.grad)
 
     def test_po_zero_when_expert_is_argmax(self):
-        d = Tensor(np.array([0.2, 0.5, 0.3]), requires_grad=True)
+        d = Tensor(np.array([0.2, 0.5, 0.3]))
         loss = tr.po_from_dist(d, 1, 1, 0.1, 0.1)
         assert loss.data.item() == 0.0
         ad.backward(loss)
@@ -136,15 +136,20 @@ class TestPreferenceLosses:
 
     def test_pair_api_recomputes_argmax(self):
         policy = tiny_policy()
+        cfg = tr.TrainConfig()
         rng = np.random.default_rng(1)
-        sample = make_sample(rng)
+        sample = make_takeover(rng)
+        sample.policy_traj_index = -999          # the stored argmax is ignored
+        sample.policy_ctrl_indices = (-999, -999, -999)
+        loss = tr._pair_losses(policy, sample, cfg)
         out = policy.forward(sample.snapshot())
-        live_argmax = int(np.argmax(out["d_traj"].data))
-        pair = tr.PreferencePair(snapshot=sample.snapshot(), group="trajectory",
-                                 y_w=0, y_l=-999)    # stored y_l is ignored
-        loss = tr.po_loss(policy, pair, 0.1, 0.1)
-        ref = tr.po_from_dist(out["d_traj"], 0, live_argmax, 0.1, 0.1)
-        assert loss.data.item() == pytest.approx(ref.data.item(), abs=1e-12)
+        winners = (policy.traj_vocab.nearest_index(sample.traj_waypoints),
+                   *sample.ctrl_indices)
+        dists = (out["d_traj"], *out["d_ctrl"])
+        ref = np.mean([tr.po_from_dist(d, y_w, int(np.argmax(d.data)),
+                                       cfg.beta, cfg.gamma).data.item()
+                       for d, y_w in zip(dists, winners)])
+        assert loss.data.item() == pytest.approx(ref, abs=1e-12)
 
 
 class TestSoftTarget:
@@ -298,9 +303,9 @@ class TestDagger:
         takeover = ds.Dataset([make_takeover(rng, seg=f"s{i}") for i in range(8)],
                               kind="takeover")
         merged = ds.MergedDataset(demo, [takeover])
-        before = tr.mean_imitation_loss(policy, takeover.samples, cfg)
+        before = tr._batch_loss(policy, takeover.samples, cfg).data.item()
         tr.dagger_epoch(policy, merged, cfg, np.random.default_rng(1))
-        after = tr.mean_imitation_loss(policy, takeover.samples, cfg)
+        after = tr._batch_loss(policy, takeover.samples, cfg).data.item()
         assert after < before
 
 
