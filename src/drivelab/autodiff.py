@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Supports exactly the operations the policy heads and training losses need:
-linear algebra, pointwise nonlinearities, row softmax, concatenation, mean,
-and single-head scaled dot-product attention. Every op is recorded on an
-implicit tape (the parent graph); gradients replay in exact reverse
-execution order, so repeated backward passes are bit-identical.
+linear algebra, pointwise nonlinearities, row softmax, sum, row gathers,
+last-axis slices and concatenation, and single-head attention. Every op is
+recorded on an implicit tape (the parent graph); gradients replay in exact
+reverse execution order, so repeated backward passes are bit-identical.
 """
 
 import math
@@ -80,13 +80,7 @@ class Tensor:
 
         return Tensor(out_data, parents=(self, other), backward=backward)
 
-    __rmul__ = __mul__
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def matmul(self, other):
+    def __matmul__(self, other):
         other = _wrap(other)
         a, b = self.data, other.data
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -98,8 +92,6 @@ class Tensor:
             other._accum(a.T @ out.grad)
 
         return Tensor(out_data, parents=(self, other), backward=backward)
-
-    __matmul__ = matmul
 
     def transpose(self):
         def backward(out):
@@ -138,14 +130,6 @@ class Tensor:
 
         return Tensor(out_data, parents=(self,), backward=backward)
 
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(out):
-            self._accum(out.grad * out_data)
-
-        return Tensor(out_data, parents=(self,), backward=backward)
-
     def softmax(self):
         """Row softmax over the last axis; rows sum to 1 within fp64 rounding."""
         z = self.data - self.data.max(axis=-1, keepdims=True)
@@ -167,14 +151,6 @@ class Tensor:
 
         return Tensor(np.array([self.data.sum()]), parents=(self,), backward=backward)
 
-    def mean(self):
-        n = self.data.size
-
-        def backward(out):
-            self._accum(np.full_like(self.data, out.grad.item() / n))
-
-        return Tensor(np.array([self.data.mean()]), parents=(self,), backward=backward)
-
     def reshape(self, *shape):
         old = self.data.shape
 
@@ -183,15 +159,12 @@ class Tensor:
 
         return Tensor(self.data.reshape(*shape), parents=(self,), backward=backward)
 
-    def narrow(self, start, length, axis=-1):
-        """Contiguous slice along one axis (used for control-group splits)."""
-        idx = [slice(None)] * self.data.ndim
-        ax = axis if axis >= 0 else self.data.ndim + axis
-        if start < 0 or start + length > self.data.shape[ax]:
+    def narrow(self, start, length):
+        """Contiguous slice along the last axis (used for control-group splits)."""
+        if start < 0 or start + length > self.data.shape[-1]:
             raise ShapeError(
-                f"narrow: [{start}:{start + length}] out of range for axis {ax} of {self.shape}")
-        idx[ax] = slice(start, start + length)
-        idx = tuple(idx)
+                f"narrow: [{start}:{start + length}] out of range for last axis of {self.shape}")
+        idx = (..., slice(start, start + length))
 
         def backward(out):
             g = np.zeros_like(self.data)
@@ -227,28 +200,25 @@ def _unbroadcast(grad, shape):
     return g
 
 
-def concat(tensors, axis=-1):
+def concat(tensors):
+    """Concatenation along the last axis."""
     datas = [t.data for t in tensors]
     ndim = datas[0].ndim
-    ax = axis if axis >= 0 else ndim + axis
     for d in datas[1:]:
         if d.ndim != ndim:
             raise ShapeError(f"concat: rank mismatch {[x.shape for x in datas]}")
-    out_data = np.concatenate(datas, axis=ax)
-    splits = np.cumsum([d.shape[ax] for d in datas])[:-1]
+    out_data = np.concatenate(datas, axis=-1)
+    splits = np.cumsum([d.shape[-1] for d in datas])[:-1]
 
     def backward(out):
-        for t, g in zip(tensors, np.split(out.grad, splits, axis=ax)):
+        for t, g in zip(tensors, np.split(out.grad, splits, axis=-1)):
             t._accum(g)
 
     return Tensor(out_data, parents=tuple(tensors), backward=backward)
 
 
-def linear(x, w, b=None):
-    out = x @ w
-    if b is not None:
-        out = out + b
-    return out
+def linear(x, w, b):
+    return x @ w + b
 
 
 def scaled_dot_attention(q, k, v):
@@ -317,9 +287,6 @@ class ParameterStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def names(self):
         return list(self._params)
 
@@ -334,6 +301,11 @@ class ParameterStore:
         return {k: v.data.copy() for k, v in self._params.items()}
 
     def load_values(self, values):
+        """Replace every parameter's value; a value set that lacks a stored
+        parameter or holds an unknown one is rejected."""
+        for k in self._params:
+            if k not in values:
+                raise KeyError(f"missing parameter {k!r}")
         for k, v in values.items():
             if k not in self._params:
                 raise KeyError(f"unknown parameter {k!r}")
@@ -351,8 +323,9 @@ class Adam:
     parameter updates.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                 schedule="constant", total_steps=0):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr, schedule="constant", total_steps=0):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         if schedule not in ("constant", "cosine"):
@@ -361,7 +334,6 @@ class Adam:
             raise ValueError("cosine schedule needs total_steps > 0")
         self.params = params
         self.lr0 = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.schedule = schedule
         self.total_steps = total_steps
         self.step_count = 0
@@ -386,7 +358,7 @@ class Adam:
         lr = self.current_lr()
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name in names:
             p = self.params[name]
             g = p.grad
@@ -398,7 +370,7 @@ class Adam:
             v += (1.0 - b2) * g * g
             mhat = m / (1.0 - b1 ** t)
             vhat = v / (1.0 - b2 ** t)
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 CHECKPOINT_MAGIC = "DRIVELAB-CKPT/1"

@@ -18,7 +18,6 @@ import numpy as np
 from . import dataset as ds
 from . import metrics as bench
 from . import training as tr
-from . import world as sim
 from .config import (ConfigError, apply_overrides, config_hash, expand_suite,
                      file_hash, load_config, validate)
 from .expert import ExpertConfig
@@ -42,10 +41,7 @@ def _require(path, producer):
 
 
 def _policy_cfg(cfg):
-    p = cfg["policy"]
-    return PolicyConfig(feature_dim=p["feature_dim"], k=p["k"],
-                        n_agents=p["n_agents"], n_map=p["n_map"],
-                        init_seed=cfg["seed"])
+    return PolicyConfig(init_seed=cfg["seed"], **cfg["policy"])
 
 
 def _expert_cfg(cfg):
@@ -67,20 +63,14 @@ def _load_policy(cfg, ckpt_path):
 
 
 def _demo_worker(args):
-    cfg, kind, seed = args
-    sc = cfg["scenario"]
-    spec = sim.ScenarioSpec(kind=kind, seed=seed, route_length=sc["route_length"],
-                            speed_limit=sc["speed_limit"])
+    cfg, spec = args
     d = ds.collect_demos([spec], _expert_cfg(cfg), _policy_cfg(cfg),
                          ControlVocabulary(), max_infraction_rate=1.0)
     return d.samples[::cfg["demo_subsample"]], d.manifest["episodes_discarded"]
 
 
 def _eval_worker(args):
-    cfg, ckpt_path, kind, seed = args
-    sc = cfg["scenario"]
-    spec = sim.ScenarioSpec(kind=kind, seed=seed, route_length=sc["route_length"],
-                            speed_limit=sc["speed_limit"])
+    cfg, ckpt_path, spec = args
     policy = _load_policy(cfg, ckpt_path)
     return bench.run_closed_loop(policy, spec, creep_enabled=cfg["creep_enabled"])
 
@@ -99,7 +89,7 @@ def _map_jobs(cfg, fn, items):
 
 def cmd_collect_demos(cfg, args):
     suite = expand_suite(cfg, "train")
-    results = _map_jobs(cfg, _demo_worker, [(cfg, s.kind, s.seed) for s in suite])
+    results = _map_jobs(cfg, _demo_worker, [(cfg, spec) for spec in suite])
     samples, discarded = [], 0
     for kept, bad in results:
         discarded += bad
@@ -184,7 +174,7 @@ def cmd_eval(cfg, args):
     _require(ckpt, producer)
     suite = expand_suite(cfg, "test")
     results = _map_jobs(cfg, _eval_worker,
-                        [(cfg, ckpt, s.kind, s.seed) for s in suite])
+                        [(cfg, ckpt, spec) for spec in suite])
     report = bench.summarize(results, speed_limit=cfg["scenario"]["speed_limit"],
                              config_hash=config_hash(cfg),
                              checkpoint_hash=file_hash(ckpt))

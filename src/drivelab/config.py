@@ -4,12 +4,22 @@ suite expansion, and content hashing for provenance."""
 import copy
 import hashlib
 import json
+from dataclasses import asdict
 
 from . import world as sim
+from .expert import ExpertConfig
+from .policy import PolicyConfig
+from .training import TrainConfig
 
 
 class ConfigError(ValueError):
     """Invalid configuration contents."""
+
+
+def _defaults(config_class, *exclude):
+    """A config section: the dataclass defaults, less the fields set from
+    the top-level "seed"."""
+    return {k: v for k, v in asdict(config_class()).items() if k not in exclude}
 
 
 DEFAULT_CONFIG = {
@@ -33,16 +43,9 @@ DEFAULT_CONFIG = {
         "validation": {"kinds": list(sim.SCENARIO_KINDS), "seeds": [100, 101]},
         "test": {"kinds": list(sim.SCENARIO_KINDS), "seeds": [200, 201, 202, 203, 204]},
     },
-    "policy": {"feature_dim": 64, "k": 64, "n_agents": 8, "n_map": 16},
-    "expert": {"desired_speed": 8.0, "time_headway": 1.5, "min_gap": 2.0,
-               "max_accel": 2.0, "comfort_decel": 3.0, "lookahead": 6.0,
-               "forecast_horizon": 2.0, "yield_horizon": 4.0},
-    "train": {"beta": 0.1, "gamma": 0.1, "tau_label": 1.0,
-              "pretrain_epochs": 2, "pretrain_lr": 2e-4,
-              "dagger_epochs": 1, "dagger_lr": 5e-5,
-              "po_epochs": 10, "po_lr": 1e-6,
-              "rounds": 5, "batch_size": 16,
-              "takeover_weight": 4.0, "eps_steer": 0.2},
+    "policy": _defaults(PolicyConfig, "init_seed"),
+    "expert": _defaults(ExpertConfig),
+    "train": _defaults(TrainConfig, "seed"),
     "demo_subsample": 1,        # keep every n-th demonstration frame
     "creep_enabled": True,
     "scenario": {"route_length": 120.0, "speed_limit": 8.0},

@@ -243,9 +243,9 @@ class Policy:
         meta.update(extra_meta or {})
         ad.save_checkpoint(path, self.params, meta=meta)
 
-    def load(self, path, expect_vocab=True):
+    def load(self, path):
         values, meta = ad.load_checkpoint(path)
-        if expect_vocab and meta.get("vocab_hash") != self.traj_vocab.hash():
+        if meta.get("vocab_hash") != self.traj_vocab.hash():
             raise ValueError(
                 f"{path}: checkpoint vocabulary hash {meta.get('vocab_hash')} does not "
                 f"match the loaded vocabulary {self.traj_vocab.hash()}")
@@ -325,7 +325,6 @@ class SafetyCreep:
     STILL_SECONDS = 2.5
     PULSE_SECONDS = 1.0
     PULSE_THROTTLE = 0.7
-    CLEAR_GAP = 20.0
 
     def __init__(self, enabled=True):
         self.enabled = enabled
@@ -345,7 +344,7 @@ class SafetyCreep:
         else:
             self.still_ticks = 0
         if self.still_ticks * sim.DT >= self.STILL_SECONDS:
-            if world.leading_gap(max_gap=self.CLEAR_GAP) is None:
+            if world.leading_gap() is None:
                 self.still_ticks = 0
                 self.pulse_ticks_left = int(round(self.PULSE_SECONDS / sim.DT)) - 1
                 return sim.ControlCommand(throttle=self.PULSE_THROTTLE, brake=0.0,

@@ -78,15 +78,27 @@ def kl_loss(target, predicted):
     return cross * -1.0 + entropy_term
 
 
+def _underflows(p):
+    """The ln pi floor rule: a probability below e^LOGPROB_FLOOR has its ln
+    clamped to LOGPROB_FLOOR."""
+    return p < math.exp(LOGPROB_FLOOR)
+
+
 def _log_prob(dist, idx, flags=None):
     """ln of one entry of a distribution Tensor, clamped at the floor on
     underflow (the clamp is a constant: no gradient flows through it)."""
     p = dist.narrow(idx, 1)
-    if p.data.item() < math.exp(LOGPROB_FLOOR):
+    if _underflows(p.data.item()):
         if flags is not None:
             flags.append(idx)
         return Tensor(np.array([LOGPROB_FLOOR]))
     return p.log()
+
+
+def _log_prob_value(dist, idx):
+    """_log_prob of a numpy distribution, as a float."""
+    p = dist[idx:idx + 1]
+    return LOGPROB_FLOOR if _underflows(p.item()) else np.log(p).item()
 
 
 def _log_sigmoid_const(x):
@@ -110,47 +122,51 @@ def po_from_dist(dist, y_w, y_l, beta, gamma, flags=None):
     return simpo_from_dist(dist, y_w, y_l, beta, gamma, flags) + _log_sigmoid_const(-gamma)
 
 
-def _group_dist(out, group):
-    if group == "trajectory":
-        return out["d_traj"]
-    return out["d_ctrl"][("throttle", "brake", "steer").index(group)]
+def _sum(terms):
+    """Left-to-right sum of loss Tensors."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _mean(terms):
+    """_sum times 1/len: every batch and pair mean adds in the same order."""
+    return _sum(terms) * (1.0 / len(terms))
 
 
 # -- imitation ----------------------------------------------------------------
 
 
-def _sample_losses(policy, sample, cfg, want_traj=True, want_ctrl=True):
-    """(traj KL, summed control KL) Tensors for one demonstration sample."""
+def _sample_loss(policy, sample, cfg, want_traj=True, want_ctrl=True):
+    """Imitation loss of one demonstration sample: the trajectory KL plus the
+    summed control KL, either of them optional."""
     out = policy.forward(sample.snapshot())
-    l_traj = l_ctrl = None
+    terms = []
     if want_traj:
         target = soft_trajectory_target(policy.traj_vocab, sample.traj_waypoints,
                                         cfg.tau_label)
-        l_traj = kl_loss(target, out["d_traj"])
+        terms.append(kl_loss(target, out["d_traj"]))
     if want_ctrl:
         sizes = policy.ctrl_vocab.group_sizes
-        for j, (size, dist) in enumerate(zip(sizes, out["d_ctrl"])):
-            term = kl_loss(one_hot(size, sample.ctrl_indices[j]), dist)
-            l_ctrl = term if l_ctrl is None else l_ctrl + term
-    return l_traj, l_ctrl
+        terms.append(_sum([kl_loss(one_hot(size, sample.ctrl_indices[j]), dist)
+                           for j, (size, dist) in enumerate(zip(sizes, out["d_ctrl"]))]))
+    return _sum(terms)
 
 
 def _batch_loss(policy, samples, cfg, want_traj=True, want_ctrl=True):
-    total = None
-    for s in samples:
-        l_traj, l_ctrl = _sample_losses(policy, s, cfg, want_traj, want_ctrl)
-        loss = l_traj if l_ctrl is None else (l_ctrl if l_traj is None else l_traj + l_ctrl)
-        total = loss if total is None else total + loss
-    return total * (1.0 / len(samples))
+    return _mean([_sample_loss(policy, s, cfg, want_traj, want_ctrl) for s in samples])
 
 
-def _run_epoch(policy, samples, order, cfg, opt, trainable,
-               want_traj=True, want_ctrl=True, tag=""):
+def _run_epoch(policy, samples, order, cfg, opt, batch_loss, trainable=None, tag=""):
+    """One pass over `samples` in `order`: per batch, batch_loss(batch) ->
+    backward -> Adam step on `trainable` (all parameters if None). Returns
+    the mean batch loss."""
     losses = []
     for b, start in enumerate(range(0, len(order), cfg.batch_size)):
         batch = [samples[i] for i in order[start:start + cfg.batch_size]]
         try:
-            loss = _batch_loss(policy, batch, cfg, want_traj, want_ctrl)
+            loss = batch_loss(batch)
             ad.backward(loss, policy.params)
             opt.step(trainable=trainable)
         except ad.NonFiniteError as e:
@@ -185,8 +201,10 @@ def pretrain(policy, demo, cfg, progress=None):
         history[stage] = []
         for epoch in range(cfg.pretrain_epochs):
             order = rng.permutation(len(samples))
-            mean = _run_epoch(policy, samples, order, cfg, opt, trainable,
-                              want_traj, want_ctrl, tag=f"pretrain/{stage}")
+            mean = _run_epoch(
+                policy, samples, order, cfg, opt,
+                lambda batch: _batch_loss(policy, batch, cfg, want_traj, want_ctrl),
+                trainable, tag=f"pretrain/{stage}")
             history[stage].append(mean)
             if progress:
                 progress(f"pretrain {stage} epoch {epoch}: loss {mean:.4f}")
@@ -197,35 +215,26 @@ def dagger_epoch(policy, merged, cfg, rng):
     """One imitation pass over the merged dataset (takeovers oversampled)."""
     order = merged.epoch_indices(rng)
     opt = ad.Adam(policy.params, lr=cfg.dagger_lr)
-    return _run_epoch(policy, merged.samples, order, cfg, opt, None, tag="dagger")
+    return _run_epoch(policy, merged.samples, order, cfg, opt,
+                      lambda batch: _batch_loss(policy, batch, cfg), tag="dagger")
 
 
 # -- preference optimization --------------------------------------------------
 
-PAIR_GROUPS = ("trajectory", "throttle", "brake", "steer")
+
+def _pair_groups(policy, sample, d_traj, d_ctrl):
+    """The four (distribution, y_w) preference pairs of one takeover sample:
+    trajectory, throttle, brake, steer."""
+    y_w_traj = policy.traj_vocab.nearest_index(sample.traj_waypoints)
+    return zip((d_traj, *d_ctrl), (y_w_traj, *sample.ctrl_indices))
 
 
-def _pair_losses(policy, sample, cfg, margins=None, flags=None):
+def _pair_losses(policy, sample, cfg, flags=None):
     """Mean compensated preference loss over the four per-group pairs of one
     takeover sample; y_l is the live argmax of each group."""
     out = policy.forward(sample.snapshot())
-    y_w_traj = policy.traj_vocab.nearest_index(sample.traj_waypoints)
-    winners = {"trajectory": y_w_traj,
-               "throttle": sample.ctrl_indices[0],
-               "brake": sample.ctrl_indices[1],
-               "steer": sample.ctrl_indices[2]}
-    total = None
-    for group in PAIR_GROUPS:
-        dist = _group_dist(out, group)
-        y_w = winners[group]
-        y_l = int(np.argmax(dist.data))
-        term = po_from_dist(dist, y_w, y_l, cfg.beta, cfg.gamma, flags)
-        total = term if total is None else total + term
-        if margins is not None:
-            lp_w = _log_prob(dist, y_w).data.item()
-            lp_l = _log_prob(dist, y_l).data.item()
-            margins.append(cfg.beta * (lp_w - lp_l))
-    return total * (1.0 / len(PAIR_GROUPS))
+    return _mean([po_from_dist(dist, y_w, int(np.argmax(dist.data)), cfg.beta, cfg.gamma, flags)
+                  for dist, y_w in _pair_groups(policy, sample, out["d_traj"], out["d_ctrl"])])
 
 
 def mean_margin(policy, samples, cfg):
@@ -233,30 +242,23 @@ def mean_margin(policy, samples, cfg):
     with y_l the current argmax. Always <= 0; larger is better."""
     margins = []
     for s in samples:
-        _pair_losses(policy, s, cfg, margins=margins)
+        out = policy.infer(s.snapshot())
+        for dist, y_w in _pair_groups(policy, s, out.d_traj, out.d_ctrl):
+            y_l = int(np.argmax(dist))
+            margins.append(cfg.beta * (_log_prob_value(dist, y_w) - _log_prob_value(dist, y_l)))
     return float(np.mean(margins)) if margins else 0.0
 
 
 def po_epoch(policy, samples, cfg, opt):
-    """One preference epoch over the round's takeover samples."""
+    """One preference epoch over the round's takeover samples; returns the
+    mean batch loss and the number of underflow clamps."""
     rng = np.random.default_rng(cfg.seed + 7919 + opt.step_count)
-    order = rng.permutation(len(samples))
-    losses = []
     flags = []
-    for b, start in enumerate(range(0, len(order), cfg.batch_size)):
-        batch = [samples[i] for i in order[start:start + cfg.batch_size]]
-        try:
-            total = None
-            for s in batch:
-                term = _pair_losses(policy, s, cfg, flags=flags)
-                total = term if total is None else total + term
-            loss = total * (1.0 / len(batch))
-            ad.backward(loss, policy.params)
-            opt.step()
-        except ad.NonFiniteError as e:
-            raise ad.NonFiniteError(f"po batch {b}: {e}")
-        losses.append(loss.data.item())
-    return float(np.mean(losses)), len(flags)
+    mean = _run_epoch(
+        policy, samples, rng.permutation(len(samples)), cfg, opt,
+        lambda batch: _mean([_pair_losses(policy, s, cfg, flags) for s in batch]),
+        tag="po")
+    return mean, len(flags)
 
 
 # -- the multi-round loop ------------------------------------------------------

@@ -8,6 +8,8 @@ import numpy as np
 
 WAYPOINTS_PER_TRAJ = 6       # 3 s horizon at 0.5 s spacing
 WAYPOINT_DT = 0.5
+LLOYD_MAX_ITER = 100
+LLOYD_TOL_FRAC = 0.001       # stop once fewer points than this change cluster
 
 
 class ControlVocabulary:
@@ -98,14 +100,14 @@ def lloyd_cost(points, centers, assignment):
     return float(((points - centers[assignment]) ** 2).sum())
 
 
-def build_vocabulary(trajectories, k, seed, max_iter=100, tol_frac=0.001,
-                     cost_trace=None):
+def build_vocabulary(trajectories, k, seed, cost_trace=None):
     """Cluster demonstration trajectories into a k-entry vocabulary.
 
     Lloyd's algorithm with k-means++ seeding. Stops when the fraction of
-    points changing assignment drops below tol_frac, or after max_iter
-    rounds. Empty clusters are re-seeded from the farthest point. Pass a
-    list as cost_trace to record the within-cluster cost per iteration.
+    points changing assignment drops below LLOYD_TOL_FRAC, or after
+    LLOYD_MAX_ITER rounds. Empty clusters are re-seeded from the farthest
+    point. Pass a list as cost_trace to record the within-cluster cost per
+    iteration.
     """
     pts = np.asarray(trajectories, dtype=np.float64)
     if pts.ndim == 3:
@@ -126,7 +128,7 @@ def build_vocabulary(trajectories, k, seed, max_iter=100, tol_frac=0.001,
         d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
 
     assignment = np.full(n, -1, dtype=np.intp)
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assignment = np.argmin(dists, axis=1)
         if cost_trace is not None:
@@ -141,6 +143,6 @@ def build_vocabulary(trajectories, k, seed, max_iter=100, tol_frac=0.001,
                 assignment[far] = j
             else:
                 centers[j] = members.mean(axis=0)
-        if changed / n < tol_frac:
+        if changed / n < LLOYD_TOL_FRAC:
             break
     return TrajectoryVocabulary(centers.reshape(k, WAYPOINTS_PER_TRAJ, 2))

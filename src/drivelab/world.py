@@ -17,6 +17,7 @@ A_MAX = 3.0               # max engine acceleration, m/s^2
 B_MAX = 8.0               # max brake deceleration, m/s^2
 C_DRAG = 0.002            # quadratic drag coefficient
 BLOCKED_SECONDS = 90.0
+LEADING_GAP_RANGE = 20.0  # m; a leading actor farther ahead leaves the road clear
 
 COMMANDS = ("Straight", "Left", "Right", "LaneFollow",
             "ChangeLaneLeft", "ChangeLaneRight", "Void")
@@ -388,21 +389,19 @@ class World:
         self._blocked_ticks = 0
         self._prev_s = 0.0
 
-    def leading_gap(self, max_gap=20.0, half_corridor=None):
+    def leading_gap(self):
         """Distance along the route to the nearest actor ahead inside the
-        forward lane corridor, or None."""
-        if half_corridor is None:
-            half_corridor = self.route.lane_half_width
+        forward lane corridor, or None beyond LEADING_GAP_RANGE."""
         ego_s, _ = self.route.project(self.ego.x, self.ego.y)
         best = None
         for a in self.actors:
             s_a, lat_a = self.route.project(a.x, a.y)
             if s_a >= self.route.length - 0.1:
                 continue    # past the route end: exited the scene
-            if abs(lat_a) > half_corridor + a.width / 2.0:
+            if abs(lat_a) > self.route.lane_half_width + a.width / 2.0:
                 continue
             gap = s_a - ego_s - (self.ego.length + a.length) / 2.0
-            if -1.0 < gap < max_gap and s_a > ego_s:
+            if -1.0 < gap < LEADING_GAP_RANGE and s_a > ego_s:
                 if best is None or gap < best:
                     best = gap
         return best

@@ -49,7 +49,6 @@ class TestOpGradients:
         x0 = self.rng.normal(size=(5,)) + 0.01
         check_grad(lambda t: t.relu().sum(), x0)
         check_grad(lambda t: t.sigmoid().sum(), x0)
-        check_grad(lambda t: t.exp().sum(), x0)
         check_grad(lambda t: (t * t).log().sum(), np.abs(x0) + 0.5)
 
     def test_softmax(self):
@@ -59,7 +58,6 @@ class TestOpGradients:
 
     def test_mean_reshape_narrow_take_rows(self):
         x0 = self.rng.normal(size=(4, 6))
-        check_grad(lambda t: t.mean(), x0)
         check_grad(lambda t: t.reshape(24).narrow(3, 7).sum(), x0)
         check_grad(lambda t: (t.take_rows([2, 0, 2]) * 1.5).sum(), x0)
 

@@ -207,3 +207,17 @@ class TestPersistence:
         other.traj_vocab = TrajectoryVocabulary(p.traj_vocab.centers + 0.5)
         with pytest.raises(ValueError, match="hash"):
             other.load(tmp_path / "p.ckpt")
+
+    def test_checkpoint_lacking_a_parameter_rejected(self, tmp_path):
+        p = tiny_policy()
+        path = tmp_path / "p.ckpt"
+        p.save(path)
+        raw = path.read_bytes()
+        sep = raw.index(b"\n\n")
+        lines = raw[:sep].split(b"\n")
+        dropped = [ln for ln in lines if ln.startswith(b"ctrl_head.w2\t")]
+        assert len(dropped) == 1
+        lines.remove(dropped[0])
+        path.write_bytes(b"\n".join(lines) + raw[sep:])
+        with pytest.raises(KeyError, match="ctrl_head.w2"):
+            tiny_policy(seed=1).load(path)

@@ -229,11 +229,10 @@ class TestPretrain:
         snapshots = {}
         orig = tr._run_epoch
 
-        def spy(p, samples, order, c, opt, trainable, want_traj=True,
-                want_ctrl=True, tag=""):
+        def spy(p, samples, order, c, opt, batch_loss, trainable=None, tag=""):
             if tag == "pretrain/control" and not snapshots:
                 snapshots.update({n: p.params[n].data.copy() for n in frozen_names})
-            return orig(p, samples, order, c, opt, trainable, want_traj, want_ctrl, tag)
+            return orig(p, samples, order, c, opt, batch_loss, trainable, tag)
 
         monkeypatch.setattr(tr, "_run_epoch", spy)
         tr.pretrain(policy, demo, cfg)
@@ -247,13 +246,14 @@ class TestPretrain:
         opt = ad.Adam(policy2.params, lr=cfg.pretrain_lr, schedule="cosine",
                       total_steps=steps)
         tr._run_epoch(policy2, demo.samples, rng.permutation(len(demo.samples)),
-                      cfg, opt, names1, True, False)
+                      cfg, opt, lambda b: tr._batch_loss(policy2, b, cfg, True, False),
+                      names1)
         after_stage1 = {n: policy2.params[n].data.copy() for n in names1}
         opt2 = ad.Adam(policy2.params, lr=cfg.pretrain_lr, schedule="cosine",
                        total_steps=steps)
         tr._run_epoch(policy2, demo.samples, rng.permutation(len(demo.samples)),
-                      cfg, opt2, policy2.param_names(policy2.CTRL_PREFIXES),
-                      False, True)
+                      cfg, opt2, lambda b: tr._batch_loss(policy2, b, cfg, False, True),
+                      policy2.param_names(policy2.CTRL_PREFIXES))
         for n in names1:
             assert np.array_equal(policy2.params[n].data, after_stage1[n]), n
 
@@ -291,7 +291,8 @@ class TestDagger:
         tr.dagger_epoch(a, merged, cfg, np.random.default_rng(5))
         opt = ad.Adam(b.params, lr=cfg.dagger_lr)
         order = np.random.default_rng(5).permutation(len(demo.samples))
-        tr._run_epoch(b, demo.samples, order, cfg, opt, None)
+        tr._run_epoch(b, demo.samples, order, cfg, opt,
+                      lambda batch: tr._batch_loss(b, batch, cfg))
         for k, t in a.params.items():
             assert np.array_equal(t.data, b.params[k].data)
 
@@ -353,6 +354,38 @@ class TestPoEpoch:
             assert np.array_equal(t.data, before[k])
 
 
+class TestMeanMargin:
+    def test_floor_and_forward_agreement(self, monkeypatch):
+        # infer, patched, gives every brake winner probability 1e-30: those
+        # pairs must use the floor, the other pairs the forward pass's _log_prob
+        policy = tiny_policy(seed=3)
+        cfg = tr.TrainConfig()
+        rng = np.random.default_rng(6)
+        samples = [make_takeover(rng, seg=f"s{i}") for i in range(3)]
+        for s in samples:
+            s.ctrl_indices = (s.ctrl_indices[0], 0, s.ctrl_indices[2])
+        real_infer = policy.infer
+
+        def infer(snapshot):
+            out = real_infer(snapshot)
+            out.d_ctrl = (out.d_ctrl[0], np.array([1e-30, 1.0]), out.d_ctrl[2])
+            return out
+
+        monkeypatch.setattr(policy, "infer", infer)
+        expected = []
+        for s in samples:
+            out = policy.forward(s.snapshot())
+            winners = (policy.traj_vocab.nearest_index(s.traj_waypoints), *s.ctrl_indices)
+            for group, (dist, y_w) in enumerate(zip((out["d_traj"], *out["d_ctrl"]), winners)):
+                if group == 2:      # brake: ln pi(y_w) floored, ln pi(y_l) = ln 1 = 0
+                    expected.append(cfg.beta * (tr.LOGPROB_FLOOR - 0.0))
+                    continue
+                y_l = int(np.argmax(dist.data))
+                expected.append(cfg.beta * (tr._log_prob(dist, y_w).data.item()
+                                            - tr._log_prob(dist, y_l).data.item()))
+        assert tr.mean_margin(policy, samples, cfg) == float(np.mean(expected))
+
+
 class TestPostOptimize:
     def test_zero_rounds_is_identity(self, small_world_data, tmp_path):
         demo, tv = small_world_data
@@ -390,3 +423,4 @@ def test_config_validation():
         tr.TrainConfig(po_epochs=0)
     with pytest.raises(ValueError):
         tr.TrainConfig(rounds=-1)
+
