@@ -302,7 +302,8 @@ class ParameterStore:
 
     def load_values(self, values):
         """Replace every parameter's value; a value set that lacks a stored
-        parameter or holds an unknown one is rejected."""
+        parameter, holds an unknown one or has a wrong shape is rejected
+        before any value is replaced."""
         for k in self._params:
             if k not in values:
                 raise KeyError(f"missing parameter {k!r}")
@@ -312,6 +313,7 @@ class ParameterStore:
             if self._params[k].data.shape != v.shape:
                 raise ShapeError(
                     f"parameter {k!r}: shape {v.shape} != {self._params[k].data.shape}")
+        for k, v in values.items():
             self._params[k].data = v.astype(np.float64).copy()
 
 

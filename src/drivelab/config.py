@@ -60,14 +60,24 @@ def load_config(path=None):
                 user = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON ({e})")
+        if not isinstance(user, dict):
+            raise ConfigError(f"{path}: not a JSON object")
         _deep_update(cfg, user)
     return cfg
 
 
-def _deep_update(base, extra):
+def _check_key(node, key, path):
+    """The rule for every key a user sets, from a config file or --set: it
+    must name an entry of the defaults. `path` is its dotted key path."""
+    if not isinstance(node, dict) or key not in node:
+        raise ConfigError(f"unknown key {path!r}")
+
+
+def _deep_update(base, extra, prefix=""):
     for k, v in extra.items():
-        if isinstance(v, dict) and isinstance(base.get(k), dict):
-            _deep_update(base[k], v)
+        _check_key(base, k, prefix + k)
+        if isinstance(v, dict) and isinstance(base[k], dict):
+            _deep_update(base[k], v, f"{prefix}{k}.")
         else:
             base[k] = v
 
@@ -86,11 +96,9 @@ def apply_overrides(cfg, overrides):
         node = cfg
         parts = key.split(".")
         for p in parts[:-1]:
-            if not isinstance(node.get(p), dict):
-                raise ConfigError(f"override {key!r}: no section {p!r}")
+            _check_key(node, p, key)
             node = node[p]
-        if parts[-1] not in node:
-            raise ConfigError(f"override {key!r}: unknown key {parts[-1]!r}")
+        _check_key(node, parts[-1], key)
         node[parts[-1]] = value
     return cfg
 

@@ -5,6 +5,7 @@ lives in the world record."""
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +57,14 @@ def _corridor_halfwidth(route, actor_width):
     return route.lane_half_width + actor_width / 2.0
 
 
+@lru_cache(maxsize=4)
+def _yield_times(horizon):
+    """Forecast instants (s) of the corridor-entry check, one per sim tick."""
+    times = np.arange(1, int(horizon / sim.DT) + 1) * sim.DT
+    times.flags.writeable = False
+    return times
+
+
 def leading_obstacle(route, ego, ego_s, actor_snaps, stop_line_s, stop_served, cfg):
     """Nearest obstacle ahead in the lane corridor: a current occupant, a
     predicted entrant (constant-velocity forecast), or an unserved stop line.
@@ -85,7 +94,7 @@ def leading_obstacle(route, ego, ego_s, actor_snaps, stop_line_s, stop_served, c
         # Not in the corridor yet: will its straight-line motion enter it ahead?
         if speed < 1e-3 or s_a - ego_s > 80.0 or s_a - ego_s < -10.0:
             continue
-        times = np.arange(1, int(cfg.yield_horizon / sim.DT) + 1) * sim.DT
+        times = _yield_times(cfg.yield_horizon)
         fut = np.stack([x + speed * math.cos(heading) * times,
                         y + speed * math.sin(heading) * times], axis=1)
         s_f, lat_f = route.project_many(fut)
@@ -100,9 +109,9 @@ def leading_obstacle(route, ego, ego_s, actor_snaps, stop_line_s, stop_served, c
     return best
 
 
-def pure_pursuit_steer(route, ego, lookahead):
-    """Normalized steering command toward the route point `lookahead` m ahead."""
-    ego_s, _ = route.project(ego.x, ego.y)
+def pure_pursuit_steer(route, ego, lookahead, ego_s):
+    """Normalized steering command toward the route point `lookahead` m ahead
+    of the ego's arc length `ego_s`."""
     tx, ty, _ = route.point_at(ego_s + lookahead)
     dx, dy = tx - ego.x, ty - ego.y
     cos_h, sin_h = math.cos(ego.heading), math.sin(ego.heading)
@@ -112,7 +121,7 @@ def pure_pursuit_steer(route, ego, lookahead):
     ld = max(math.hypot(dx, dy), 1e-6)
     curvature = 2.0 * math.sin(alpha) / ld
     delta = math.atan(ego.wheelbase * curvature)
-    return float(np.clip(delta / sim.DELTA_MAX, -1.0, 1.0))
+    return min(max(delta / sim.DELTA_MAX, -1.0), 1.0)
 
 
 def accel_to_command(accel, speed, steer):
@@ -132,7 +141,7 @@ def _control_for(route, ego, actor_snaps, stop_line_s, stop_served, cfg):
         accel = idm_free_accel(ego.speed, v0, cfg)
     else:
         accel = idm_accel(ego.speed, v0, lead[0], lead[1], cfg)
-    steer = pure_pursuit_steer(route, ego, cfg.lookahead)
+    steer = pure_pursuit_steer(route, ego, cfg.lookahead, ego_s)
     return accel_to_command(accel, ego.speed, steer)
 
 
@@ -170,11 +179,12 @@ def expert_act(w, cfg, control_vocab=None):
     waypoints = np.zeros((WAYPOINTS_PER_TRAJ, 2))
     steps_per_wp = int(round(WAYPOINT_DT / ROLLOUT_DT))
     served = w.stop_line_served
+    velocities = [(v * math.cos(h), v * math.sin(h)) for (_, _, h, v, _, _, _) in snaps]
     for i in range(WAYPOINTS_PER_TRAJ):
         for j in range(steps_per_wp):
             t = (i * steps_per_wp + j) * ROLLOUT_DT
-            moved = [(x + v * math.cos(h) * t, y + v * math.sin(h) * t, h, v, ln, wd, kd)
-                     for (x, y, h, v, ln, wd, kd) in snaps]
+            moved = [(x + vx * t, y + vy * t, h, v, ln, wd, kd)
+                     for (x, y, h, v, ln, wd, kd), (vx, vy) in zip(snaps, velocities)]
             vcmd = _control_for(w.route, virt, moved, w.route.stop_line_s, served, cfg)
             virt = sim.step_kinematics(virt, vcmd, dt=ROLLOUT_DT)
             if (w.route.stop_line_s is not None and not served and virt.speed < 0.1

@@ -6,6 +6,7 @@ logging. One World per episode; a (scenario kind, seed) pair fully
 determines the episode given a policy.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,11 @@ B_MAX = 8.0               # max brake deceleration, m/s^2
 C_DRAG = 0.002            # quadratic drag coefficient
 BLOCKED_SECONDS = 90.0
 LEADING_GAP_RANGE = 20.0  # m; a leading actor farther ahead leaves the road clear
+# Route.project_many evaluates a window of this many segments around each
+# point's start segment before it checks that the rest are farther away; on
+# a shorter route it scans every segment.
+_WINDOW = 9
+_WINDOW_OFFSETS = np.arange(_WINDOW)
 
 COMMANDS = ("Straight", "Left", "Right", "LaneFollow",
             "ChangeLaneLeft", "ChangeLaneRight", "Void")
@@ -111,23 +117,27 @@ def step_kinematics(ego, cmd, dt=DT, c_drag=C_DRAG):
     Speed never goes negative.
     """
     throttle = 0.0 if cmd.brake > 0.0 else cmd.throttle
-    delta = DELTA_MAX * cmd.steer
-    tan_delta = math.tan(delta)
+    tan_delta = math.tan(DELTA_MAX * cmd.steer)
     L = ego.wheelbase
+    accel = A_MAX * throttle - B_MAX * cmd.brake
 
-    def deriv(state):
-        x, y, psi, v = state
+    # The rates depend on heading and speed only; each stage is
+    # (x', y', heading', speed') in the order of the state.
+    def deriv(psi, v):
         v = max(v, 0.0)
-        dv = A_MAX * throttle - B_MAX * cmd.brake - c_drag * v * v
-        return np.array([v * math.cos(psi), v * math.sin(psi), v / L * tan_delta, dv])
+        return v * math.cos(psi), v * math.sin(psi), v / L * tan_delta, accel - c_drag * v * v
 
-    s0 = np.array([ego.x, ego.y, ego.heading, ego.speed])
-    k1 = deriv(s0)
-    k2 = deriv(s0 + 0.5 * dt * k1)
-    k3 = deriv(s0 + 0.5 * dt * k2)
-    k4 = deriv(s0 + dt * k3)
-    s1 = s0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return EgoState(x=s1[0], y=s1[1], heading=wrap_angle(s1[2]), speed=max(s1[3], 0.0),
+    half = 0.5 * dt
+    k1 = deriv(ego.heading, ego.speed)
+    k2 = deriv(ego.heading + half * k1[2], ego.speed + half * k1[3])
+    k3 = deriv(ego.heading + half * k2[2], ego.speed + half * k2[3])
+    k4 = deriv(ego.heading + dt * k3[2], ego.speed + dt * k3[3])
+    w = dt / 6.0
+    x = ego.x + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    y = ego.y + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    psi = ego.heading + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    v = ego.speed + w * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    return EgoState(x=x, y=y, heading=wrap_angle(psi), speed=max(v, 0.0),
                     wheelbase=ego.wheelbase, length=ego.length, width=ego.width)
 
 
@@ -174,8 +184,27 @@ def rects_collide(x1, y1, h1, l1, w1, x2, y2, h2, l2, w2):
 
 # -- routes ------------------------------------------------------------------
 
+def _reach(d2):
+    """The distance whose square is d2, raised by a margin for rounding: a
+    segment whose chord gap exceeds it is farther than d2 allows."""
+    return d2 ** 0.5 * (1.0 + 1e-9) + 1e-9
+
+
 class Route:
-    """A polyline route with arc-length lookup and per-segment commands."""
+    """A polyline route with arc-length lookup and per-segment commands.
+
+    `project` and `project_many` return exactly what `_full_scan`, the scan
+    over every segment, returns (the lowest segment index wins a tie), but
+    evaluate only the segments near the point. Take the unit chord `u` from
+    the first to the last waypoint and the breakpoints `q_k = u.w_k`. A point
+    `p` lies at least `q_k - u.p` from every point of segment k, and at least
+    `u.p - q_(k+1)`, because projecting onto a unit vector never lengthens a
+    distance. Where the breakpoints rise strictly, the search starts at the
+    segment whose breakpoints bracket `u.p` and stops on each side at the
+    first segment whose gap exceeds the best distance so far, with a margin
+    for rounding. A route whose breakpoints do not rise, and a point whose
+    best distance is not finite, take the full scan.
+    """
 
     def __init__(self, waypoints, commands, lane_half_width=2.0, speed_limit=8.0,
                  stop_line_s=None):
@@ -196,25 +225,65 @@ class Route:
         self.lane_half_width = lane_half_width
         self.speed_limit = speed_limit
         self.stop_line_s = stop_line_s
-        self._seg = seg
         self._seg_len = seg_len
         self._cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         self.length = float(self._cum[-1])
         self.time_budget = self.length / 2.0 + 30.0
+        # Start x and y, direction x and y, and squared length: one row per
+        # quantity for project_many, one list per segment for project.
+        self._geometry = np.concatenate([self.waypoints[:-1].T, seg.T, [seg_len ** 2]])
+        self._segs = self._geometry.T.tolist()
+        self._tangent = seg / seg_len[:, None]
+        self._tangents = self._tangent.tolist()
+        self._lens = seg_len.tolist()
+        self._cums = self._cum.tolist()
+        self._headings = [math.atan2(dy, dx) for dx, dy in seg.tolist()]
+        self._u = None
+        chord = self.waypoints[-1] - self.waypoints[0]
+        norm = math.hypot(chord[0], chord[1])
+        if norm > 0.0:
+            q = self.waypoints @ (chord / norm)
+            if (q[1:] > q[:-1]).all():
+                self._u = chord / norm
+                self._ux, self._uy = self._u.tolist()
+                self._qs = q.tolist()
+                # The breakpoints with the route's ends pushed to infinity,
+                # since no segment lies beyond them.
+                self._q_bounds = np.concatenate([[-np.inf], q[1:-1], [np.inf]])
+                # searchsorted on these gives the first segment of a point's
+                # window: centred on its start segment, shifted to stay inside.
+                half = _WINDOW // 2
+                self._q_window = q[half + 1:len(q) - _WINDOW + half]
 
     def project(self, x, y):
         """Arc-length of the closest polyline point and signed lateral offset."""
-        p = np.array([x, y])
-        d = p - self.waypoints[:-1]
-        t = np.clip((d * self._seg).sum(axis=1) / (self._seg_len ** 2), 0.0, 1.0)
-        closest = self.waypoints[:-1] + t[:, None] * self._seg
-        dist2 = ((p - closest) ** 2).sum(axis=1)
-        i = int(np.argmin(dist2))
-        s = self._cum[i] + t[i] * self._seg_len[i]
-        tangent = self._seg[i] / self._seg_len[i]
-        off = p - closest[i]
-        lateral = tangent[0] * off[1] - tangent[1] * off[0]
-        return float(s), float(lateral)
+        if self._u is not None:
+            up = self._ux * x + self._uy * y
+            qs, segs = self._qs, self._segs
+            n = len(segs)
+            k = min(max(bisect.bisect_right(qs, up) - 1, 0), n - 1)
+            best = bound = math.inf
+            i, step = k, 1      # k, then rightwards, then leftwards from k - 1
+            while True:
+                wx, wy, sx, sy, len2 = segs[i]
+                r = ((x - wx) * sx + (y - wy) * sy) / len2
+                t = 0.0 if r <= 0.0 else (r if r < 1.0 else 1.0)
+                ex = x - (wx + t * sx)
+                ey = y - (wy + t * sy)
+                d2 = ex * ex + ey * ey
+                if d2 < best or (d2 == best and step < 0):
+                    best, bi, bt, bex, bey = d2, i, t, ex, ey
+                    bound = _reach(best)
+                i += step
+                if step > 0 and not (i < n and qs[i] - up <= bound):
+                    i, step = k - 1, -1
+                if step < 0 and not (i >= 0 and up - qs[i + 1] <= bound):
+                    break
+            if best < math.inf:
+                tx, ty = self._tangents[bi]
+                return self._cums[bi] + bt * self._lens[bi], tx * bey - ty * bex
+        s, lateral = self._full_scan(np.array([[x, y]], dtype=np.float64))
+        return float(s[0]), float(lateral[0])
 
     def project_many(self, points):
         """Vectorized project() over an (m, 2) array of points.
@@ -222,31 +291,51 @@ class Route:
         Returns (s, lateral) arrays of length m.
         """
         p = np.asarray(points, dtype=np.float64)
-        d = p[:, None, :] - self.waypoints[None, :-1, :]
-        t = np.clip((d * self._seg[None]).sum(axis=2) / (self._seg_len ** 2)[None],
-                    0.0, 1.0)
-        closest = self.waypoints[None, :-1, :] + t[:, :, None] * self._seg[None]
-        dist2 = ((p[:, None, :] - closest) ** 2).sum(axis=2)
-        i = np.argmin(dist2, axis=1)
-        rows = np.arange(len(p))
-        s = self._cum[i] + t[rows, i] * self._seg_len[i]
-        tangent = self._seg[i] / self._seg_len[i][:, None]
-        off = p - closest[rows, i]
-        lateral = tangent[:, 0] * off[:, 1] - tangent[:, 1] * off[:, 0]
+        n = len(self._seg_len)
+        if self._u is None or n < _WINDOW:
+            return self._full_scan(p)
+        up = p @ self._u
+        lo = np.searchsorted(self._q_window, up, side="right")
+        s, lateral, best = self._nearest(p, lo[:, None] + _WINDOW_OFFSETS)
+        gap = np.minimum(up - self._q_bounds[lo], self._q_bounds[lo + _WINDOW] - up)
+        covered = gap > _reach(best)
+        if not covered.all():
+            rest = ~covered
+            s[rest], lateral[rest] = self._full_scan(p[rest])
         return s, lateral
 
+    def _full_scan(self, p):
+        """(s, lateral) for (m, 2) points over every segment."""
+        n = len(self._seg_len)
+        return self._nearest(p, np.broadcast_to(np.arange(n), (len(p), n)))[:2]
+
+    def _nearest(self, p, idx):
+        """Closest point to each row of p among the segments idx[row], given in
+        ascending order: (s, lateral, squared distance) arrays."""
+        wx, wy, sx, sy, len2 = self._geometry[:, idx]
+        x, y = p[:, :1], p[:, 1:]
+        # maximum() turns -0.0 into 0.0, as project() does.
+        t = np.minimum(np.maximum(((x - wx) * sx + (y - wy) * sy) / len2, 0.0), 1.0)
+        ex, ey = x - (wx + t * sx), y - (wy + t * sy)
+        dist2 = ex * ex + ey * ey
+        rows = np.arange(len(p))
+        j = np.argmin(dist2, axis=1)
+        i = idx[rows, j]
+        tx, ty = self._tangent[i].T
+        return (self._cum[i] + t[rows, j] * self._seg_len[i],
+                tx * ey[rows, j] - ty * ex[rows, j], dist2[rows, j])
+
     def segment_index(self, s):
-        i = int(np.searchsorted(self._cum, s, side="right")) - 1
-        return min(max(i, 0), len(self._seg_len) - 1)
+        i = bisect.bisect_right(self._cums, s) - 1
+        return min(max(i, 0), len(self._lens) - 1)
 
     def point_at(self, s):
         """(x, y, heading) at arc length s; clamps to the route ends."""
-        s = min(max(s, 0.0), self.length)
+        s = min(max(float(s), 0.0), self.length)
         i = self.segment_index(s)
-        t = (s - self._cum[i]) / self._seg_len[i]
-        p = self.waypoints[i] + t * self._seg[i]
-        heading = math.atan2(self._seg[i, 1], self._seg[i, 0])
-        return float(p[0]), float(p[1]), heading
+        t = (s - self._cums[i]) / self._lens[i]
+        wx, wy, sx, sy, _ = self._segs[i]
+        return wx + t * sx, wy + t * sy, self._headings[i]
 
     def command_at(self, s):
         return self.commands[self.segment_index(s)]
@@ -514,23 +603,22 @@ def _make_route(rng, spec, lateral_bump=None, stop_line_s=None,
     n = int(spec.route_length / spacing) + 1
     if curvature is None:
         curvature = rng.uniform(-0.003, 0.003)
-    pts = np.zeros((n, 2))
-    heading = 0.0
-    for i in range(1, n):
-        heading += curvature * spacing
-        pts[i] = pts[i - 1] + spacing * np.array([math.cos(heading), math.sin(heading)])
-    s_grid = np.arange(n) * spacing
+    x, y, heads = [0.0], [0.0], [0.0]
+    for _ in range(1, n):
+        heads.append(heads[-1] + curvature * spacing)
+        x.append(x[-1] + spacing * math.cos(heads[-1]))
+        y.append(y[-1] + spacing * math.sin(heads[-1]))
+    s_grid = [i * spacing for i in range(n)]
     commands = ["LaneFollow"] * (n - 1)
 
     if lateral_bump is not None:
         center, half_span, offset = lateral_bump
-        normal_heads = np.concatenate([[0.0], np.cumsum(np.full(n - 1, curvature * spacing))])
         for i in range(n):
             u = (s_grid[i] - center) / half_span
             if abs(u) < 1.0:
                 off = offset * 0.5 * (1.0 + math.cos(math.pi * u))
-                h = normal_heads[i]
-                pts[i] += off * np.array([-math.sin(h), math.cos(h)])
+                x[i] += off * -math.sin(heads[i])
+                y[i] += off * math.cos(heads[i])
         for i in range(n - 1):
             mid = (s_grid[i] + s_grid[i + 1]) / 2.0
             if center - half_span < mid < center:
@@ -538,8 +626,8 @@ def _make_route(rng, spec, lateral_bump=None, stop_line_s=None,
             elif center < mid < center + half_span:
                 commands[i] = bump_commands[1]
 
-    return Route(pts, commands, lane_half_width=2.0, speed_limit=spec.speed_limit,
-                 stop_line_s=stop_line_s)
+    return Route(np.column_stack([x, y]), commands, lane_half_width=2.0,
+                 speed_limit=spec.speed_limit, stop_line_s=stop_line_s)
 
 
 def reset(spec):

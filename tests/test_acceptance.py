@@ -330,8 +330,8 @@ class InertiaDriver:
         self.moved = False
 
     def act(self, w):
-        steer = pure_pursuit_steer(w.route, w.ego, 6.0)
         s, _ = w.route.project(w.ego.x, w.ego.y)
+        steer = pure_pursuit_steer(w.route, w.ego, 6.0, s)
         stop = w.route.stop_line_s
         if w.ego.speed > 1.0:
             self.moved = True

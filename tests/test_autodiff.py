@@ -141,6 +141,17 @@ class TestParameterStore:
         with pytest.raises(ad.ShapeError):
             s.load_values({"w": np.zeros(3)})
 
+    def test_rejected_load_leaves_values_untouched(self):
+        s = ad.ParameterStore()
+        s.add("a", np.zeros(2))
+        s.add("b", np.zeros(2))
+        with pytest.raises(KeyError, match="zzz"):
+            s.load_values({"a": np.ones(2), "b": np.ones(2), "zzz": np.ones(2)})
+        with pytest.raises(ad.ShapeError, match="'b'"):
+            s.load_values({"a": np.ones(2), "b": np.ones(3)})
+        assert np.array_equal(s["a"].data, np.zeros(2))
+        assert np.array_equal(s["b"].data, np.zeros(2))
+
     def test_copy_load_round_trip(self):
         s = ad.ParameterStore()
         s.add("w", np.arange(4.0))

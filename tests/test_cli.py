@@ -108,6 +108,18 @@ class TestDispatch:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert cli.main(["--config", str(bad), "report"]) == 1
+        bad.write_text("[1]")
+        assert cli.main(["--config", str(bad), "report"]) == 1
+
+    @pytest.mark.parametrize("section, key", [("expert", "desired_sped"),
+                                              ("scenario", "route_len")])
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, section, key):
+        cfg = dict(MINI, out_dir=str(tmp_path / "x"), **{section: {key: 50.0}})
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path), "--jobs", "1", "collect-demos"]) == 1
+        assert f"unknown key '{section}.{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_seed_overlap_exits_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tmp_path / "x",

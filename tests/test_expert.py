@@ -37,12 +37,12 @@ class TestPurePursuit:
     def test_straight_route_zero_steer(self):
         route = sim.Route(np.array([[0.0, 0.0], [50.0, 0.0]]), ["LaneFollow"])
         ego = sim.EgoState(x=5.0, y=0.0, heading=0.0, speed=5.0)
-        assert xp.pure_pursuit_steer(route, ego, 6.0) == pytest.approx(0.0, abs=1e-9)
+        assert xp.pure_pursuit_steer(route, ego, 6.0, 5.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_lateral_offset_steers_back(self):
         route = sim.Route(np.array([[0.0, 0.0], [50.0, 0.0]]), ["LaneFollow"])
         ego = sim.EgoState(x=5.0, y=2.0, heading=0.0, speed=5.0)
-        assert xp.pure_pursuit_steer(route, ego, 6.0) < -0.05
+        assert xp.pure_pursuit_steer(route, ego, 6.0, 5.0) < -0.05
 
     def test_matches_curvature_formula(self):
         route = sim.Route(np.array([[0.0, 0.0], [50.0, 0.0]]), ["LaneFollow"])
@@ -51,7 +51,7 @@ class TestPurePursuit:
         alpha = math.atan2(ty - ego.y, tx - ego.x)
         ld = math.hypot(tx - ego.x, ty - ego.y)
         expect = math.atan(ego.wheelbase * 2 * math.sin(alpha) / ld) / sim.DELTA_MAX
-        assert xp.pure_pursuit_steer(route, ego, 6.0) == pytest.approx(expect, abs=1e-9)
+        assert xp.pure_pursuit_steer(route, ego, 6.0, 0.0) == pytest.approx(expect, abs=1e-9)
 
 
 class TestAccelToCommand:
