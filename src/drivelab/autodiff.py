@@ -1,10 +1,20 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Supports exactly the operations the policy heads and training losses need:
-linear algebra, pointwise nonlinearities, row softmax, sum, row gathers,
-last-axis slices and concatenation, and single-head attention. Every op is
-recorded on an implicit tape (the parent graph); gradients replay in exact
-reverse execution order, so repeated backward passes are bit-identical.
+linear algebra, pointwise nonlinearities, row softmax, sum, reciprocal, row
+gathers, last-axis slices and concatenation, and single-head attention. Every
+op is recorded on an implicit tape (the parent graph); gradients replay in
+exact reverse execution order, so repeated backward passes are bit-identical.
+
+The module-level ops the policy calls (`relu`, `sigmoid`, `softmax`,
+`narrow`, `concat`, `normalize`, `linear`, `scaled_dot_attention`) take a
+Tensor or a plain float64 array. A Tensor records the op; an array gets the
+same value formula and records nothing, so a network written once runs as a
+graph for training and graph-free for inference, bit for bit alike. Where a
+Tensor checks every op's output for non-finite values, the array path checks
+only the inputs of sigmoid and softmax and the normalisation's reciprocal:
+every other op passes an inf or nan on to one of them, so both paths raise
+NonFiniteError on the same inputs.
 """
 
 import math
@@ -24,15 +34,39 @@ def _as_array(x):
     return np.asarray(x, dtype=np.float64)
 
 
+def _finite(x):
+    """x itself; NonFiniteError if any element is inf or nan."""
+    if not np.isfinite(x).all():
+        raise NonFiniteError("non-finite values")
+    return x
+
+
+# -- value formulas, shared by the Tensor ops and the array path ----------
+
+
+def _relu(x):
+    return x * (x > 0.0)
+
+
+def _sigmoid(x):
+    # Numerically stable split over sign.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _softmax(x):
+    """Row softmax over the last axis; rows sum to 1 within fp64 rounding."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse-mode autodiff."""
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
-        self.data = _as_array(data)
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError("non-finite values in tensor")
+        self.data = _finite(_as_array(data))
         self.grad = None
         self._parents = parents
         self._backward = backward
@@ -102,18 +136,13 @@ class Tensor:
     # -- nonlinearities ---------------------------------------------------
 
     def relu(self):
-        mask = self.data > 0.0
-
         def backward(out):
-            self._accum(out.grad * mask)
+            self._accum(out.grad * (self.data > 0.0))
 
-        return Tensor(self.data * mask, parents=(self,), backward=backward)
+        return Tensor(_relu(self.data), parents=(self,), backward=backward)
 
     def sigmoid(self):
-        # Numerically stable split over sign.
-        x = self.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        out_data = _sigmoid(self.data)
 
         def backward(out):
             self._accum(out.grad * out_data * (1.0 - out_data))
@@ -131,10 +160,7 @@ class Tensor:
         return Tensor(out_data, parents=(self,), backward=backward)
 
     def softmax(self):
-        """Row softmax over the last axis; rows sum to 1 within fp64 rounding."""
-        z = self.data - self.data.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        out_data = e / e.sum(axis=-1, keepdims=True)
+        out_data = _softmax(self.data)
 
         def backward(out):
             g = out.grad
@@ -142,6 +168,13 @@ class Tensor:
             self._accum((g - dot) * out_data)
 
         return Tensor(out_data, parents=(self,), backward=backward)
+
+    def reciprocal(self):
+        """1/x for a positive tensor."""
+        def backward(out):
+            self._accum(-out.grad / (self.data * self.data))
+
+        return Tensor(1.0 / self.data, parents=(self,), backward=backward)
 
     # -- reductions / reshaping ------------------------------------------
 
@@ -200,14 +233,45 @@ def _unbroadcast(grad, shape):
     return g
 
 
+# -- ops on a Tensor or a plain array ----------------------------------------
+
+
+def relu(x):
+    return x.relu() if isinstance(x, Tensor) else _relu(x)
+
+
+def sigmoid(x):
+    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(_finite(x))
+
+
+def softmax(x):
+    return x.softmax() if isinstance(x, Tensor) else _softmax(_finite(x))
+
+
+def narrow(x, start, length):
+    """Contiguous slice along the last axis."""
+    if isinstance(x, Tensor):
+        return x.narrow(start, length)
+    return x[..., start:start + length]
+
+
+def normalize(x):
+    """x / sum(x) for a positive vector, as x times the reciprocal of the sum."""
+    if isinstance(x, Tensor):
+        return x * x.sum().reciprocal()
+    return x * _finite(1.0 / np.array([x.sum()]))
+
+
 def concat(tensors):
     """Concatenation along the last axis."""
+    if not isinstance(tensors[0], Tensor):
+        return np.concatenate(tensors, axis=-1)
     datas = [t.data for t in tensors]
     ndim = datas[0].ndim
     for d in datas[1:]:
         if d.ndim != ndim:
             raise ShapeError(f"concat: rank mismatch {[x.shape for x in datas]}")
-    out_data = np.concatenate(datas, axis=-1)
+    out_data = concat(datas)      # the array path gives the value
     splits = np.cumsum([d.shape[-1] for d in datas])[:-1]
 
     def backward(out):
@@ -235,7 +299,7 @@ def scaled_dot_attention(q, k, v):
             f"scaled_dot_attention: key count {k.shape} vs value count {v.shape}")
     d = q.shape[-1]
     scores = (q @ k.transpose()) * (1.0 / math.sqrt(d))
-    return scores.softmax() @ v
+    return softmax(scores) @ v
 
 
 def backward(loss, params=None):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import world as sim
-from .autodiff import Tensor, concat, scaled_dot_attention
+from .autodiff import Tensor, scaled_dot_attention
 from .vocab import ControlVocabulary, WAYPOINT_DT
 
 AGENT_FEATURES = 7      # rel x, rel y, sin/cos rel heading, speed, length, width
@@ -57,6 +57,9 @@ def command_onehot(command):
     return vec
 
 
+_COMMAND_ROWS = {c: command_onehot(c).tolist() for c in sim.COMMANDS}
+
+
 def encode_scene(world, cfg):
     """Extract the raw privileged features the policy consumes.
 
@@ -83,16 +86,14 @@ def encode_scene(world, cfg):
     route = world.route
     ego_s, _ = route.project(ego.x, ego.y)
     first_seg = route.segment_index(ego_s)
+    points = route.points
     map_rows = []
     for j in range(first_seg, min(first_seg + cfg.n_map, len(route.commands))):
-        a, b = route.waypoints[j], route.waypoints[j + 1]
-        mid = (a + b) / 2.0
-        mx, my = to_ego(mid[0], mid[1])
-        seg_h = math.atan2(b[1] - a[1], b[0] - a[0])
-        rh = sim.wrap_angle(seg_h - ego.heading)
-        row = [mx, my, math.sin(rh), math.cos(rh), math.hypot(mx, my)]
-        row.extend(command_onehot(route.commands[j]))
-        map_rows.append(row)
+        (ax, ay), (bx, by) = points[j], points[j + 1]
+        mx, my = to_ego((ax + bx) / 2.0, (ay + by) / 2.0)
+        rh = sim.wrap_angle(route.headings[j] - ego.heading)
+        map_rows.append([mx, my, math.sin(rh), math.cos(rh), math.hypot(mx, my)]
+                        + _COMMAND_ROWS[route.commands[j]])
     map_feats = np.array(map_rows) if map_rows else np.zeros((0, MAP_FEATURES))
 
     return SceneSnapshot(agent_feats=agent_feats, map_feats=map_feats,
@@ -109,7 +110,7 @@ def positional_encoding(centers_flat):
 
 
 def _mlp2(params, prefix, x):
-    h = ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]).relu()
+    h = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
     return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
@@ -176,60 +177,57 @@ class Policy:
 
     # -- forward ----------------------------------------------------------
 
-    def embed_scene(self, snapshot):
-        agents = None
+    def _network(self, params, leaf, posenc, snapshot):
+        """The policy's wiring, written once. `forward` runs it on Tensors
+        (`params` the ParameterStore, `leaf` Tensor) and `infer` on float64
+        arrays (`params` a name -> array dict, `leaf` np.asarray), which
+        gives the same values bit for bit and builds no graph."""
+        agents = maps = None
         if snapshot.agent_feats.shape[0] > 0:
-            agents = _mlp2(self.params, "agent_mlp", Tensor(snapshot.agent_feats))
-        maps = None
+            agents = _mlp2(params, "agent_mlp", leaf(snapshot.agent_feats))
         if snapshot.map_feats.shape[0] > 0:
-            maps = _mlp2(self.params, "map_mlp", Tensor(snapshot.map_feats))
-        return agents, maps
+            maps = _mlp2(params, "map_mlp", leaf(snapshot.map_feats))
 
-    def trajectory_branch(self, tokens, cmd_onehot):
-        """Per-candidate sigmoid scores and the normalized distribution."""
-        cmd = np.asarray(cmd_onehot, dtype=np.float64)
+        # Trajectory branch: a sigmoid score per candidate, then normalized.
+        cmd = np.asarray(snapshot.cmd_onehot, dtype=np.float64)
         if cmd.shape != (len(sim.COMMANDS),) or not (
                 np.all((cmd == 0.0) | (cmd == 1.0)) and cmd.sum() == 1.0):
             raise ValueError(f"cmd must be one-hot over {len(sim.COMMANDS)} categories")
-        agents, maps = tokens
-        e = self.params["traj_base"] \
-            + _mlp2(self.params, "cmd_mlp", Tensor(cmd.reshape(1, -1))) \
-            + _mlp2(self.params, "pos_mlp", self._posenc)
-        e_agt = _cross_attention(self.params, "traj_attn_agent", e, agents)
-        e_map = _cross_attention(self.params, "traj_attn_map", e_agt, maps)
-        logits = _mlp2(self.params, "traj_head", concat([e_agt, e_map]))
-        scores = logits.reshape(self.cfg.k).sigmoid()
-        norm = scores * _reciprocal(scores.sum())
-        return scores, norm
+        e = params["traj_base"] \
+            + _mlp2(params, "cmd_mlp", leaf(cmd.reshape(1, -1))) \
+            + _mlp2(params, "pos_mlp", posenc)
+        e_agt = _cross_attention(params, "traj_attn_agent", e, agents)
+        e_map = _cross_attention(params, "traj_attn_map", e_agt, maps)
+        logits = _mlp2(params, "traj_head", ad.concat([e_agt, e_map]))
+        scores = ad.sigmoid(logits.reshape(self.cfg.k))
+        d_traj = ad.normalize(scores)
 
-    def control_branch(self, tokens):
-        """Group-wise softmax distributions (throttle, brake, steer)."""
-        agents, maps = tokens
-        e = self.params["ctrl_base"]
-        e_agt = _cross_attention(self.params, "ctrl_attn_agent", e, agents)
-        e_map = _cross_attention(self.params, "ctrl_attn_map", e_agt, maps)
-        logits = _mlp2(self.params, "ctrl_head", concat([e_agt, e_map]))
+        # Control branch: a softmax per group (throttle, brake, steer).
+        e_agt = _cross_attention(params, "ctrl_attn_agent", params["ctrl_base"], agents)
+        e_map = _cross_attention(params, "ctrl_attn_map", e_agt, maps)
+        logits = _mlp2(params, "ctrl_head", ad.concat([e_agt, e_map]))
         flat = logits.reshape(self.ctrl_vocab.total)
-        dists = []
-        for start, length in GROUP_SLICES.values():
-            dists.append(flat.narrow(start, length).softmax())
-        return tuple(dists)
+        d_ctrl = tuple(ad.softmax(ad.narrow(flat, start, length))
+                       for start, length in GROUP_SLICES.values())
+        return {"traj_scores": scores, "d_traj": d_traj, "d_ctrl": d_ctrl}
 
     def forward(self, snapshot):
         """Full differentiable forward pass; returns Tensors for training."""
-        tokens = self.embed_scene(snapshot)
-        scores, d_traj = self.trajectory_branch(tokens, snapshot.cmd_onehot)
-        d_ctrl = self.control_branch(tokens)
-        return {"traj_scores": scores, "d_traj": d_traj, "d_ctrl": d_ctrl}
+        return self._network(self.params, Tensor, self._posenc, snapshot)
 
     def infer(self, snapshot):
-        out = self.forward(snapshot)
-        d_traj = out["d_traj"].data
-        d_ctrl = tuple(d.data for d in out["d_ctrl"])
+        """One closed-loop tick: the network on plain arrays, then the top-1
+        picks. Floating-point warnings are off while it runs, because the
+        array path raises NonFiniteError on the non-finite values that would
+        warn (see `autodiff`), where `forward` raises it."""
+        values = {name: t.data for name, t in self.params.items()}
+        with np.errstate(all="ignore"):
+            out = self._network(values, np.asarray, self._posenc.data, snapshot)
+        d_traj, d_ctrl = out["d_traj"], out["d_ctrl"]
         traj_idx, ctrl_idx = sample_top1(d_traj, d_ctrl)
         throttle, brake, steer = self.ctrl_vocab.values(*ctrl_idx)
         return PolicyOutput(
-            traj_scores=out["traj_scores"].data, d_traj=d_traj, d_ctrl=d_ctrl,
+            traj_scores=out["traj_scores"], d_traj=d_traj, d_ctrl=d_ctrl,
             traj_index=traj_idx, ctrl_indices=ctrl_idx,
             tau_plan=self.traj_vocab.centers[traj_idx],
             c_ctrl=sim.ControlCommand(throttle=throttle, brake=brake, steer=steer))
@@ -251,13 +249,6 @@ class Policy:
                 f"match the loaded vocabulary {self.traj_vocab.hash()}")
         self.params.load_values(values)
         return meta
-
-
-def _reciprocal(t):
-    """1/t for a positive scalar tensor."""
-    def backward(out):
-        t._accum(-out.grad / (t.data * t.data))
-    return Tensor(1.0 / t.data, parents=(t,), backward=backward)
 
 
 def sample_top1(d_traj, d_ctrl):
@@ -284,26 +275,35 @@ class PidTracker:
 
     def track(self, tau_plan, ego):
         wps = np.asarray(tau_plan, dtype=np.float64)
-        dists = np.hypot(wps[:, 0], wps[:, 1])
-        if np.max(dists) < 1e-6:
+        steps = wps.copy()
+        steps[1:] -= wps[:-1]     # the first step runs from the ego
+        # One np.hypot for the waypoint distances and the step lengths
+        # (math.hypot rounds differently); the rest runs on Python floats.
+        norms = np.hypot(*np.concatenate((wps, steps)).T).tolist()
+        dists, lengths = norms[:len(wps)], norms[len(wps):]
+        if max(dists) < 1e-6:
             return sim.ControlCommand(throttle=0.0, brake=1.0, steer=0.0)
 
-        i = int(np.argmin(np.abs(dists - self.LOOKAHEAD)))
+        i = min(range(len(dists)), key=lambda j: abs(dists[j] - self.LOOKAHEAD))
         ld = max(dists[i], 1e-6)
-        alpha = math.atan2(wps[i, 1], wps[i, 0])
-        curvature = 2.0 * math.sin(alpha) / ld
-        steer = float(np.clip(math.atan(ego.wheelbase * curvature) / sim.DELTA_MAX,
-                              -1.0, 1.0))
+        x, y = wps[i].tolist()
+        curvature = 2.0 * math.sin(math.atan2(y, x)) / ld
+        steer = _clip(math.atan(ego.wheelbase * curvature) / sim.DELTA_MAX, 1.0)
 
-        seg = np.diff(np.vstack([[0.0, 0.0], wps]), axis=0)
-        target_speed = float(np.hypot(seg[:, 0], seg[:, 1]).mean() / WAYPOINT_DT)
+        total = 0.0
+        for length in lengths:    # left to right, as numpy sums six terms
+            total += length
+        target_speed = total / len(lengths) / WAYPOINT_DT
         err = target_speed - ego.speed
-        self.integral = float(np.clip(self.integral + err * sim.DT,
-                                      -self.INTEGRAL_CLAMP, self.INTEGRAL_CLAMP))
+        self.integral = _clip(self.integral + err * sim.DT, self.INTEGRAL_CLAMP)
         u = self.KP * err + self.KI * self.integral
         if u >= 0.0:
             return sim.ControlCommand(throttle=min(u, 1.0), brake=0.0, steer=steer)
         return sim.ControlCommand(throttle=0.0, brake=min(-u, 1.0), steer=steer)
+
+
+def _clip(x, bound):
+    return min(max(x, -bound), bound)
 
 
 def ensemble(c_ctrl, c_traj):

@@ -237,7 +237,9 @@ class Route:
         self._tangents = self._tangent.tolist()
         self._lens = seg_len.tolist()
         self._cums = self._cum.tolist()
-        self._headings = [math.atan2(dy, dx) for dx, dy in seg.tolist()]
+        # Waypoints and segment headings as Python floats.
+        self.points = self.waypoints.tolist()
+        self.headings = [math.atan2(dy, dx) for dx, dy in seg.tolist()]
         self._u = None
         chord = self.waypoints[-1] - self.waypoints[0]
         norm = math.hypot(chord[0], chord[1])
@@ -335,7 +337,7 @@ class Route:
         i = self.segment_index(s)
         t = (s - self._cums[i]) / self._lens[i]
         wx, wy, sx, sy, _ = self._segs[i]
-        return wx + t * sx, wy + t * sy, self._headings[i]
+        return wx + t * sx, wy + t * sy, self.headings[i]
 
     def command_at(self, s):
         return self.commands[self.segment_index(s)]

@@ -71,6 +71,11 @@ class TestOpGradients:
         v = Tensor(self.rng.normal(size=(5, 4)))
         check_grad(lambda t: ad.scaled_dot_attention(t, k, v).sum(), q0)
 
+    def test_normalize(self):
+        x0 = np.abs(self.rng.normal(size=(6,))) + 0.1
+        w = self.rng.normal(size=(6,))
+        check_grad(lambda t: (ad.normalize(t) * w).sum(), x0)
+
     def test_broadcast_unbroadcast(self):
         x0 = self.rng.normal(size=(1, 4))
         w = self.rng.normal(size=(3, 4))
@@ -82,6 +87,33 @@ class TestOpGradients:
 def test_softmax_rows_sum_to_one(vals):
     out = Tensor(np.array(vals)).softmax()
     assert abs(out.data.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("op", [
+    ad.relu, ad.sigmoid, ad.softmax, lambda t: ad.narrow(t, 5, 2),
+    lambda t: ad.concat([t, t]), lambda t: ad.normalize(t.reshape(48) * t.reshape(48)),
+    lambda t: ad.scaled_dot_attention(t, t, t)])
+def test_array_path_matches_tensor_op(op):
+    """An op given a plain array returns a plain array with the Tensor op's
+    value, bit for bit."""
+    x = np.random.default_rng(5).normal(size=(3, 16)) * 4.0
+    got = op(x)
+    assert isinstance(got, np.ndarray)
+    assert np.array_equal(got, op(Tensor(x)).data)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("op", [ad.sigmoid, ad.softmax])
+def test_array_path_rejects_nonfinite_input(op, bad):
+    # sigmoid(+-inf) and softmax over a -inf entry are finite, so the array
+    # path checks these inputs itself.
+    with pytest.raises(ad.NonFiniteError):
+        op(np.array([[0.5, bad, -1.0]]))
+
+
+def test_array_path_rejects_zero_sum_normalize():
+    with np.errstate(divide="ignore"), pytest.raises(ad.NonFiniteError):
+        ad.normalize(np.zeros(4))
 
 
 def test_shape_errors():

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from drivelab import dataset as ds
 from drivelab import expert as xp
 from drivelab import metrics as bench
+from drivelab import policy as pol
 from drivelab import world as sim
+from drivelab.vocab import ControlVocabulary, TrajectoryVocabulary
 
 
 class ExpertDriver:
@@ -202,3 +205,27 @@ def test_evaluation_is_deterministic():
     b = bench.run_episode(ExpertDriver(), spec)
     assert a.ds == b.ds and a.elapsed == b.elapsed
     assert [f.ego for f in a.trace] == [f.ego for f in b.trace]
+
+
+def test_closed_loop_tick_golden(tmp_path):
+    """A tiny fixed policy shadowed by the expert on one 40 m EmergencyBrake
+    episode, then evaluated on one 40 m Merging episode: the persisted
+    takeover set and the report have fixed sha256 values, so scene encoding,
+    inference and PID tracking must not move a bit."""
+    import hashlib
+    t = np.arange(1, 7) * 0.5
+    centers = np.array([np.stack([t * v, t * t * c], axis=1)
+                        for v in (0.0, 2.0, 5.0, 8.0) for c in (-0.3, 0.3)])
+    policy = pol.Policy(pol.PolicyConfig(feature_dim=16, k=8, init_seed=5),
+                        TrajectoryVocabulary(centers), ControlVocabulary())
+    takeover = ds.run_shadow_collection(
+        policy, [sim.ScenarioSpec("EmergencyBrake", 0, route_length=40.0)],
+        xp.ExpertConfig(), round_index=1)
+    assert len(takeover) == 320
+    ds.persist(takeover, tmp_path / "takeover.jsonl")
+    report, _ = bench.evaluate_suite(
+        policy, [sim.ScenarioSpec("Merging", 0, route_length=40.0)])
+    digests = [hashlib.sha256((tmp_path / "takeover.jsonl").read_bytes()).hexdigest(),
+               hashlib.sha256(report.to_json().encode()).hexdigest()]
+    assert digests == ["0172a0388b076806fffd4a95ef6cd987065dd5d58a19f9245348a634569e6f50",
+                       "2a1ebdf6edb623f9bc6d1bcdbbacb2bc94bb7d940f4010764f2468022d689418"]

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from drivelab import autodiff as ad
 from drivelab import policy as pol
 from drivelab import world as sim
-from drivelab.vocab import ControlVocabulary, TrajectoryVocabulary
+from drivelab.vocab import WAYPOINT_DT, ControlVocabulary, TrajectoryVocabulary
 
 
 def tiny_policy(seed=0, k=8, dim=16):
@@ -104,6 +107,78 @@ class TestForward:
             pol.Policy(cfg, TrajectoryVocabulary(np.random.default_rng(0).normal(size=(4, 6, 2))))
 
 
+class TestInferMatchesForward:
+    """`infer` runs the network on plain arrays: its outputs equal
+    `forward`'s bit for bit, it raises NonFiniteError where `forward` does,
+    and it builds no autodiff graph."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.integers(0, pol.PolicyConfig.n_agents),
+           st.integers(1, pol.PolicyConfig.n_map), st.sampled_from(sim.COMMANDS),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.1, 1.0, 10.0]))
+    def test_bit_identical(self, init_seed, n_agents, n_map, command, data_seed, scale):
+        rng = np.random.default_rng(data_seed)
+        snap = pol.SceneSnapshot(
+            agent_feats=rng.normal(0, scale, (n_agents, pol.AGENT_FEATURES)),
+            map_feats=rng.normal(0, scale, (n_map, pol.MAP_FEATURES)),
+            cmd_onehot=pol.command_onehot(command))
+        p = tiny_policy(seed=init_seed)
+        out, fwd = p.infer(snap), p.forward(snap)
+        assert np.array_equal(out.traj_scores, fwd["traj_scores"].data)
+        assert np.array_equal(out.d_traj, fwd["d_traj"].data)
+        assert len(out.d_ctrl) == len(fwd["d_ctrl"])
+        for got, want in zip(out.d_ctrl, fwd["d_ctrl"]):
+            assert np.array_equal(got, want.data)
+
+    def _assert_both_raise(self, p, snap):
+        with pytest.raises(ad.NonFiniteError):
+            p.forward(snap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteError):
+                p.infer(snap)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["agent", "map", "parameter"])
+    def test_nonfinite_raises_in_both(self, where, bad):
+        p = tiny_policy()
+        snap = snapshot_from("EmergencyBrake", 0, p.cfg)
+        if where == "agent":
+            snap.agent_feats = snap.agent_feats.copy()
+            snap.agent_feats[0, 4] = bad
+        elif where == "map":
+            snap.map_feats = snap.map_feats.copy()
+            snap.map_feats[2, 1] = bad
+        else:
+            p.params["pos_mlp.w1"].data[5, 3] = bad
+        self._assert_both_raise(p, snap)
+
+    def test_underflowing_scores_raise_in_both(self):
+        # Finite inputs, but every trajectory score underflows to 0, so the
+        # normalisation's reciprocal is inf.
+        p = tiny_policy()
+        p.params["traj_head.b2"].data[:] = -1e6
+        snap = snapshot_from("EmergencyBrake", 0, p.cfg)
+        with np.errstate(divide="ignore"):
+            self._assert_both_raise(p, snap)
+
+    def test_infer_builds_no_tensors(self, monkeypatch):
+        p = tiny_policy()
+        snap = snapshot_from()
+        built = []
+        init = ad.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        p.infer(snap)
+        assert len(built) == 0
+        p.forward(snap)
+        assert len(built) > 0
+
+
 class TestEnsemble:
     def test_identities(self):
         a = sim.ControlCommand(throttle=0.4, brake=0.0, steer=-0.2)
@@ -126,6 +201,31 @@ class TestPidTracker:
         cmd = pid.track(plan, sim.EgoState(speed=0.0))
         assert cmd.throttle > 0.5
         assert cmd.steer == pytest.approx(0.0, abs=1e-9)
+
+    def test_matches_numpy_formulation(self):
+        """Bit for bit the vectorized formulation: libm hypot, six step
+        lengths summed left to right, clipped steer and integrator."""
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            plan = rng.normal(0, rng.choice([0.01, 1.0, 3.0, 20.0]), size=(6, 2))
+            ego = sim.EgoState(speed=float(rng.uniform(0.0, 12.0)))
+            pid = pol.PidTracker()
+            pid.integral = integral = float(rng.uniform(-12.0, 12.0))
+            cmd = pid.track(plan, ego)
+
+            dists = np.hypot(plan[:, 0], plan[:, 1])
+            i = int(np.argmin(np.abs(dists - pid.LOOKAHEAD)))
+            curvature = 2.0 * math.sin(math.atan2(plan[i, 1], plan[i, 0])) / max(dists[i], 1e-6)
+            steer = float(np.clip(math.atan(ego.wheelbase * curvature) / sim.DELTA_MAX,
+                                  -1.0, 1.0))
+            seg = np.diff(np.vstack([[0.0, 0.0], plan]), axis=0)
+            err = float(np.hypot(seg[:, 0], seg[:, 1]).mean() / WAYPOINT_DT) - ego.speed
+            integral = float(np.clip(integral + err * sim.DT, -pid.INTEGRAL_CLAMP,
+                                     pid.INTEGRAL_CLAMP))
+            u = pid.KP * err + pid.KI * integral
+            assert pid.integral == integral
+            assert (cmd.throttle, cmd.brake, cmd.steer) == (
+                min(max(u, 0.0), 1.0), min(max(-u, 0.0), 1.0), steer)
 
     def test_overspeed_brakes(self):
         pid = pol.PidTracker()
