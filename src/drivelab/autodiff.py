@@ -1,10 +1,18 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Supports exactly the operations the policy heads and training losses need:
-linear algebra, pointwise nonlinearities, row softmax, sum, reciprocal, row
-gathers, last-axis slices and concatenation, and single-head attention. Every
-op is recorded on an implicit tape (the parent graph); gradients replay in
-exact reverse execution order, so repeated backward passes are bit-identical.
+linear algebra (batched: a (B, n, d) operand against a (d, m) weight or a
+(B, d, m) batch, the weight's gradient summed over the batch), pointwise
+nonlinearities, a row softmax with an optional mask, sums, reciprocal, flat
+gathers, last-axis slices and concatenation, and single-head attention with a
+key mask. Every op is recorded on an implicit tape (the parent graph);
+gradients replay in exact reverse execution order, so repeated backward
+passes are bit-identical.
+
+The key mask lets one graph run a padded batch: a masked key gets exactly
+zero attention weight, so its value adds nothing and no gradient reaches it,
+whatever the padded slot holds; a query row with no valid key attends to
+nothing and its attention output is exactly zero.
 
 The module-level ops the policy calls (`relu`, `sigmoid`, `softmax`,
 `narrow`, `concat`, `normalize`, `linear`, `scaled_dot_attention`) take a
@@ -54,10 +62,19 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _softmax(x):
-    """Row softmax over the last axis; rows sum to 1 within fp64 rounding."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(x, mask=None):
+    """Row softmax over the last axis; rows sum to 1 within fp64 rounding.
+
+    Entries where `mask` (broadcast against x) is False get exactly zero,
+    and a row with no unmasked entry is all zeros. With every entry of a row
+    unmasked, the row's floats are those of the unmasked formula."""
+    if mask is None:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    top = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
+    e = np.exp(np.where(mask, x - top, -np.inf))
+    total = e.sum(axis=-1, keepdims=True)
+    return e / np.where(total > 0.0, total, 1.0)
 
 
 class Tensor:
@@ -80,8 +97,10 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A copy: g may be a view of another node's gradient.
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     # -- arithmetic -------------------------------------------------------
 
@@ -115,23 +134,37 @@ class Tensor:
         return Tensor(out_data, parents=(self, other), backward=backward)
 
     def __matmul__(self, other):
+        """Matrix product over the last two axes, leading (batch) axes
+        broadcast as numpy does: (n, d) @ (d, m), (B, n, d) @ (d, m) and
+        (B, n, d) @ (B, d, m)."""
         other = _wrap(other)
         a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-        out_data = a @ b
+        try:
+            out_data = a @ b
+        except ValueError:
+            raise ShapeError(f"matmul: incompatible batch shapes {a.shape} and {b.shape}")
 
         def backward(out):
-            self._accum(out.grad @ b.T)
-            other._accum(a.T @ out.grad)
+            g = out.grad
+            self._accum(_unbroadcast(g @ b.mT, a.shape))
+            if b.ndim == 2:
+                # A weight shared by the batch: one product sums its
+                # gradient over every row of every sample.
+                other._accum(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                other._accum(_unbroadcast(a.mT @ g, b.shape))
 
         return Tensor(out_data, parents=(self, other), backward=backward)
 
-    def transpose(self):
+    @property
+    def mT(self):
+        """Transpose of the last two axes (numpy's `ndarray.mT`)."""
         def backward(out):
-            self._accum(out.grad.T)
+            self._accum(out.grad.mT)
 
-        return Tensor(self.data.T, parents=(self,), backward=backward)
+        return Tensor(self.data.mT, parents=(self,), backward=backward)
 
     # -- nonlinearities ---------------------------------------------------
 
@@ -159,8 +192,8 @@ class Tensor:
 
         return Tensor(out_data, parents=(self,), backward=backward)
 
-    def softmax(self):
-        out_data = _softmax(self.data)
+    def softmax(self, mask=None):
+        out_data = _softmax(self.data, mask)
 
         def backward(out):
             g = out.grad
@@ -178,11 +211,13 @@ class Tensor:
 
     # -- reductions / reshaping ------------------------------------------
 
-    def sum(self):
+    def sum(self, axis=None):
+        """Sum over `axis` (every axis if None), keeping the summed axes."""
         def backward(out):
-            self._accum(np.full_like(self.data, out.grad.item()))
+            self._accum(np.broadcast_to(out.grad, self.data.shape))
 
-        return Tensor(np.array([self.data.sum()]), parents=(self,), backward=backward)
+        return Tensor(self.data.sum(axis=axis, keepdims=True), parents=(self,),
+                      backward=backward)
 
     def reshape(self, *shape):
         old = self.data.shape
@@ -207,7 +242,8 @@ class Tensor:
         return Tensor(self.data[idx], parents=(self,), backward=backward)
 
     def take_rows(self, indices):
-        """Select rows by integer index (first axis)."""
+        """Select rows by integer index (first axis); a 1-D tensor gathers
+        single entries."""
         indices = np.asarray(indices, dtype=np.intp)
 
         def backward(out):
@@ -244,8 +280,8 @@ def sigmoid(x):
     return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(_finite(x))
 
 
-def softmax(x):
-    return x.softmax() if isinstance(x, Tensor) else _softmax(_finite(x))
+def softmax(x, mask=None):
+    return x.softmax(mask) if isinstance(x, Tensor) else _softmax(_finite(x), mask)
 
 
 def narrow(x, start, length):
@@ -256,10 +292,11 @@ def narrow(x, start, length):
 
 
 def normalize(x):
-    """x / sum(x) for a positive vector, as x times the reciprocal of the sum."""
+    """x / sum(x) along the last axis of a positive array, as x times the
+    reciprocal of the row sums."""
     if isinstance(x, Tensor):
-        return x * x.sum().reciprocal()
-    return x * _finite(1.0 / np.array([x.sum()]))
+        return x * x.sum(axis=-1).reciprocal()
+    return x * _finite(1.0 / x.sum(axis=-1, keepdims=True))
 
 
 def concat(tensors):
@@ -285,21 +322,27 @@ def linear(x, w, b):
     return x @ w + b
 
 
-def scaled_dot_attention(q, k, v):
-    """Single-head attention: softmax(q kᵀ / sqrt(d)) v.
+def scaled_dot_attention(q, k, v, mask=None):
+    """Single-head attention: softmax(q kᵀ / sqrt(d)) v, over the last two
+    axes of (n_q, d) queries and (n_k, d) keys and values, or of batches of
+    them.
 
-    Keys/values carry only valid (unmasked) slots; callers drop empty slots
-    before projection, so masked entries contribute exactly zero weight.
+    `mask` (B, n_k), True for a valid key, masks padded key slots: a masked
+    key gets exactly zero weight, so whatever its slot holds changes no
+    output bit and receives no gradient, and a query row whose keys are all
+    masked returns exactly zero. None means every key is valid.
     """
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(
             f"scaled_dot_attention: query dim {q.shape} vs key dim {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ShapeError(
             f"scaled_dot_attention: key count {k.shape} vs value count {v.shape}")
     d = q.shape[-1]
-    scores = (q @ k.transpose()) * (1.0 / math.sqrt(d))
-    return softmax(scores) @ v
+    scores = (q @ k.mT) * (1.0 / math.sqrt(d))
+    if mask is not None:
+        mask = mask[..., None, :]     # the same keys for every query row
+    return softmax(scores, mask) @ v
 
 
 def backward(loss, params=None):

@@ -8,7 +8,8 @@ import numpy as np
 
 from . import expert as xp
 from . import world as sim
-from .metrics import MAX_EPISODE_TICKS, NeuralDriver
+from .autodiff import NonFiniteError
+from .metrics import MAX_EPISODE_TICKS, NeuralDriver, scenario_id
 from .policy import AGENT_FEATURES, MAP_FEATURES, SceneSnapshot, encode_scene
 
 EPS_STEER = 0.2                  # threshold-trigger steering gap
@@ -142,10 +143,6 @@ def load(path, expect_vocab_hash=None):
     return Dataset(samples, manifest=manifest)
 
 
-def scenario_id(spec):
-    return f"{spec.kind}:{spec.seed}"
-
-
 def check_expert(discarded, episodes, max_infraction_rate=MAX_INFRACTION_RATE):
     """If more than max_infraction_rate of the episodes had infractions, the
     expert is considered misconfigured and collection aborts."""
@@ -204,7 +201,10 @@ def run_shadow_collection(policy, suite, expert_cfg, round_index, eps_steer=EPS_
         segment = None
         seg_counter = 0
         while not w.done and w.tick < MAX_EPISODE_TICKS:
-            final = driver.act(w)
+            try:
+                final = driver.act(w)
+            except NonFiniteError as e:
+                raise NonFiniteError(f"shadow round {round_index} {e}")
             snap, out = driver.snap, driver.out
             expert_cmd = xp.expert_command(w, expert_cfg)
 

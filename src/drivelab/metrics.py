@@ -9,9 +9,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import world as sim
+from .autodiff import NonFiniteError
 from .policy import PidTracker, SafetyCreep, encode_scene, ensemble
 
 MAX_EPISODE_TICKS = 4000
+
+
+def scenario_id(spec):
+    return f"{spec.kind}:{spec.seed}"
 
 
 @dataclass
@@ -61,7 +66,8 @@ class NeuralDriver:
     Shadow-mode takeover collection and closed-loop evaluation both drive
     through this class, so the policy that triggers takeovers is exactly the
     one that is scored. The last tick's scene snapshot and policy output stay
-    on the driver as `snap` and `out`."""
+    on the driver as `snap` and `out`. A NonFiniteError from the policy
+    names the scenario and tick it happened at."""
 
     def __init__(self, policy, creep_enabled=True):
         self.policy = policy
@@ -71,7 +77,10 @@ class NeuralDriver:
 
     def act(self, world):
         self.snap = encode_scene(world, self.policy.cfg)
-        self.out = self.policy.infer(self.snap)
+        try:
+            self.out = self.policy.infer(self.snap)
+        except NonFiniteError as e:
+            raise NonFiniteError(f"{scenario_id(world.spec)} tick {world.tick}: {e}")
         c_traj = self.pid.track(self.out.tau_plan, world.ego)
         cmd = ensemble(self.out.c_ctrl, c_traj)
         override = self.creep.update(world, cmd.steer)
@@ -186,8 +195,11 @@ def summarize(results, speed_limit=8.0, config_hash="", checkpoint_hash=""):
 
 def evaluate_suite(policy, suite, creep_enabled=True, speed_limit=8.0,
                    config_hash="", checkpoint_hash=""):
-    results = [run_closed_loop(policy, spec, creep_enabled=creep_enabled)
-               for spec in suite]
+    try:
+        results = [run_closed_loop(policy, spec, creep_enabled=creep_enabled)
+                   for spec in suite]
+    except NonFiniteError as e:
+        raise NonFiniteError(f"eval {e}")
     return summarize(results, speed_limit, config_hash, checkpoint_hash), results
 
 

@@ -114,15 +114,52 @@ def _mlp2(params, prefix, x):
     return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
-def _cross_attention(params, prefix, queries, keys):
-    """Residual single-head cross-attention; with no keys the attention term
-    is zero (masked slots contribute nothing)."""
-    if keys is None or keys.shape[0] == 0:
+def _cross_attention(params, prefix, queries, keys, mask):
+    """Residual single-head cross-attention of queries over key tokens.
+
+    `mask` marks each sample's valid key slots (None: all valid), so a
+    sample with no valid key gets exactly zero attention term. `keys` is None
+    when no sample of the batch has a slot at all, and the queries pass
+    through unchanged."""
+    if keys is None:
         return queries
     q = queries @ params[f"{prefix}.wq"]
     k = keys @ params[f"{prefix}.wk"]
     v = keys @ params[f"{prefix}.wv"]
-    return queries + scaled_dot_attention(q, k, v)
+    return queries + scaled_dot_attention(q, k, v, mask)
+
+
+def _pad(rows, width):
+    """Stack per-sample (n_i, F) row blocks into (B, width, F), each block in
+    front and the padded slots zero, with the (B, width) valid-slot mask;
+    the mask is None when no slot is padded."""
+    out = np.zeros((len(rows), width, rows[0].shape[1]))
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    mask = np.arange(width) < np.array([len(r) for r in rows])[:, None]
+    return out, (None if mask.all() else mask)
+
+
+def _batch_inputs(snapshots):
+    """The network's inputs: (agent feats, agent mask, map feats, map mask,
+    command rows, batch shape). One SceneSnapshot gives its own arrays and an
+    empty batch shape; a list gives (B, ...) arrays padded to the batch's
+    largest agent and map counts, so a batch of one pads nothing."""
+    if isinstance(snapshots, SceneSnapshot):
+        s = snapshots
+        cmd = np.asarray(s.cmd_onehot, dtype=np.float64).reshape(1, -1)
+        agents, agent_mask, maps, map_mask, lead = s.agent_feats, None, s.map_feats, None, ()
+    else:
+        cmd = np.array([s.cmd_onehot for s in snapshots], dtype=np.float64)
+        agent_rows = [s.agent_feats for s in snapshots]
+        map_rows = [s.map_feats for s in snapshots]
+        agents, agent_mask = _pad(agent_rows, max(len(r) for r in agent_rows))
+        maps, map_mask = _pad(map_rows, max(len(r) for r in map_rows))
+        lead = (len(snapshots),)
+    if cmd.shape[-1] != len(sim.COMMANDS) or not (
+            np.all((cmd == 0.0) | (cmd == 1.0)) and np.all(cmd.sum(axis=-1) == 1.0)):
+        raise ValueError(f"cmd must be one-hot over {len(sim.COMMANDS)} categories")
+    return agents, agent_mask, maps, map_mask, cmd.reshape(*lead, 1, -1), lead
 
 
 class Policy:
@@ -177,43 +214,46 @@ class Policy:
 
     # -- forward ----------------------------------------------------------
 
-    def _network(self, params, leaf, posenc, snapshot):
+    def _network(self, params, leaf, posenc, snapshots):
         """The policy's wiring, written once. `forward` runs it on Tensors
         (`params` the ParameterStore, `leaf` Tensor) and `infer` on float64
         arrays (`params` a name -> array dict, `leaf` np.asarray), which
-        gives the same values bit for bit and builds no graph."""
-        agents = maps = None
-        if snapshot.agent_feats.shape[0] > 0:
-            agents = _mlp2(params, "agent_mlp", leaf(snapshot.agent_feats))
-        if snapshot.map_feats.shape[0] > 0:
-            maps = _mlp2(params, "map_mlp", leaf(snapshot.map_feats))
+        gives the same values bit for bit and builds no graph.
+
+        `snapshots` is one SceneSnapshot, giving outputs without a batch
+        axis, or a list of B, giving (B, ...) outputs from one pass over
+        token slots padded and masked per sample."""
+        agents, agent_mask, maps, map_mask, cmd, lead = _batch_inputs(snapshots)
+        agents = _mlp2(params, "agent_mlp", leaf(agents)) if agents.shape[-2] else None
+        maps = _mlp2(params, "map_mlp", leaf(maps)) if maps.shape[-2] else None
 
         # Trajectory branch: a sigmoid score per candidate, then normalized.
-        cmd = np.asarray(snapshot.cmd_onehot, dtype=np.float64)
-        if cmd.shape != (len(sim.COMMANDS),) or not (
-                np.all((cmd == 0.0) | (cmd == 1.0)) and cmd.sum() == 1.0):
-            raise ValueError(f"cmd must be one-hot over {len(sim.COMMANDS)} categories")
         e = params["traj_base"] \
-            + _mlp2(params, "cmd_mlp", leaf(cmd.reshape(1, -1))) \
+            + _mlp2(params, "cmd_mlp", leaf(cmd)) \
             + _mlp2(params, "pos_mlp", posenc)
-        e_agt = _cross_attention(params, "traj_attn_agent", e, agents)
-        e_map = _cross_attention(params, "traj_attn_map", e_agt, maps)
+        e_agt = _cross_attention(params, "traj_attn_agent", e, agents, agent_mask)
+        e_map = _cross_attention(params, "traj_attn_map", e_agt, maps, map_mask)
         logits = _mlp2(params, "traj_head", ad.concat([e_agt, e_map]))
-        scores = ad.sigmoid(logits.reshape(self.cfg.k))
+        scores = ad.sigmoid(logits.reshape(*lead, self.cfg.k))
         d_traj = ad.normalize(scores)
 
-        # Control branch: a softmax per group (throttle, brake, steer).
-        e_agt = _cross_attention(params, "ctrl_attn_agent", params["ctrl_base"], agents)
-        e_map = _cross_attention(params, "ctrl_attn_map", e_agt, maps)
+        # Control branch: a softmax per group (throttle, brake, steer), from
+        # the learned queries, one copy per sample of a batch.
+        queries = params["ctrl_base"]
+        if lead:
+            queries = queries + leaf(np.zeros(lead + (1, 1)))
+        e_agt = _cross_attention(params, "ctrl_attn_agent", queries, agents, agent_mask)
+        e_map = _cross_attention(params, "ctrl_attn_map", e_agt, maps, map_mask)
         logits = _mlp2(params, "ctrl_head", ad.concat([e_agt, e_map]))
-        flat = logits.reshape(self.ctrl_vocab.total)
+        flat = logits.reshape(*lead, self.ctrl_vocab.total)
         d_ctrl = tuple(ad.softmax(ad.narrow(flat, start, length))
                        for start, length in GROUP_SLICES.values())
         return {"traj_scores": scores, "d_traj": d_traj, "d_ctrl": d_ctrl}
 
-    def forward(self, snapshot):
-        """Full differentiable forward pass; returns Tensors for training."""
-        return self._network(self.params, Tensor, self._posenc, snapshot)
+    def forward(self, snapshots):
+        """Full differentiable forward pass over one snapshot or a list of
+        them (see `_network`); returns Tensors for training."""
+        return self._network(self.params, Tensor, self._posenc, snapshots)
 
     def infer(self, snapshot):
         """One closed-loop tick: the network on plain arrays, then the top-1

@@ -36,9 +36,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.beta <= 0 or self.gamma <= 0:
             raise ValueError("beta and gamma must be positive")
-        for f in ("pretrain_epochs", "dagger_epochs", "po_epochs", "batch_size"):
+        for f in ("pretrain_epochs", "batch_size"):
             if getattr(self, f) < 1:
                 raise ValueError(f"TrainConfig.{f} must be >= 1")
+        for f in ("dagger_epochs", "po_epochs"):     # 0 ablates the stage
+            if getattr(self, f) < 0:
+                raise ValueError(f"TrainConfig.{f} must be >= 0")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
 
@@ -60,22 +63,24 @@ def one_hot(n, idx):
 
 
 def kl_loss(target, predicted):
-    """D_KL(target || predicted) with 0 ln 0 = 0; predicted is a Tensor."""
+    """Mean over rows of D_KL(target row || predicted row), with 0 ln 0 = 0.
+    `target` is a (B, n) array of per-row targets (or one (n,) target) and
+    `predicted` a Tensor of the same shape."""
     target = np.asarray(target, dtype=np.float64)
-    pred = predicted
-    if target.ndim != 1 or pred.data.ndim != 1 or target.shape[0] != pred.data.shape[0]:
+    if target.shape != predicted.data.shape or target.ndim not in (1, 2):
         raise ValueError(
-            f"support mismatch: target {target.shape} vs predicted {pred.data.shape}")
-    if np.any(target < 0) or abs(target.sum() - 1.0) > 1e-9:
+            f"support mismatch: target {target.shape} vs predicted {predicted.data.shape}")
+    target = target.reshape(-1, target.shape[-1])
+    if np.any(target < 0) or np.any(np.abs(target.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("target is not a distribution")
-    mask = target > 0.0
-    if np.any(pred.data[mask] <= 0.0):
+    idx = np.flatnonzero(target > 0.0)
+    t = target.ravel()[idx]
+    p = predicted.reshape(-1).take_rows(idx)
+    if np.any(p.data <= 0.0):
         raise ValueError("support mismatch: predicted has zero mass where target > 0")
-    idx = np.flatnonzero(mask)
-    t = target[idx]
     entropy_term = float((t * np.log(t)).sum())
-    cross = (pred.take_rows(idx).log() * Tensor(t)).sum()
-    return cross * -1.0 + entropy_term
+    cross = (p.log() * Tensor(t)).sum()
+    return (cross * -1.0 + entropy_term) * (1.0 / target.shape[0])
 
 
 def _underflows(p):
@@ -85,14 +90,21 @@ def _underflows(p):
 
 
 def _log_prob(dist, idx, flags=None):
-    """ln of one entry of a distribution Tensor, clamped at the floor on
-    underflow (the clamp is a constant: no gradient flows through it)."""
-    p = dist.narrow(idx, 1)
-    if _underflows(p.data.item()):
-        if flags is not None:
-            flags.append(idx)
-        return Tensor(np.array([LOGPROB_FLOOR]))
-    return p.log()
+    """ln dist[r, idx[r]] for each row r of a distribution Tensor (one index
+    for one (n,) distribution), as a (B,) Tensor. An underflowing entry is
+    clamped to the floor, a constant with no gradient, and its index is
+    appended to `flags`."""
+    idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
+    p = dist.reshape(-1).take_rows(np.arange(len(idx)) * dist.shape[-1] + idx)
+    under = _underflows(p.data)
+    if not under.any():
+        return p.log()
+    if flags is not None:
+        flags.extend(idx[under].tolist())
+    # ln(p * 0 + 1) + floor = floor on a clamped entry, and no gradient
+    # reaches p there; a kept entry is ln(p * 1 + 0) + 0 = ln p exactly.
+    clamped = under.astype(np.float64)
+    return (p * (1.0 - clamped) + clamped).log() + LOGPROB_FLOOR * clamped
 
 
 def _log_prob_value(dist, idx):
@@ -109,16 +121,16 @@ def _log_sigmoid_const(x):
 
 def simpo_from_dist(dist, y_w, y_l, beta, gamma, flags=None):
     """Reference-free preference loss -ln sigma(beta ln pi(y_w) - beta ln pi(y_l) - gamma)
-    on a single distribution Tensor."""
-    lp_w = _log_prob(dist, y_w, flags)
-    lp_l = _log_prob(dist, y_l, flags)
-    z = (lp_w - lp_l) * beta - gamma
+    per row of a (B, n) distribution Tensor with per-row index arrays y_w
+    and y_l, as a (B,) Tensor; one (n,) distribution with two indices is a
+    batch of one."""
+    z = (_log_prob(dist, y_w, flags) - _log_prob(dist, y_l, flags)) * beta - gamma
     return z.sigmoid().log() * -1.0
 
 
 def po_from_dist(dist, y_w, y_l, beta, gamma, flags=None):
-    """Compensated preference loss: simpo + ln sigma(-gamma), zero-floored by
-    construction when y_l is the argmax."""
+    """Compensated preference loss per row: simpo + ln sigma(-gamma), so a
+    row whose y_l is the argmax is zero-floored by construction."""
     return simpo_from_dist(dist, y_w, y_l, beta, gamma, flags) + _log_sigmoid_const(-gamma)
 
 
@@ -135,27 +147,30 @@ def _mean(terms):
     return _sum(terms) * (1.0 / len(terms))
 
 
+def _row_mean(rows):
+    """Mean of a (B,) Tensor of per-row losses."""
+    return rows.sum() * (1.0 / rows.shape[0])
+
+
 # -- imitation ----------------------------------------------------------------
 
 
-def _sample_loss(policy, sample, cfg, want_traj=True, want_ctrl=True):
-    """Imitation loss of one demonstration sample: the trajectory KL plus the
-    summed control KL, either of them optional."""
-    out = policy.forward(sample.snapshot())
+def _batch_loss(policy, samples, cfg, want_traj=True, want_ctrl=True):
+    """Mean imitation loss of a batch of demonstration samples, from one
+    forward pass: the trajectory KL plus the summed control KL, either of
+    them optional."""
+    out = policy.forward([s.snapshot() for s in samples])
     terms = []
     if want_traj:
-        target = soft_trajectory_target(policy.traj_vocab, sample.traj_waypoints,
-                                        cfg.tau_label)
-        terms.append(kl_loss(target, out["d_traj"]))
+        targets = [soft_trajectory_target(policy.traj_vocab, s.traj_waypoints, cfg.tau_label)
+                   for s in samples]
+        terms.append(kl_loss(np.stack(targets), out["d_traj"]))
     if want_ctrl:
         sizes = policy.ctrl_vocab.group_sizes
-        terms.append(_sum([kl_loss(one_hot(size, sample.ctrl_indices[j]), dist)
-                           for j, (size, dist) in enumerate(zip(sizes, out["d_ctrl"]))]))
+        terms.append(_sum([
+            kl_loss(np.stack([one_hot(size, s.ctrl_indices[j]) for s in samples]), dist)
+            for j, (size, dist) in enumerate(zip(sizes, out["d_ctrl"]))]))
     return _sum(terms)
-
-
-def _batch_loss(policy, samples, cfg, want_traj=True, want_ctrl=True):
-    return _mean([_sample_loss(policy, s, cfg, want_traj, want_ctrl) for s in samples])
 
 
 def _run_epoch(policy, samples, order, cfg, opt, batch_loss, trainable=None, tag=""):
@@ -222,19 +237,21 @@ def dagger_epoch(policy, merged, cfg, rng):
 # -- preference optimization --------------------------------------------------
 
 
-def _pair_groups(policy, sample, d_traj, d_ctrl):
-    """The four (distribution, y_w) preference pairs of one takeover sample:
+def _winners(policy, sample):
+    """The expert's pick y_w in each preference group of a takeover sample:
     trajectory, throttle, brake, steer."""
-    y_w_traj = policy.traj_vocab.nearest_index(sample.traj_waypoints)
-    return zip((d_traj, *d_ctrl), (y_w_traj, *sample.ctrl_indices))
+    return (policy.traj_vocab.nearest_index(sample.traj_waypoints), *sample.ctrl_indices)
 
 
-def _pair_losses(policy, sample, cfg, flags=None):
-    """Mean compensated preference loss over the four per-group pairs of one
-    takeover sample; y_l is the live argmax of each group."""
-    out = policy.forward(sample.snapshot())
-    return _mean([po_from_dist(dist, y_w, int(np.argmax(dist.data)), cfg.beta, cfg.gamma, flags)
-                  for dist, y_w in _pair_groups(policy, sample, out["d_traj"], out["d_ctrl"])])
+def _pair_losses(policy, samples, cfg, flags=None):
+    """Mean compensated preference loss of a batch of takeover samples over
+    the four per-group pairs, from one forward pass; y_l is each row's live
+    argmax."""
+    out = policy.forward([s.snapshot() for s in samples])
+    y_w = np.array([_winners(policy, s) for s in samples])
+    return _mean([_row_mean(po_from_dist(dist, y_w[:, g], np.argmax(dist.data, axis=-1),
+                                         cfg.beta, cfg.gamma, flags))
+                  for g, dist in enumerate((out["d_traj"], *out["d_ctrl"]))])
 
 
 def mean_margin(policy, samples, cfg):
@@ -243,7 +260,7 @@ def mean_margin(policy, samples, cfg):
     margins = []
     for s in samples:
         out = policy.infer(s.snapshot())
-        for dist, y_w in _pair_groups(policy, s, out.d_traj, out.d_ctrl):
+        for dist, y_w in zip((out.d_traj, *out.d_ctrl), _winners(policy, s)):
             y_l = int(np.argmax(dist))
             margins.append(cfg.beta * (_log_prob_value(dist, y_w) - _log_prob_value(dist, y_l)))
     return float(np.mean(margins)) if margins else 0.0
@@ -256,7 +273,7 @@ def po_epoch(policy, samples, cfg, opt):
     flags = []
     mean = _run_epoch(
         policy, samples, rng.permutation(len(samples)), cfg, opt,
-        lambda batch: _mean([_pair_losses(policy, s, cfg, flags) for s in batch]),
+        lambda batch: _pair_losses(policy, batch, cfg, flags),
         tag="po")
     return mean, len(flags)
 
@@ -323,6 +340,6 @@ def post_optimize(policy, demo, suite, expert_cfg, cfg, out_dir,
             json.dump(report, f, indent=2)
         reports.append(report)
         if progress:
-            progress(f"round {i}: kept {len(kept)} takeover samples, "
-                     f"dagger loss {dagger_losses[-1]:.4f}")
+            progress(f"round {i}: kept {len(kept)} takeover samples"
+                     + (f", dagger loss {dagger_losses[-1]:.4f}" if dagger_losses else ""))
     return policy, reports

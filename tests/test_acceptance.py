@@ -125,7 +125,7 @@ def test_criterion_2_gradient_suite():
             "dagger": lambda: tr._batch_loss(policy, mixed, cfg),
             "simpo": simpo,
             # the pair loss po_epoch trains on: all four groups, live argmax
-            "po": lambda: tr._pair_losses(policy, demo, cfg),
+            "po": lambda: tr._pair_losses(policy, [demo], cfg),
         }
         for name, fn in losses.items():
             err = policy_grad_check(policy, fn, rng, n_coords=n_coords, h=h)

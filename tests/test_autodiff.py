@@ -63,13 +63,53 @@ class TestOpGradients:
 
     def test_transpose_concat(self):
         x0 = self.rng.normal(size=(3, 4))
-        check_grad(lambda t: ad.concat([t, t.transpose().transpose()]).sum(), x0)
+        check_grad(lambda t: ad.concat([t, t.mT.mT]).sum(), x0)
 
     def test_attention(self):
         q0 = self.rng.normal(size=(3, 4))
         k = Tensor(self.rng.normal(size=(5, 4)))
         v = Tensor(self.rng.normal(size=(5, 4)))
         check_grad(lambda t: ad.scaled_dot_attention(t, k, v).sum(), q0)
+
+    def test_batched_matmul(self):
+        """(B, n, d) @ (d, m), the weight's gradient summed over the batch,
+        and (B, n, d) @ (B, d, m)."""
+        a0 = self.rng.normal(size=(3, 4, 5))
+        w0 = self.rng.normal(size=(5, 2))
+        b0 = self.rng.normal(size=(3, 5, 2))
+        r = self.rng.normal(size=(3, 4, 2))
+        check_grad(lambda t: ((t @ Tensor(w0)) * r).sum(), a0)
+        check_grad(lambda t: ((Tensor(a0) @ t) * r).sum(), w0)
+        check_grad(lambda t: ((t @ Tensor(b0)) * r).sum(), a0)
+        check_grad(lambda t: ((Tensor(a0) @ t) * r).sum(), b0)
+        with pytest.raises(ad.ShapeError):
+            Tensor(a0) @ Tensor(self.rng.normal(size=(2, 5, 2)))
+
+    def test_masked_attention(self):
+        """Every input's gradient, with one sample's keys all masked: its
+        rows attend to nothing, and no masked slot gets a gradient."""
+        q0 = self.rng.normal(size=(3, 2, 4))
+        k0 = self.rng.normal(size=(3, 5, 4))
+        v0 = self.rng.normal(size=(3, 5, 4))
+        r = self.rng.normal(size=(3, 2, 4))
+        mask = np.array([[True, True, False, True, False],
+                         [False] * 5,
+                         [True] * 5])
+
+        def loss(q, k, v):
+            return (ad.scaled_dot_attention(q, k, v, mask) * r).sum()
+
+        check_grad(lambda t: loss(t, Tensor(k0), Tensor(v0)), q0)
+        check_grad(lambda t: loss(Tensor(q0), t, Tensor(v0)), k0)
+        check_grad(lambda t: loss(Tensor(q0), Tensor(k0), t), v0)
+        q, k, v = Tensor(q0), Tensor(k0), Tensor(v0)
+        out = ad.scaled_dot_attention(q, k, v, mask)
+        assert np.array_equal(out.data[1], np.zeros((2, 4)))
+        ad.backward((out * r).sum())
+        for t in (q, k, v):
+            assert np.array_equal(t.grad[1], np.zeros_like(t.grad[1]))
+        for t in (k, v):
+            assert np.array_equal(t.grad[~mask], np.zeros_like(t.grad[~mask]))
 
     def test_normalize(self):
         x0 = np.abs(self.rng.normal(size=(6,))) + 0.1
@@ -92,7 +132,10 @@ def test_softmax_rows_sum_to_one(vals):
 @pytest.mark.parametrize("op", [
     ad.relu, ad.sigmoid, ad.softmax, lambda t: ad.narrow(t, 5, 2),
     lambda t: ad.concat([t, t]), lambda t: ad.normalize(t.reshape(48) * t.reshape(48)),
-    lambda t: ad.scaled_dot_attention(t, t, t)])
+    lambda t: ad.scaled_dot_attention(t, t, t),
+    lambda t: ad.scaled_dot_attention(
+        *[t.reshape(3, 2, 8)] * 3, np.array([[True, False], [False, False], [True, True]])),
+    lambda t: ad.normalize(t * t)])
 def test_array_path_matches_tensor_op(op):
     """An op given a plain array returns a plain array with the Tensor op's
     value, bit for bit."""
@@ -142,7 +185,7 @@ def test_backward_is_deterministic():
     grads = []
     for _ in range(2):
         t = Tensor(x0.copy())
-        loss = ((t @ t.transpose()).softmax() * 0.5).sum()
+        loss = ((t @ t.mT).softmax() * 0.5).sum()
         ad.backward(loss)
         grads.append(t.grad.copy())
     assert np.array_equal(grads[0], grads[1])

@@ -229,3 +229,23 @@ def test_closed_loop_tick_golden(tmp_path):
                hashlib.sha256(report.to_json().encode()).hexdigest()]
     assert digests == ["0172a0388b076806fffd4a95ef6cd987065dd5d58a19f9245348a634569e6f50",
                        "2a1ebdf6edb623f9bc6d1bcdbbacb2bc94bb7d940f4010764f2468022d689418"]
+
+
+@pytest.mark.parametrize("path", ["shadow", "eval"])
+def test_nonfinite_policy_names_scenario_and_tick(path):
+    """A NonFiniteError raised by `infer` mid-episode names the stage, the
+    scenario and the tick, like `_run_epoch` names its batch."""
+    from drivelab.autodiff import NonFiniteError
+    rng = np.random.default_rng(0)
+    policy = pol.Policy(pol.PolicyConfig(feature_dim=8, k=4),
+                        TrajectoryVocabulary(rng.normal(0, 3.0, size=(4, 6, 2))),
+                        ControlVocabulary())
+    policy.params["traj_head.w2"].data *= 1e300
+    spec = sim.ScenarioSpec("StopSign", 3, route_length=40.0)
+    with pytest.raises(NonFiniteError) as err:
+        if path == "shadow":
+            ds.run_shadow_collection(policy, [spec], xp.ExpertConfig(), round_index=2)
+        else:
+            bench.evaluate_suite(policy, [spec])
+    prefix = "shadow round 2 " if path == "shadow" else "eval "
+    assert str(err.value) == f"{prefix}StopSign:3 tick 0: non-finite values"

@@ -179,6 +179,82 @@ class TestInferMatchesForward:
         assert len(built) > 0
 
 
+def random_batch(rng, size):
+    """`size` snapshots with 0-N_a agents, 1-N_m map rows and any command."""
+    cfg = pol.PolicyConfig
+    return [pol.SceneSnapshot(
+        agent_feats=rng.normal(0, 3.0, (int(rng.integers(0, cfg.n_agents + 1)),
+                                        pol.AGENT_FEATURES)),
+        map_feats=rng.normal(0, 3.0, (int(rng.integers(1, cfg.n_map + 1)), pol.MAP_FEATURES)),
+        cmd_onehot=pol.command_onehot(sim.COMMANDS[int(rng.integers(len(sim.COMMANDS)))]))
+        for _ in range(size)]
+
+
+def _outputs(out):
+    return [out["traj_scores"].data, out["d_traj"].data] + [d.data for d in out["d_ctrl"]]
+
+
+class TestBatchedForward:
+    """`forward` on a list of snapshots runs one pass over token slots padded
+    to the batch's largest agent and map counts, with the padded slots
+    masked out of attention."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 16), st.integers(0, 2 ** 32 - 1))
+    def test_padded_slots_are_inert(self, size, data_seed):
+        rng = np.random.default_rng(data_seed)
+        p = tiny_policy(seed=int(rng.integers(100)))
+        snaps = random_batch(rng, size)
+        weights = [rng.normal(size=o.shape) for o in _outputs(p.forward(snaps))]
+
+        def run():
+            out = p.forward(snaps)
+            loss = None
+            for o, w in zip([out["traj_scores"], out["d_traj"], *out["d_ctrl"]], weights):
+                term = (o * w).sum()
+                loss = term if loss is None else loss + term
+            ad.backward(loss, p.params)
+            return _outputs(out) + [t.grad.copy() for _, t in p.params.items()]
+
+        clean = run()
+        real_pad = pol._pad
+
+        def junk_pad(rows, width):
+            out, mask = real_pad(rows, width)
+            if mask is not None:
+                out[~mask] = rng.normal(0, 50.0, size=(int((~mask).sum()), out.shape[-1]))
+            return out, mask
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pol, "_pad", junk_pad)
+            junk = run()
+        for a, b in zip(clean, junk):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 16), st.integers(0, 2 ** 32 - 1))
+    def test_batch_rows_match_infer(self, size, data_seed):
+        """Row i of a batched forward is infer on snapshot i, to rounding:
+        a padded row sums its attention weights over more slots, which can
+        round differently."""
+        rng = np.random.default_rng(data_seed)
+        p = tiny_policy(seed=int(rng.integers(100)))
+        snaps = random_batch(rng, size)
+        batched = _outputs(p.forward(snaps))
+        for i, snap in enumerate(snaps):
+            out = p.infer(snap)
+            for got, want in zip(batched, [out.traj_scores, out.d_traj, *out.d_ctrl]):
+                np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-15)
+
+    def test_batch_of_one_is_the_single_snapshot(self):
+        p = tiny_policy()
+        snap = snapshot_from("EmergencyBrake", 0, p.cfg)
+        single, batched = _outputs(p.forward(snap)), _outputs(p.forward([snap]))
+        for a, b in zip(single, batched):
+            assert b.shape == (1,) + a.shape
+            assert np.array_equal(a, b[0])
+
+
 class TestEnsemble:
     def test_identities(self):
         a = sim.ControlCommand(throttle=0.4, brake=0.0, steer=-0.2)

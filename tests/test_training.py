@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivelab import autodiff as ad
 from drivelab import dataset as ds
@@ -141,7 +142,7 @@ class TestPreferenceLosses:
         sample = make_takeover(rng)
         sample.policy_traj_index = -999          # the stored argmax is ignored
         sample.policy_ctrl_indices = (-999, -999, -999)
-        loss = tr._pair_losses(policy, sample, cfg)
+        loss = tr._pair_losses(policy, [sample], cfg)
         out = policy.forward(sample.snapshot())
         winners = (policy.traj_vocab.nearest_index(sample.traj_waypoints),
                    *sample.ctrl_indices)
@@ -188,12 +189,118 @@ class TestGradientChecks:
             return tr.simpo_from_dist(out["d_traj"], 1, 0, cfg.beta, cfg.gamma)
 
         def po():
-            return tr._pair_losses(policy, takeover, cfg)
+            return tr._pair_losses(policy, [takeover], cfg)
 
         for name, fn in (("traj_kl", traj_kl), ("ctrl_kl", ctrl_kl),
                          ("dagger", dagger), ("simpo", simpo), ("po", po)):
             err = policy_grad_check(policy, fn, rng, n_coords=25)
             assert err < 1e-4, f"{name}: max relative error {err}"
+
+
+def reference_imitation_loss(policy, samples, cfg):
+    """Per-sample imitation loss, one forward pass per sample, written with
+    the Tensor ops: the mean over samples of the trajectory KL plus the
+    three control KLs (each -ln pi(label) against a one-hot target)."""
+    total = None
+    for s in samples:
+        out = policy.forward(s.snapshot())
+        t = tr.soft_trajectory_target(policy.traj_vocab, s.traj_waypoints, cfg.tau_label)
+        idx = np.flatnonzero(t > 0.0)
+        loss = (out["d_traj"].take_rows(idx).log() * Tensor(t[idx])).sum() * -1.0 \
+            + float((t[idx] * np.log(t[idx])).sum())
+        for dist, y in zip(out["d_ctrl"], s.ctrl_indices):
+            loss = loss - dist.narrow(y, 1).log()
+        total = loss if total is None else total + loss
+    return total * (1.0 / len(samples))
+
+
+def reference_preference_loss(policy, samples, cfg, flags):
+    """Per-sample compensated preference loss, written with the Tensor ops:
+    per group -ln sigma(beta (ln pi(y_w) - ln pi(y_l)) - gamma) + ln sigma(-gamma),
+    y_l the live argmax and an ln pi below the floor clamped to a constant;
+    the mean over the four groups, then over samples."""
+    shift = math.log(1.0 / (1.0 + math.exp(cfg.gamma)))
+    total = None
+    for s in samples:
+        out = policy.forward(s.snapshot())
+        winners = (policy.traj_vocab.nearest_index(s.traj_waypoints), *s.ctrl_indices)
+        loss = None
+        for dist, y_w in zip((out["d_traj"], *out["d_ctrl"]), winners):
+            lps = []
+            for y in (y_w, int(np.argmax(dist.data))):
+                p = dist.narrow(y, 1)
+                if p.data.item() < math.exp(tr.LOGPROB_FLOOR):
+                    flags.append(y)
+                    lps.append(Tensor(np.array([tr.LOGPROB_FLOOR])))
+                else:
+                    lps.append(p.log())
+            z = (lps[0] - lps[1]) * cfg.beta - cfg.gamma
+            term = z.sigmoid().log() * -1.0 + shift
+            loss = term if loss is None else loss + term
+        loss = loss * 0.25
+        total = loss if total is None else total + loss
+    return total * (1.0 / len(samples))
+
+
+def random_samples(rng, n):
+    """n takeover samples with 0-N_a agents, 1-N_m map rows and any command."""
+    return [ds.TakeoverSample(
+        agent_feats=rng.normal(0, 3.0, (int(rng.integers(0, pol.PolicyConfig.n_agents + 1)),
+                                        pol.AGENT_FEATURES)),
+        map_feats=rng.normal(0, 3.0, (int(rng.integers(1, pol.PolicyConfig.n_map + 1)),
+                                      pol.MAP_FEATURES)),
+        cmd_onehot=pol.command_onehot(sim.COMMANDS[int(rng.integers(len(sim.COMMANDS)))]),
+        traj_waypoints=rng.normal(0, 3.0, size=(6, 2)),
+        ctrl_indices=(int(rng.integers(5)), int(rng.integers(2)), int(rng.integers(9))),
+        scenario_id="StopSign:0", time=0.0, segment_id=f"s{i}", round_index=1)
+        for i in range(n)]
+
+
+def _loss_and_grads(policy, loss):
+    ad.backward(loss, policy.params)
+    return loss.data.item(), {k: t.grad.copy() for k, t in policy.params.items()}
+
+
+def _assert_close(got, want, what):
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got - want).max() <= 1e-12 * scale, what
+
+
+class TestBatchedLossesMatchPerSample:
+    """One graph per batch gives the per-sample losses, gradients and
+    underflow clamp counts, over batches padded to their own largest agent
+    and map counts (an epoch's short last batch included)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 16), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    def test_losses_and_gradients(self, n, batch_size, data_seed, sharpen):
+        rng = np.random.default_rng(data_seed)
+        policy = tiny_policy(seed=int(rng.integers(100)), k=8)
+        samples = random_samples(rng, n)
+        cfg = tr.TrainConfig(batch_size=batch_size)
+        batches = [samples[i:i + batch_size] for i in range(0, n, batch_size)]
+        for batch in batches:
+            got, got_grads = _loss_and_grads(policy, tr._batch_loss(policy, batch, cfg))
+            want, want_grads = _loss_and_grads(
+                policy, reference_imitation_loss(policy, batch, cfg))
+            _assert_close(np.array(got), np.array(want), "imitation loss")
+            for k in want_grads:
+                _assert_close(got_grads[k], want_grads[k], f"imitation d/d{k}")
+
+        if sharpen:     # push some probabilities under the ln floor
+            policy.params["traj_head.w2"].data *= 20.0
+            policy.params["ctrl_head.w2"].data *= 1000.0
+        for batch in batches:
+            flags, ref_flags = [], []
+            got, got_grads = _loss_and_grads(
+                policy, tr._pair_losses(policy, batch, cfg, flags))
+            want, want_grads = _loss_and_grads(
+                policy, reference_preference_loss(policy, batch, cfg, ref_flags))
+            _assert_close(np.array(got), np.array(want), "preference loss")
+            for k in want_grads:
+                _assert_close(got_grads[k], want_grads[k], f"preference d/d{k}")
+            assert sorted(flags) == sorted(ref_flags)
 
 
 @pytest.fixture(scope="module")
@@ -413,14 +520,39 @@ class TestPostOptimize:
         assert reports[0]["validation"] == {"mean_ds": 1.0, "sr": 0.0}
         assert set(reports[0]["triggers"]) == {"collision", "threshold"}
 
+    @pytest.mark.parametrize("ablated", ["dagger_epochs", "po_epochs"])
+    def test_zero_epoch_ablation_round(self, small_world_data, tmp_path, ablated):
+        demo, tv = small_world_data
+        policy = pol.Policy(pol.PolicyConfig(feature_dim=8, k=4), tv, CVOCAB)
+        cfg = tr.TrainConfig(**{"rounds": 1, "po_epochs": 1, "seed": 0, ablated: 0})
+        lines = []
+        _, (report,) = tr.post_optimize(policy, demo,
+                                        [sim.ScenarioSpec("EmergencyBrake", 0)],
+                                        xp.ExpertConfig(), cfg, tmp_path,
+                                        progress=lines.append)
+        assert report["takeover_kept"] > 0
+        assert lines[-1].startswith("round 1: kept ")
+        if ablated == "dagger_epochs":
+            assert report["dagger_losses"] == []
+            assert len(report["po_losses"]) == 1
+        else:
+            assert len(report["dagger_losses"]) == 1
+            assert report["po_losses"] == [] and report["po_underflow_clamps"] == 0
+            assert report["margin_after"] == report["margin_before"]
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(beta=0.0)
     with pytest.raises(ValueError):
         tr.TrainConfig(gamma=-1.0)
-    with pytest.raises(ValueError):
-        tr.TrainConfig(po_epochs=0)
+    for field in ("pretrain_epochs", "batch_size"):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: 0})
+    for field in ("dagger_epochs", "po_epochs"):     # 0 ablates the stage
+        assert getattr(tr.TrainConfig(**{field: 0}), field) == 0
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: -1})
     with pytest.raises(ValueError):
         tr.TrainConfig(rounds=-1)
 
