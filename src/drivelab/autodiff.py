@@ -18,11 +18,15 @@ The module-level ops the policy calls (`relu`, `sigmoid`, `softmax`,
 `narrow`, `concat`, `normalize`, `linear`, `scaled_dot_attention`) take a
 Tensor or a plain float64 array. A Tensor records the op; an array gets the
 same value formula and records nothing, so a network written once runs as a
-graph for training and graph-free for inference, bit for bit alike. Where a
-Tensor checks every op's output for non-finite values, the array path checks
-only the inputs of sigmoid and softmax and the normalisation's reciprocal:
-every other op passes an inf or nan on to one of them, so both paths raise
-NonFiniteError on the same inputs.
+graph for training and graph-free for inference, bit for bit alike.
+
+Both paths check for non-finite values in the same three places, the value
+formulas they share: the inputs of sigmoid and softmax, where an inf would
+become finite and a nan in a masked slot would vanish, and the output of
+the reciprocal, where a zero sum first becomes inf. Every other op passes an
+inf or nan on to one of them, so both paths raise NonFiniteError on the same
+inputs. `backward` rejects a non-finite loss and `Adam.step` non-finite
+gradients, so what the losses add after the network is checked too.
 """
 
 import math
@@ -35,7 +39,7 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """Raised when an op produces, or an optimizer receives, non-finite values."""
+    """Raised when a checked op, a loss or an optimizer step meets non-finite values."""
 
 
 def _as_array(x):
@@ -57,6 +61,7 @@ def _relu(x):
 
 
 def _sigmoid(x):
+    _finite(x)
     # Numerically stable split over sign.
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -68,6 +73,7 @@ def _softmax(x, mask=None):
     Entries where `mask` (broadcast against x) is False get exactly zero,
     and a row with no unmasked entry is all zeros. With every entry of a row
     unmasked, the row's floats are those of the unmasked formula."""
+    _finite(x)
     if mask is None:
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
@@ -77,13 +83,17 @@ def _softmax(x, mask=None):
     return e / np.where(total > 0.0, total, 1.0)
 
 
+def _reciprocal(x):
+    return _finite(1.0 / x)
+
+
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse-mode autodiff."""
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
-        self.data = _finite(_as_array(data))
+        self.data = _as_array(data)
         self.grad = None
         self._parents = parents
         self._backward = backward
@@ -207,7 +217,7 @@ class Tensor:
         def backward(out):
             self._accum(-out.grad / (self.data * self.data))
 
-        return Tensor(1.0 / self.data, parents=(self,), backward=backward)
+        return Tensor(_reciprocal(self.data), parents=(self,), backward=backward)
 
     # -- reductions / reshaping ------------------------------------------
 
@@ -277,11 +287,11 @@ def relu(x):
 
 
 def sigmoid(x):
-    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(_finite(x))
+    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(x)
 
 
 def softmax(x, mask=None):
-    return x.softmax(mask) if isinstance(x, Tensor) else _softmax(_finite(x), mask)
+    return x.softmax(mask) if isinstance(x, Tensor) else _softmax(x, mask)
 
 
 def narrow(x, start, length):
@@ -296,7 +306,7 @@ def normalize(x):
     reciprocal of the row sums."""
     if isinstance(x, Tensor):
         return x * x.sum(axis=-1).reciprocal()
-    return x * _finite(1.0 / x.sum(axis=-1, keepdims=True))
+    return x * _reciprocal(x.sum(axis=-1, keepdims=True))
 
 
 def concat(tensors):
@@ -348,11 +358,13 @@ def scaled_dot_attention(q, k, v, mask=None):
 def backward(loss, params=None):
     """Backpropagate from a scalar loss through the recorded graph.
 
-    If a ParameterStore is given, its gradients are zeroed first so that
+    A non-finite loss is rejected before any gradient is touched. If a
+    ParameterStore is given, its gradients are zeroed first so that
     parameters unreachable from the loss end with exactly zero gradient.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    _finite(loss.data)
     if params is not None:
         params.zero_grad()
 

@@ -1,9 +1,9 @@
 """Command-line pipeline driver.
 
 Subcommands mirror the pipeline phases: collect-demos, build-vocab, pretrain,
-collect-takeover, postopt, eval, report. Every artifact lands under the
-configured output directory; later commands locate earlier outputs by path
-and fail with the producing command's name when one is missing.
+postopt, eval, report. Every artifact lands under the configured output
+directory; later commands locate earlier outputs by path and fail with the
+producing command's name when one is missing.
 """
 
 import argparse
@@ -125,18 +125,6 @@ def cmd_pretrain(cfg, args):
     print(f"pretrained checkpoint -> {_path(cfg, 'pretrained')}")
 
 
-def cmd_collect_takeover(cfg, args):
-    ckpt = _require(_path(cfg, "pretrained"), "pretrain")
-    policy = _load_policy(cfg, ckpt)
-    suite = expand_suite(cfg, "train")
-    raw = ds.run_shadow_collection(policy, suite, _expert_cfg(cfg), round_index=0,
-                                   eps_steer=cfg["train"]["eps_steer"])
-    kept = ds.filter_takeovers(raw)
-    ds.persist(kept, _path(cfg, "takeover"))
-    print(f"collected {len(raw)} takeover samples, kept {len(kept)} "
-          f"({raw.manifest['triggers']}) -> {_path(cfg, 'takeover')}")
-
-
 def cmd_postopt(cfg, args):
     ckpt = _require(_path(cfg, "pretrained"), "pretrain")
     tcfg = _train_cfg(cfg)
@@ -187,7 +175,7 @@ def cmd_eval(cfg, args):
 
 def cmd_report(cfg, args):
     print(f"config hash: {config_hash(cfg)}")
-    for key in ("demos", "vocab", "pretrained", "final", "takeover", "eval_report"):
+    for key in ("demos", "vocab", "pretrained", "final", "eval_report"):
         path = _path(cfg, key)
         if os.path.exists(path):
             print(f"{key:<12}{file_hash(path)}  {path}")
@@ -227,7 +215,6 @@ def build_parser():
             ("collect-demos", cmd_collect_demos, "run the expert over the training suite"),
             ("build-vocab", cmd_build_vocab, "cluster demonstrations into the trajectory vocabulary"),
             ("pretrain", cmd_pretrain, "staged imitation pre-training"),
-            ("collect-takeover", cmd_collect_takeover, "one standalone shadow-mode collection pass"),
             ("postopt", cmd_postopt, "multi-round takeover + preference optimization loop"),
             ("eval", cmd_eval, "closed-loop evaluation on the test suite"),
             ("report", cmd_report, "summarize artifacts and their hashes")):

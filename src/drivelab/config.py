@@ -33,7 +33,6 @@ DEFAULT_CONFIG = {
         "pretrain_history": "pretrain_history.json",
         "postopt_dir": "postopt",
         "final": "postopt/policy.ckpt",
-        "takeover": "takeover_probe.jsonl",
         "eval_report": "eval_report.json",
         "eval_table": "eval_report.txt",
         "trend": "trend.csv",
@@ -48,7 +47,7 @@ DEFAULT_CONFIG = {
     "train": _defaults(TrainConfig, "seed"),
     "demo_subsample": 1,        # keep every n-th demonstration frame
     "creep_enabled": True,
-    "scenario": {"route_length": 120.0, "speed_limit": 8.0},
+    "scenario": {"route_length": sim.ROUTE_LENGTH, "speed_limit": sim.SPEED_LIMIT},
 }
 
 

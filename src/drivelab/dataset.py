@@ -2,7 +2,7 @@
 merging, and line-delimited JSON persistence."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,73 +65,64 @@ class Dataset:
         return self.manifest.get("vocab_hash")
 
 
-def _sample_to_record(s):
-    rec = {
-        "agent_feats": s.agent_feats.tolist(),
-        "map_feats": s.map_feats.tolist(),
-        "cmd_onehot": s.cmd_onehot.tolist(),
-        "traj_waypoints": s.traj_waypoints.tolist(),
-        "ctrl_indices": list(s.ctrl_indices),
-        "scenario_id": s.scenario_id,
-        "time": s.time,
-    }
-    if isinstance(s, TakeoverSample):
-        rec.update(trigger=s.trigger, steer_gap=s.steer_gap,
-                   policy_traj_index=s.policy_traj_index,
-                   policy_ctrl_indices=list(s.policy_ctrl_indices),
-                   segment_id=s.segment_id, round_index=s.round_index,
-                   ego_speed=s.ego_speed,
-                   infraction_kinds=list(s.infraction_kinds), truncated=s.truncated)
-    return rec
+_ROW_WIDTHS = {"agent_feats": AGENT_FEATURES, "map_feats": MAP_FEATURES}
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+# Records hold arrays as nested lists and tuples as lists. NaN and Infinity
+# are not JSON: the encoder refuses a non-finite value, the decoder the token.
+_ENCODER = json.JSONEncoder(allow_nan=False, default=np.ndarray.tolist)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _record_to_sample(rec):
-    base = dict(
-        agent_feats=np.array(rec["agent_feats"], dtype=np.float64).reshape(-1, AGENT_FEATURES),
-        map_feats=np.array(rec["map_feats"], dtype=np.float64).reshape(-1, MAP_FEATURES),
-        cmd_onehot=np.array(rec["cmd_onehot"], dtype=np.float64),
-        traj_waypoints=np.array(rec["traj_waypoints"], dtype=np.float64),
-        ctrl_indices=tuple(rec["ctrl_indices"]),
-        scenario_id=rec["scenario_id"],
-        time=rec["time"],
-    )
-    if "segment_id" in rec:
-        return TakeoverSample(**base, trigger=rec["trigger"], steer_gap=rec["steer_gap"],
-                              policy_traj_index=rec["policy_traj_index"],
-                              policy_ctrl_indices=tuple(rec["policy_ctrl_indices"]),
-                              segment_id=rec["segment_id"],
-                              round_index=rec["round_index"],
-                              ego_speed=rec["ego_speed"],
-                              infraction_kinds=tuple(rec["infraction_kinds"]),
-                              truncated=rec["truncated"])
-    return DemoSample(**base)
+    """The sample a record holds, every field of its class required: a
+    takeover record is the one with a `segment_id`."""
+    cls = TakeoverSample if "segment_id" in rec else DemoSample
+    values = {}
+    for f in fields(cls):
+        v = rec[f.name]
+        if f.type is np.ndarray:
+            v = np.array(v, dtype=np.float64)
+            if f.name in _ROW_WIDTHS:
+                v = v.reshape(-1, _ROW_WIDTHS[f.name])
+        elif f.type is tuple:
+            v = tuple(v)
+        values[f.name] = v
+    return cls(**values)
 
 
 def persist(dataset, path):
-    """Write a dataset as a manifest line followed by one JSON record per sample."""
+    """Write a dataset as a manifest line followed by one JSON record per
+    sample, its fields in declaration order; a non-finite value is an error."""
     with open(path, "w") as f:
-        f.write(json.dumps(dataset.manifest) + "\n")
+        f.write(_ENCODER.encode(dataset.manifest) + "\n")
         for s in dataset.samples:
-            f.write(json.dumps(_sample_to_record(s)) + "\n")
+            rec = {field.name: getattr(s, field.name) for field in fields(s)}
+            f.write(_ENCODER.encode(rec) + "\n")
 
 
 def load(path, expect_vocab_hash=None):
-    """Read a dataset; malformed lines are rejected with their line number."""
+    """Read a dataset; malformed lines, a NaN or Infinity token among them,
+    are rejected with their line number."""
     samples = []
     with open(path) as f:
         first = f.readline()
         if not first:
             raise ValueError(f"{path}:1: empty dataset file (missing manifest)")
         try:
-            manifest = json.loads(first)
-        except json.JSONDecodeError as e:
+            manifest = _DECODER.decode(first)
+        except ValueError as e:
             raise ValueError(f"{path}:1: malformed manifest ({e})")
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             try:
-                samples.append(_record_to_sample(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as e:
+                samples.append(_record_to_sample(_DECODER.decode(line)))
+            except (KeyError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: malformed sample record ({e})")
     if manifest.get("count") != len(samples):
         raise ValueError(

@@ -53,10 +53,6 @@ def idm_free_accel(v, v0, cfg):
     return cfg.max_accel * (1.0 - (v / v0) ** 4)
 
 
-def _corridor_halfwidth(route, actor_width):
-    return route.lane_half_width + actor_width / 2.0
-
-
 @lru_cache(maxsize=4)
 def _yield_times(horizon):
     """Forecast instants (s) of the corridor-entry check, one per sim tick."""
@@ -82,7 +78,7 @@ def leading_obstacle(route, ego, ego_s, actor_snaps, stop_line_s, stop_served, c
             best = (max(gap, 0.05), v_lead)
 
     for (x, y, heading, speed, length, width, _kind) in actor_snaps:
-        half = _corridor_halfwidth(route, width)
+        half = sim.LANE_HALF_WIDTH + width / 2.0
         s_a, lat_a = route.project(x, y)
         if s_a >= route.length - 0.1:
             continue    # at or past the route end: treat as exited

@@ -100,7 +100,7 @@ def run_closed_loop(policy, spec, creep_enabled=True):
     return run_episode(NeuralDriver(policy, creep_enabled=creep_enabled), spec)
 
 
-def efficiency(trace, speed_limit=8.0):
+def efficiency(trace, speed_limit=sim.SPEED_LIMIT):
     """Mean over frames of min(1, v_ego / v_ref) x 100. v_ref is the mean
     speed of moving actors within 50 m, falling back to the speed limit."""
     if not trace:
@@ -174,7 +174,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def summarize(results, speed_limit=8.0, config_hash="", checkpoint_hash=""):
+def summarize(results, speed_limit=sim.SPEED_LIMIT, config_hash="", checkpoint_hash=""):
     if not results:
         raise ValueError("summarize requires at least one episode")
     by_kind = {}
@@ -193,14 +193,13 @@ def summarize(results, speed_limit=8.0, config_hash="", checkpoint_hash=""):
         config_hash=config_hash, checkpoint_hash=checkpoint_hash)
 
 
-def evaluate_suite(policy, suite, creep_enabled=True, speed_limit=8.0,
-                   config_hash="", checkpoint_hash=""):
+def evaluate_suite(policy, suite, creep_enabled=True, speed_limit=sim.SPEED_LIMIT):
     try:
         results = [run_closed_loop(policy, spec, creep_enabled=creep_enabled)
                    for spec in suite]
     except NonFiniteError as e:
         raise NonFiniteError(f"eval {e}")
-    return summarize(results, speed_limit, config_hash, checkpoint_hash), results
+    return summarize(results, speed_limit), results
 
 
 def write_trend_csv(reports, path):

@@ -214,6 +214,7 @@ class Policy:
 
     # -- forward ----------------------------------------------------------
 
+    @np.errstate(all="ignore")
     def _network(self, params, leaf, posenc, snapshots):
         """The policy's wiring, written once. `forward` runs it on Tensors
         (`params` the ParameterStore, `leaf` Tensor) and `infer` on float64
@@ -222,7 +223,11 @@ class Policy:
 
         `snapshots` is one SceneSnapshot, giving outputs without a batch
         axis, or a list of B, giving (B, ...) outputs from one pass over
-        token slots padded and masked per sample."""
+        token slots padded and masked per sample.
+
+        Floating-point warnings are off while it runs: both paths raise
+        NonFiniteError on the non-finite values that would warn (see
+        `autodiff`), so neither warns first."""
         agents, agent_mask, maps, map_mask, cmd, lead = _batch_inputs(snapshots)
         agents = _mlp2(params, "agent_mlp", leaf(agents)) if agents.shape[-2] else None
         maps = _mlp2(params, "map_mlp", leaf(maps)) if maps.shape[-2] else None
@@ -257,12 +262,9 @@ class Policy:
 
     def infer(self, snapshot):
         """One closed-loop tick: the network on plain arrays, then the top-1
-        picks. Floating-point warnings are off while it runs, because the
-        array path raises NonFiniteError on the non-finite values that would
-        warn (see `autodiff`), where `forward` raises it."""
+        picks."""
         values = {name: t.data for name, t in self.params.items()}
-        with np.errstate(all="ignore"):
-            out = self._network(values, np.asarray, self._posenc.data, snapshot)
+        out = self._network(values, np.asarray, self._posenc.data, snapshot)
         d_traj, d_ctrl = out["d_traj"], out["d_ctrl"]
         traj_idx, ctrl_idx = sample_top1(d_traj, d_ctrl)
         throttle, brake, steer = self.ctrl_vocab.values(*ctrl_idx)

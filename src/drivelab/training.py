@@ -71,7 +71,8 @@ def kl_loss(target, predicted):
         raise ValueError(
             f"support mismatch: target {target.shape} vs predicted {predicted.data.shape}")
     target = target.reshape(-1, target.shape[-1])
-    if np.any(target < 0) or np.any(np.abs(target.sum(axis=-1) - 1.0) > 1e-9):
+    # Stated as what must hold: a nan fails every comparison, an inf the sum.
+    if not (np.all(target >= 0) and np.all(np.abs(target.sum(axis=-1) - 1.0) <= 1e-9)):
         raise ValueError("target is not a distribution")
     idx = np.flatnonzero(target > 0.0)
     t = target.ravel()[idx]

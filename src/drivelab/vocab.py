@@ -68,8 +68,13 @@ class TrajectoryVocabulary:
             np.ascontiguousarray(self.centers, dtype="<f8").tobytes()).hexdigest()[:16]
 
     def nearest_index(self, trajectory):
-        """Index of the center closest in mean per-waypoint L2 distance."""
-        return int(np.argmin(self.waypoint_distances(trajectory)))
+        """Index of the center closest in mean per-waypoint L2 distance; a
+        trajectory with a non-finite waypoint has none."""
+        d = self.waypoint_distances(trajectory)
+        i = int(np.argmin(d))
+        if not np.isfinite(d[i]):       # argmin returns the first nan, if any
+            raise ValueError("trajectory has a non-finite waypoint")
+        return i
 
     def waypoint_distances(self, trajectory):
         """Mean per-waypoint L2 distance (meters) from a trajectory to every center."""

@@ -19,6 +19,9 @@ B_MAX = 8.0               # max brake deceleration, m/s^2
 C_DRAG = 0.002            # quadratic drag coefficient
 BLOCKED_SECONDS = 90.0
 LEADING_GAP_RANGE = 20.0  # m; a leading actor farther ahead leaves the road clear
+LANE_HALF_WIDTH = 2.0     # m
+ROUTE_LENGTH = 120.0      # m, the default scenario route
+SPEED_LIMIT = 8.0         # m/s, the default route speed limit
 # Route.project_many evaluates a window of this many segments around each
 # point's start segment before it checks that the rest are farther away; on
 # a shorter route it scans every segment.
@@ -98,8 +101,8 @@ class InfractionEvent:
 class ScenarioSpec:
     kind: str
     seed: int
-    route_length: float = 120.0
-    speed_limit: float = 8.0
+    route_length: float = ROUTE_LENGTH
+    speed_limit: float = SPEED_LIMIT
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -206,8 +209,7 @@ class Route:
     best distance is not finite, take the full scan.
     """
 
-    def __init__(self, waypoints, commands, lane_half_width=2.0, speed_limit=8.0,
-                 stop_line_s=None):
+    def __init__(self, waypoints, commands, speed_limit=SPEED_LIMIT, stop_line_s=None):
         self.waypoints = np.asarray(waypoints, dtype=np.float64)
         if self.waypoints.ndim != 2 or self.waypoints.shape[1] != 2:
             raise ValueError("waypoints must be an (n, 2) array")
@@ -222,7 +224,6 @@ class Route:
             if c not in COMMANDS:
                 raise ValueError(f"unknown navigation command {c!r}")
         self.commands = list(commands)
-        self.lane_half_width = lane_half_width
         self.speed_limit = speed_limit
         self.stop_line_s = stop_line_s
         self._seg_len = seg_len
@@ -489,7 +490,7 @@ class World:
             s_a, lat_a = self.route.project(a.x, a.y)
             if s_a >= self.route.length - 0.1:
                 continue    # past the route end: exited the scene
-            if abs(lat_a) > self.route.lane_half_width + a.width / 2.0:
+            if abs(lat_a) > LANE_HALF_WIDTH + a.width / 2.0:
                 continue
             gap = s_a - ego_s - (self.ego.length + a.length) / 2.0
             if -1.0 < gap < LEADING_GAP_RANGE and s_a > ego_s:
@@ -549,7 +550,7 @@ def advance_world(world, cmd):
 
     if abs(lateral) > 8.0:
         world._log("route_deviation", tick_kinds)
-    elif abs(lateral) > world.route.lane_half_width + 0.5:
+    elif abs(lateral) > LANE_HALF_WIDTH + 0.5:
         if not world._off_road_active:
             world._log("off_road", tick_kinds)
             world._off_road_active = True
@@ -596,9 +597,7 @@ def advance_world(world, cmd):
 
 # -- scenario construction ----------------------------------------------------
 
-def _make_route(rng, spec, lateral_bump=None, stop_line_s=None,
-                bump_commands=("ChangeLaneLeft", "ChangeLaneRight"),
-                curvature=None):
+def _make_route(rng, spec, lateral_bump=None, stop_line_s=None, curvature=None):
     """Gently curved route of the requested length, with an optional lateral
     detour bump (for overtaking) and per-segment commands."""
     spacing = 3.0
@@ -624,12 +623,12 @@ def _make_route(rng, spec, lateral_bump=None, stop_line_s=None,
         for i in range(n - 1):
             mid = (s_grid[i] + s_grid[i + 1]) / 2.0
             if center - half_span < mid < center:
-                commands[i] = bump_commands[0]
+                commands[i] = "ChangeLaneLeft"
             elif center < mid < center + half_span:
-                commands[i] = bump_commands[1]
+                commands[i] = "ChangeLaneRight"
 
-    return Route(np.column_stack([x, y]), commands, lane_half_width=2.0,
-                 speed_limit=spec.speed_limit, stop_line_s=stop_line_s)
+    return Route(np.column_stack([x, y]), commands, speed_limit=spec.speed_limit,
+                 stop_line_s=stop_line_s)
 
 
 def reset(spec):
@@ -690,17 +689,3 @@ def reset(spec):
                    heading=math.atan2(*(route.waypoints[1] - route.waypoints[0])[::-1]),
                    speed=0.0)
     return World(spec, route, ego, actors)
-
-
-def export_trace(world, fh):
-    """Write the per-frame trace as line-delimited JSON to an open text file."""
-    import json
-    for fr in world.trace:
-        fh.write(json.dumps({
-            "t": round(fr.time, 4),
-            "ego": list(fr.ego),
-            "cmd": list(fr.command),
-            "actors": [list(a) for a in fr.actors],
-            "infractions": fr.infractions,
-            "progress": fr.progress,
-        }) + "\n")

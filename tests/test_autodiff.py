@@ -148,10 +148,11 @@ def test_array_path_matches_tensor_op(op):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("op", [ad.sigmoid, ad.softmax])
 def test_array_path_rejects_nonfinite_input(op, bad):
-    # sigmoid(+-inf) and softmax over a -inf entry are finite, so the array
-    # path checks these inputs itself.
-    with pytest.raises(ad.NonFiniteError):
-        op(np.array([[0.5, bad, -1.0]]))
+    # sigmoid(+-inf) and softmax over a -inf entry are finite, so both paths
+    # check these inputs in the value formula they share.
+    for leaf in (Tensor, np.asarray):
+        with pytest.raises(ad.NonFiniteError):
+            op(leaf(np.array([[0.5, bad, -1.0]])))
 
 
 def test_array_path_rejects_zero_sum_normalize():
@@ -174,7 +175,7 @@ def test_shape_errors():
 
 def test_nonfinite_rejection():
     with pytest.raises(ad.NonFiniteError):
-        Tensor(np.array([1.0, np.nan]))
+        ad.backward(Tensor(np.array([1.0, np.nan])).sum())
     with pytest.raises(ad.NonFiniteError):
         Tensor(np.array([-1.0])).log()
 

@@ -155,10 +155,8 @@ class TestDispatch:
         assert (out / "postopt" / "policy.ckpt").read_bytes() == \
             (out / "pretrained.ckpt").read_bytes()
 
-    def test_collect_takeover_and_eval_and_report(self, pipeline, capsys):
+    def test_eval_and_report(self, pipeline, capsys):
         tmp, out, cfg_path = pipeline
-        assert cli.main(["--config", cfg_path, "collect-takeover"]) == 0
-        assert (out / "takeover_probe.jsonl").exists()
         assert cli.main(["--config", cfg_path, "eval",
                          "--checkpoint", str(out / "pretrained.ckpt")]) == 0
         rep = json.loads((out / "eval_report.json").read_text())
@@ -189,5 +187,5 @@ class TestDispatch:
             cli.main(["--help"])
         text = capsys.readouterr().out
         for name in ("collect-demos", "build-vocab", "pretrain",
-                     "collect-takeover", "postopt", "eval", "report"):
+                     "postopt", "eval", "report"):
             assert name in text

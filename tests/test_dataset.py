@@ -1,3 +1,7 @@
+import copy
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -138,6 +142,48 @@ class TestPersistence:
         assert (a.segment_id, a.trigger, a.round_index) == \
             (b.segment_id, b.trigger, b.round_index)
         assert a.steer_gap == b.steer_gap
+
+    def test_every_field_round_trips(self, takeover_dataset, tmp_path):
+        path = tmp_path / "t.jsonl"
+        ds.persist(takeover_dataset, path)
+        for a, b in zip(takeover_dataset.samples, ds.load(path).samples):
+            assert type(a) is type(b)
+            for f in fields(a):
+                got, want = getattr(b, f.name), getattr(a, f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.shape == want.shape and np.array_equal(got, want), f.name
+                else:
+                    assert got == want, f.name
+                    assert isinstance(got, tuple) == isinstance(want, tuple), f.name
+
+    def test_nonfinite_value_not_persisted(self, demo_dataset, tmp_path):
+        bad = copy.copy(demo_dataset.samples[0])
+        bad.traj_waypoints = np.full((6, 2), np.nan)
+        with pytest.raises(ValueError):
+            ds.persist(ds.Dataset([bad]), tmp_path / "d.jsonl")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_token_names_line_number(self, demo_dataset, tmp_path, token):
+        path = tmp_path / "d.jsonl"
+        ds.persist(demo_dataset, path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["traj_waypoints"][0][0] = "@"
+        lines[2] = json.dumps(rec).replace('"@"', token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f":3: malformed sample record .*{token}"):
+            ds.load(path)
+
+    def test_missing_field_names_line_number(self, takeover_dataset, tmp_path):
+        path = tmp_path / "t.jsonl"
+        ds.persist(takeover_dataset, path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        del rec["truncated"]
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":2: malformed sample record"):
+            ds.load(path)
 
     def test_corrupted_line_names_line_number(self, demo_dataset, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -10,11 +10,6 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drivelab"
 
-# qualified name -> why it stays without a caller in the package
-ALLOWED = {
-    "world.export_trace": "to be wired to `eval --traces` (ROADMAP item 3)",
-}
-
 
 def _definitions(module, tree):
     """(qualified name, bare name) of each checked definition."""
@@ -51,8 +46,5 @@ def unreferenced_names():
 
 
 def test_every_definition_is_referenced():
-    unreferenced = unreferenced_names()
-    dead = [name for name in unreferenced if name not in ALLOWED]
+    dead = unreferenced_names()
     assert not dead, f"defined in src/drivelab but never referenced there: {dead}"
-    stale = [name for name in ALLOWED if name not in unreferenced]
-    assert not stale, f"allowlisted but referenced now; drop from ALLOWED: {stale}"

@@ -78,6 +78,14 @@ class TestKlLoss:
         with pytest.raises(ValueError):
             tr.kl_loss(np.array([0.9, 0.3]), Tensor(np.array([0.5, 0.5])))
 
+    def test_nan_target_rejected(self):
+        # nan fails every comparison, so it must fail the check too.
+        with pytest.raises(ValueError, match="not a distribution"):
+            tr.kl_loss(np.full(4, np.nan), Tensor(np.full(4, 0.25)))
+        with pytest.raises(ValueError, match="not a distribution"):
+            tr.kl_loss(np.array([[0.5, 0.5, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]]),
+                       Tensor(np.full((2, 4), 0.25)))
+
 
 class TestPreferenceLosses:
     def test_simpo_oracle_values(self):
@@ -459,6 +467,40 @@ class TestPoEpoch:
         assert mean == 0.0
         for k, t in policy.params.items():
             assert np.array_equal(t.data, before[k])
+
+
+@pytest.mark.parametrize("stage, tag", [("pretrain", "pretrain/trajectory"),
+                                        ("dagger", "dagger"), ("po", "po")])
+def test_nan_parameter_raises_naming_stage_and_batch(stage, tag):
+    """The network's own checks catch a nan parameter in the first batch of
+    every training stage, and the error names the stage and the batch."""
+    policy = tiny_policy()
+    policy.params["traj_head.b2"].data[0] = np.nan
+    rng = np.random.default_rng(6)
+    takeovers = ds.Dataset([make_takeover(rng, seg=f"s{i}") for i in range(3)],
+                           kind="takeover")
+    cfg = tr.TrainConfig(batch_size=2, seed=0)
+    run = {
+        "pretrain": lambda: tr.pretrain(policy, takeovers, cfg),
+        "dagger": lambda: tr.dagger_epoch(policy, ds.MergedDataset(takeovers, []), cfg, rng),
+        "po": lambda: tr.po_epoch(policy, takeovers.samples, cfg,
+                                  ad.Adam(policy.params, lr=cfg.po_lr)),
+    }[stage]
+    with pytest.raises(ad.NonFiniteError, match=f"^{tag} batch 0: "):
+        run()
+
+
+def test_nan_waypoints_rejected_by_both_losses():
+    """A nan trajectory label is rejected by the imitation loss's target and
+    by the preference loss's winner, never trained on."""
+    policy = tiny_policy()
+    s = make_takeover(np.random.default_rng(7))
+    s.traj_waypoints = np.full((6, 2), np.nan)
+    cfg = tr.TrainConfig(seed=0)
+    with pytest.raises(ValueError, match="not a distribution"):
+        tr._batch_loss(policy, [s], cfg)
+    with pytest.raises(ValueError, match="non-finite"):
+        tr._pair_losses(policy, [s], cfg)
 
 
 class TestMeanMargin:

@@ -1,5 +1,3 @@
-import io
-import json
 import math
 
 import numpy as np
@@ -368,17 +366,3 @@ class TestEpisodeLogic:
             sim.ScenarioSpec("StopSign", 0, route_length=10.0)
         with pytest.raises(ValueError):
             sim.ScenarioSpec("StopSign", 0, speed_limit=0.0)
-
-
-def test_trace_export_round_trips():
-    spec = sim.ScenarioSpec("EmergencyBrake", 0)
-    w = sim.reset(spec)
-    for _ in range(50):
-        sim.advance_world(w, sim.ControlCommand(throttle=0.4))
-    buf = io.StringIO()
-    sim.export_trace(w, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == 50
-    rec = json.loads(lines[-1])
-    assert rec["t"] == pytest.approx(50 * sim.DT, abs=1e-3)
-    assert len(rec["ego"]) == 4 and len(rec["actors"]) == 1
