@@ -11,7 +11,6 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -59,48 +58,16 @@ def _load_policy(cfg, ckpt_path):
     return policy
 
 
-# -- parallel episode workers (module level so they pickle) -------------------
-
-
-def _demo_worker(args):
-    cfg, spec = args
-    d = ds.collect_demos([spec], _expert_cfg(cfg), _policy_cfg(cfg),
-                         ControlVocabulary(), max_infraction_rate=1.0)
-    return d.samples[::cfg["demo_subsample"]], d.manifest["episodes_discarded"]
-
-
-def _eval_worker(args):
-    cfg, ckpt_path, spec = args
-    policy = _load_policy(cfg, ckpt_path)
-    return bench.run_closed_loop(policy, spec, creep_enabled=cfg["creep_enabled"])
-
-
-def _map_jobs(cfg, fn, items):
-    """Ordered map, optionally across processes; merge order never depends
-    on worker scheduling."""
-    if cfg["jobs"] <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_collect_demos(cfg, args):
-    suite = expand_suite(cfg, "train")
-    results = _map_jobs(cfg, _demo_worker, [(cfg, spec) for spec in suite])
-    samples, discarded = [], 0
-    for kept, bad in results:
-        discarded += bad
-        samples.extend(kept)
-    ds.check_expert(discarded, len(suite))
-    out = ds.Dataset(samples, kind="demo",
-                     manifest={"episodes": len(suite), "episodes_discarded": discarded,
-                               "subsample": cfg["demo_subsample"]})
+    out = ds.collect_demos(expand_suite(cfg, "train"), _expert_cfg(cfg), _policy_cfg(cfg),
+                           ControlVocabulary(), subsample=cfg["demo_subsample"],
+                           jobs=cfg["jobs"])
     ds.persist(out, _path(cfg, "demos"))
     print(f"collected {len(out)} demonstration samples "
-          f"({discarded} episodes discarded) -> {_path(cfg, 'demos')}")
+          f"({out.manifest['episodes_discarded']} episodes discarded) -> {_path(cfg, 'demos')}")
 
 
 def cmd_build_vocab(cfg, args):
@@ -142,15 +109,14 @@ def cmd_postopt(cfg, args):
     val_suite = expand_suite(cfg, "validation")
 
     def evaluate(pol):
-        report, _ = bench.evaluate_suite(pol, val_suite,
-                                         creep_enabled=cfg["creep_enabled"],
-                                         speed_limit=cfg["scenario"]["speed_limit"])
+        report, _ = bench.evaluate_suite(pol, val_suite, creep_enabled=cfg["creep_enabled"],
+                                         jobs=cfg["jobs"])
         return {"mean_ds": report.mean_ds, "sr": report.sr}
 
     out_dir = os.path.join(cfg["out_dir"], cfg["paths"]["postopt_dir"])
     policy, reports = tr.post_optimize(policy, demos, suite, _expert_cfg(cfg),
                                        tcfg, out_dir, evaluate=evaluate,
-                                       progress=lambda m: print(m))
+                                       progress=lambda m: print(m), jobs=cfg["jobs"])
     policy.save(final, extra_meta={"config_hash": config_hash(cfg)})
     bench.write_trend_csv(reports, _path(cfg, "trend"))
     print(f"post-optimized checkpoint -> {final}")
@@ -159,13 +125,11 @@ def cmd_postopt(cfg, args):
 def cmd_eval(cfg, args):
     ckpt = args.checkpoint or _path(cfg, "final")
     producer = "postopt" if args.checkpoint is None else "pretrain"
-    _require(ckpt, producer)
-    suite = expand_suite(cfg, "test")
-    results = _map_jobs(cfg, _eval_worker,
-                        [(cfg, ckpt, spec) for spec in suite])
-    report = bench.summarize(results, speed_limit=cfg["scenario"]["speed_limit"],
-                             config_hash=config_hash(cfg),
-                             checkpoint_hash=file_hash(ckpt))
+    policy = _load_policy(cfg, _require(ckpt, producer))
+    report, _ = bench.evaluate_suite(policy, expand_suite(cfg, "test"),
+                                     creep_enabled=cfg["creep_enabled"], jobs=cfg["jobs"])
+    report.config_hash = config_hash(cfg)
+    report.checkpoint_hash = file_hash(ckpt)
     with open(_path(cfg, "eval_report"), "w") as f:
         f.write(report.to_json() + "\n")
     with open(_path(cfg, "eval_table"), "w") as f:

@@ -2,20 +2,23 @@
 merging, and line-delimited JSON persistence."""
 
 import json
+import os
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import expert as xp
 from . import world as sim
 from .autodiff import NonFiniteError
-from .metrics import MAX_EPISODE_TICKS, NeuralDriver, scenario_id
+from .metrics import MAX_EPISODE_TICKS, NeuralDriver, map_episodes, scenario_id
 from .policy import AGENT_FEATURES, MAP_FEATURES, SceneSnapshot, encode_scene
 
 EPS_STEER = 0.2                  # threshold-trigger steering gap
 TAKEOVER_TICKS = 40              # 2 s at dt = 0.05
 SUPPRESS_TICKS = 20              # 1 s re-trigger suppression after handback
 MAX_INFRACTION_RATE = 0.2        # discarded-episode share that aborts demo collection
+TRIGGERS = ("collision", "threshold")   # takeover trigger kinds, in manifest order
 
 
 @dataclass
@@ -97,12 +100,21 @@ def _record_to_sample(rec):
 
 def persist(dataset, path):
     """Write a dataset as a manifest line followed by one JSON record per
-    sample, its fields in declaration order; a non-finite value is an error."""
-    with open(path, "w") as f:
+    sample, its fields in declaration order. The lines go to `<path>.tmp`,
+    which replaces `path` only once every sample is written, so a sample
+    that cannot be written (one with a non-finite value) leaves `path` as
+    it was."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
         f.write(_ENCODER.encode(dataset.manifest) + "\n")
-        for s in dataset.samples:
-            rec = {field.name: getattr(s, field.name) for field in fields(s)}
-            f.write(_ENCODER.encode(rec) + "\n")
+        for i, s in enumerate(dataset.samples):
+            try:
+                line = _ENCODER.encode({fd.name: getattr(s, fd.name) for fd in fields(s)})
+            except ValueError as e:
+                os.remove(tmp)
+                raise ValueError(f"{path}: sample {i} not persisted ({e})")
+            f.write(line + "\n")
+    os.replace(tmp, path)
 
 
 def load(path, expect_vocab_hash=None):
@@ -134,45 +146,108 @@ def load(path, expect_vocab_hash=None):
     return Dataset(samples, manifest=manifest)
 
 
-def check_expert(discarded, episodes, max_infraction_rate=MAX_INFRACTION_RATE):
-    """If more than max_infraction_rate of the episodes had infractions, the
-    expert is considered misconfigured and collection aborts."""
-    if discarded > max_infraction_rate * episodes:
-        raise RuntimeError(
-            f"expert misconfigured: {discarded}/{episodes} episodes had infractions "
-            f"(limit {max_infraction_rate:.0%})")
+def _demo_episode(spec, expert_cfg, policy_cfg, control_vocab):
+    """One expert episode: its DemoSamples, one per tick, and whether it
+    had an infraction."""
+    w = sim.reset(spec)
+    episode = []
+    while not w.done and w.tick < MAX_EPISODE_TICKS:
+        snap = encode_scene(w, policy_cfg)
+        label = xp.expert_act(w, expert_cfg, control_vocab)
+        episode.append(DemoSample(
+            agent_feats=snap.agent_feats, map_feats=snap.map_feats,
+            cmd_onehot=snap.cmd_onehot, traj_waypoints=label.waypoints,
+            ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
+            scenario_id=scenario_id(spec), time=w.time))
+        sim.advance_world(w, label.command)
+    return episode, bool(w.infractions)
 
 
 def collect_demos(suite, expert_cfg, policy_cfg, control_vocab,
-                  max_infraction_rate=MAX_INFRACTION_RATE):
-    """Drive every route with the expert, one DemoSample per tick.
+                  max_infraction_rate=MAX_INFRACTION_RATE, subsample=1, jobs=1):
+    """Drive every route with the expert and keep every `subsample`-th tick
+    of each episode as a DemoSample.
 
-    Episodes with any infraction are discarded whole; see check_expert for
-    when collection aborts.
+    Episodes with any infraction are discarded whole. If more than
+    max_infraction_rate of them are, the expert is considered misconfigured
+    and collection aborts.
     """
-    kept, discarded = [], 0
-    for spec in suite:
-        w = sim.reset(spec)
-        episode = []
-        while not w.done and w.tick < MAX_EPISODE_TICKS:
-            snap = encode_scene(w, policy_cfg)
-            label = xp.expert_act(w, expert_cfg, control_vocab)
-            episode.append(DemoSample(
+    episodes = map_episodes(partial(_demo_episode, expert_cfg=expert_cfg, policy_cfg=policy_cfg,
+                                    control_vocab=control_vocab), suite, jobs)
+    kept = [s for episode, bad in episodes if not bad for s in episode[::subsample]]
+    discarded = sum(bad for _, bad in episodes)
+    if discarded > max_infraction_rate * len(suite):
+        raise RuntimeError(
+            f"expert misconfigured: {discarded}/{len(suite)} episodes had infractions "
+            f"(limit {max_infraction_rate:.0%})")
+    return Dataset(kept, kind="demo",
+                   manifest={"episodes": len(suite), "episodes_discarded": discarded,
+                             "subsample": subsample})
+
+
+def _shadow_episode(spec, policy, expert_cfg, round_index, eps_steer):
+    """One shadowed episode: its TakeoverSamples and its trigger counts."""
+    samples = []
+    trigger_counts = dict.fromkeys(TRIGGERS, 0)
+    w = sim.reset(spec)
+    driver = NeuralDriver(policy)
+    takeover_left = 0
+    suppress_left = 0
+    segment = None
+    seg_counter = 0
+    while not w.done and w.tick < MAX_EPISODE_TICKS:
+        final = driver.act(w)
+        snap, out = driver.snap, driver.out
+        expert_cmd = xp.expert_command(w, expert_cfg)
+
+        if takeover_left == 0 and suppress_left == 0:
+            gap = abs(final.steer - expert_cmd.steer)
+            trigger = None
+            if xp.forecast_collision(w, expert_cfg.forecast_horizon) is not None:
+                trigger = "collision"
+            elif gap > eps_steer:
+                trigger = "threshold"
+            if trigger is not None:
+                takeover_left = TAKEOVER_TICKS
+                seg_counter += 1
+                segment = (f"{scenario_id(spec)}/r{round_index}/s{seg_counter}",
+                           trigger, gap)
+                trigger_counts[trigger] += 1
+
+        if takeover_left > 0:
+            label = xp.expert_act(w, expert_cfg, policy.ctrl_vocab)
+            n_before = len(w.infractions)
+            sim.advance_world(w, label.command)
+            tick_kinds = tuple(e.kind for e in w.infractions[n_before:])
+            seg_id, trig, gap = segment
+            samples.append(TakeoverSample(
                 agent_feats=snap.agent_feats, map_feats=snap.map_feats,
                 cmd_onehot=snap.cmd_onehot, traj_waypoints=label.waypoints,
                 ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
-                scenario_id=scenario_id(spec), time=w.time))
-            sim.advance_world(w, label.command)
-        if w.infractions:
-            discarded += 1
+                scenario_id=scenario_id(spec), time=w.time,
+                trigger=trig, steer_gap=gap,
+                policy_traj_index=out.traj_index,
+                policy_ctrl_indices=out.ctrl_indices,
+                segment_id=seg_id, round_index=round_index,
+                ego_speed=w.ego.speed, infraction_kinds=tick_kinds,
+                truncated=False))
+            takeover_left -= 1
+            if takeover_left == 0:
+                suppress_left = SUPPRESS_TICKS
         else:
-            kept.extend(episode)
-    check_expert(discarded, len(suite), max_infraction_rate)
-    return Dataset(kept, kind="demo",
-                   manifest={"episodes": len(suite), "episodes_discarded": discarded})
+            if suppress_left > 0:
+                suppress_left -= 1
+            sim.advance_world(w, final)
+    if takeover_left > 0:
+        # Episode ended mid-segment: mark the partial segment.
+        for s in samples:
+            if s.segment_id == segment[0]:
+                s.truncated = True
+    return samples, trigger_counts
 
 
-def run_shadow_collection(policy, suite, expert_cfg, round_index, eps_steer=EPS_STEER):
+def run_shadow_collection(policy, suite, expert_cfg, round_index, eps_steer=EPS_STEER,
+                          jobs=1):
     """Drive the policy closed-loop through the evaluation NeuralDriver
     (safety creeping on), with the expert shadowing it.
 
@@ -182,68 +257,14 @@ def run_shadow_collection(policy, suite, expert_cfg, round_index, eps_steer=EPS_
     TakeoverSample per tick. Re-triggering is suppressed for 1 s after
     handback. Returns the raw (unfiltered) takeover dataset.
     """
-    samples = []
-    trigger_counts = {"collision": 0, "threshold": 0}
-    for spec in suite:
-        w = sim.reset(spec)
-        driver = NeuralDriver(policy)
-        takeover_left = 0
-        suppress_left = 0
-        segment = None
-        seg_counter = 0
-        while not w.done and w.tick < MAX_EPISODE_TICKS:
-            try:
-                final = driver.act(w)
-            except NonFiniteError as e:
-                raise NonFiniteError(f"shadow round {round_index} {e}")
-            snap, out = driver.snap, driver.out
-            expert_cmd = xp.expert_command(w, expert_cfg)
-
-            if takeover_left == 0 and suppress_left == 0:
-                gap = abs(final.steer - expert_cmd.steer)
-                trigger = None
-                if xp.forecast_collision(w, expert_cfg.forecast_horizon) is not None:
-                    trigger = "collision"
-                elif gap > eps_steer:
-                    trigger = "threshold"
-                if trigger is not None:
-                    takeover_left = TAKEOVER_TICKS
-                    seg_counter += 1
-                    segment = (f"{scenario_id(spec)}/r{round_index}/s{seg_counter}",
-                               trigger, gap)
-                    trigger_counts[trigger] += 1
-
-            if takeover_left > 0:
-                label = xp.expert_act(w, expert_cfg, policy.ctrl_vocab)
-                n_before = len(w.infractions)
-                sim.advance_world(w, label.command)
-                tick_kinds = tuple(e.kind for e in w.infractions[n_before:])
-                seg_id, trig, gap = segment
-                samples.append(TakeoverSample(
-                    agent_feats=snap.agent_feats, map_feats=snap.map_feats,
-                    cmd_onehot=snap.cmd_onehot, traj_waypoints=label.waypoints,
-                    ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
-                    scenario_id=scenario_id(spec), time=w.time,
-                    trigger=trig, steer_gap=gap,
-                    policy_traj_index=out.traj_index,
-                    policy_ctrl_indices=out.ctrl_indices,
-                    segment_id=seg_id, round_index=round_index,
-                    ego_speed=w.ego.speed, infraction_kinds=tick_kinds,
-                    truncated=False))
-                takeover_left -= 1
-                if takeover_left == 0:
-                    suppress_left = SUPPRESS_TICKS
-            else:
-                if suppress_left > 0:
-                    suppress_left -= 1
-                sim.advance_world(w, final)
-        if takeover_left > 0:
-            # Episode ended mid-segment: mark the partial segment.
-            seg_id = segment[0]
-            for s in samples:
-                if isinstance(s, TakeoverSample) and s.segment_id == seg_id:
-                    s.truncated = True
-    return Dataset(samples, kind="takeover",
+    try:
+        episodes = map_episodes(partial(_shadow_episode, policy=policy, expert_cfg=expert_cfg,
+                                        round_index=round_index, eps_steer=eps_steer),
+                                suite, jobs)
+    except NonFiniteError as e:
+        raise NonFiniteError(f"shadow round {round_index} {e}")
+    trigger_counts = {k: sum(counts[k] for _, counts in episodes) for k in TRIGGERS}
+    return Dataset([s for samples, _ in episodes for s in samples], kind="takeover",
                    vocab_hash=policy.traj_vocab.hash(),
                    manifest={"round": round_index, "triggers": trigger_counts})
 
@@ -294,7 +315,6 @@ class MergedDataset:
             self.samples.extend(d.samples)
             self.weights.extend([takeover_weight] * len(d.samples))
         self.weights = np.asarray(self.weights)
-        self.takeover_weight = takeover_weight
         self.manifest = {
             "kind": "merged",
             "demo_count": len(demo.samples),

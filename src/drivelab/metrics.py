@@ -4,7 +4,8 @@ suite-level report generation."""
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,7 @@ class EpisodeResult:
     termination: str
     infractions: list
     trace: list = field(repr=False, default_factory=list)
+    speed_limit: float = sim.SPEED_LIMIT   # the route's; efficiency's fallback v_ref
 
     @property
     def ds(self):
@@ -56,7 +58,7 @@ def score_episode(world):
         kind=world.spec.kind, seed=world.spec.seed, rc=rc,
         infraction_score=is_score, success=success, timeout=timeout,
         elapsed=world.time, termination=world.termination or "running",
-        infractions=kinds, trace=world.trace)
+        infractions=kinds, trace=world.trace, speed_limit=world.route.speed_limit)
 
 
 class NeuralDriver:
@@ -144,17 +146,8 @@ class SuiteReport:
     config_hash: str = ""
     checkpoint_hash: str = ""
 
-    def to_dict(self):
-        return {
-            "mean_ds": self.mean_ds, "sr": self.sr,
-            "efficiency": self.efficiency, "comfortness": self.comfortness,
-            "timeout_pct": self.timeout_pct, "ability": self.ability,
-            "episodes": self.episodes, "config_hash": self.config_hash,
-            "checkpoint_hash": self.checkpoint_hash,
-        }
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_text(self):
         rows = [("episodes", f"{self.episodes}"),
@@ -174,14 +167,14 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def summarize(results, speed_limit=sim.SPEED_LIMIT, config_hash="", checkpoint_hash=""):
+def summarize(results):
     if not results:
         raise ValueError("summarize requires at least one episode")
     by_kind = {}
     for r in results:
         by_kind.setdefault(r.kind, []).append(r)
     ability = {k: 100.0 * np.mean([r.success for r in v]) for k, v in by_kind.items()}
-    effs = [efficiency(r.trace, speed_limit) for r in results if r.trace]
+    effs = [efficiency(r.trace, r.speed_limit) for r in results if r.trace]
     comfs = [comfortness(r.trace) for r in results if len(r.trace) >= 3]
     return SuiteReport(
         mean_ds=float(np.mean([r.ds for r in results])),
@@ -189,17 +182,28 @@ def summarize(results, speed_limit=sim.SPEED_LIMIT, config_hash="", checkpoint_h
         efficiency=float(np.mean(effs)) if effs else 0.0,
         comfortness=float(np.mean(comfs)) if comfs else 0.0,
         timeout_pct=100.0 * float(np.mean([r.timeout for r in results])),
-        ability=ability, episodes=len(results),
-        config_hash=config_hash, checkpoint_hash=checkpoint_hash)
+        ability=ability, episodes=len(results))
 
 
-def evaluate_suite(policy, suite, creep_enabled=True, speed_limit=sim.SPEED_LIMIT):
+def map_episodes(fn, suite, jobs=1):
+    """[fn(spec) for spec in suite], across `jobs` processes when jobs > 1:
+    results keep suite order, so they never depend on worker scheduling."""
+    if jobs <= 1 or len(suite) <= 1:
+        return [fn(spec) for spec in suite]
+    # Imported here: the import alone raises a process's peak RSS by about
+    # 1.5 MB, and serial runs never need it.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, suite))
+
+
+def evaluate_suite(policy, suite, creep_enabled=True, jobs=1):
     try:
-        results = [run_closed_loop(policy, spec, creep_enabled=creep_enabled)
-                   for spec in suite]
+        results = map_episodes(partial(run_closed_loop, policy, creep_enabled=creep_enabled),
+                               suite, jobs)
     except NonFiniteError as e:
         raise NonFiniteError(f"eval {e}")
-    return summarize(results, speed_limit), results
+    return summarize(results), results
 
 
 def write_trend_csv(reports, path):

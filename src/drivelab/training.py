@@ -283,13 +283,14 @@ def po_epoch(policy, samples, cfg, opt):
 
 
 def post_optimize(policy, demo, suite, expert_cfg, cfg, out_dir,
-                  evaluate=None, progress=None):
+                  evaluate=None, progress=None, jobs=1):
     """Iterative takeover collection + DAgger + preference optimization.
 
     Per round: shadow-collect takeovers with the current policy, filter them,
     merge with the demonstrations and all previous rounds, run the DAgger
     epochs, then the preference epochs on this round's data only. Checkpoints
-    land under round_<i>/; returns (policy, reports)."""
+    land under round_<i>/; returns (policy, reports). Shadow collection
+    drives its episodes across `jobs` processes."""
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(cfg.seed + 1)
     rounds_kept = []
@@ -298,7 +299,7 @@ def post_optimize(policy, demo, suite, expert_cfg, cfg, out_dir,
         rdir = os.path.join(out_dir, f"round_{i}")
         os.makedirs(rdir, exist_ok=True)
         raw = ds.run_shadow_collection(policy, suite, expert_cfg, round_index=i,
-                                       eps_steer=cfg.eps_steer)
+                                       eps_steer=cfg.eps_steer, jobs=jobs)
         kept = ds.filter_takeovers(raw)
         ds.persist(kept, os.path.join(rdir, "takeover.jsonl"))
         rounds_kept.append(kept)

@@ -402,9 +402,12 @@ def test_criterion_8_determinism(tmp_path):
         if (run_a / rel).read_bytes() != (run_b / rel).read_bytes():
             failures.append(f"{rel} differs between identical runs")
 
-    run_c = _run_pipeline(tmp_path, "run_c", jobs=4, commands=("collect-demos",))
-    if (run_a / "demos.jsonl").read_bytes() != (run_c / "demos.jsonl").read_bytes():
-        failures.append("--jobs 4 demos differ from --jobs 1")
+    # Every artifact of the whole pipeline, postopt's rounds included.
+    run_c = _run_pipeline(tmp_path, "run_c", jobs=4)
+    for path in sorted(p for p in run_a.rglob("*") if p.is_file()):
+        rel = path.relative_to(run_a)
+        if path.read_bytes() != (run_c / rel).read_bytes():
+            failures.append(f"{rel} differs between --jobs 4 and --jobs 1")
     finish("criterion 8 (byte-identical reruns; jobs 1 == jobs 4)",
            failures, t0, 1200.0)
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -157,10 +158,21 @@ class TestPersistence:
                     assert isinstance(got, tuple) == isinstance(want, tuple), f.name
 
     def test_nonfinite_value_not_persisted(self, demo_dataset, tmp_path):
+        """The error names the path and the sample, no new file is created,
+        and an existing file keeps its bytes."""
         bad = copy.copy(demo_dataset.samples[0])
         bad.traj_waypoints = np.full((6, 2), np.nan)
-        with pytest.raises(ValueError):
-            ds.persist(ds.Dataset([bad]), tmp_path / "d.jsonl")
+        bad_set = ds.Dataset([demo_dataset.samples[0], bad])
+        fresh = tmp_path / "fresh.jsonl"
+        with pytest.raises(ValueError, match=re.escape(f"{fresh}: sample 1 ")):
+            ds.persist(bad_set, fresh)
+        assert list(tmp_path.iterdir()) == []
+        existing = tmp_path / "existing.jsonl"
+        ds.persist(demo_dataset, existing)
+        before = existing.read_bytes()
+        with pytest.raises(ValueError, match="sample 1 "):
+            ds.persist(bad_set, existing)
+        assert existing.read_bytes() == before
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_nonfinite_token_names_line_number(self, demo_dataset, tmp_path, token):

