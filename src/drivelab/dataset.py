@@ -9,9 +9,10 @@ from functools import partial
 import numpy as np
 
 from . import expert as xp
-from . import world as sim
 from .autodiff import NonFiniteError
-from .metrics import MAX_EPISODE_TICKS, NeuralDriver, map_episodes, scenario_id
+# MAX_EPISODE_TICKS is not used here; perfbench/workloads.py reads it as
+# dataset.MAX_EPISODE_TICKS, so it stays importable from this module.
+from .metrics import MAX_EPISODE_TICKS, NeuralDriver, map_episodes, run_episode, scenario_id
 from .policy import AGENT_FEATURES, MAP_FEATURES, SceneSnapshot, encode_scene
 
 EPS_STEER = 0.2                  # threshold-trigger steering gap
@@ -146,21 +147,32 @@ def load(path, expect_vocab_hash=None):
     return Dataset(samples, manifest=manifest)
 
 
-def _demo_episode(spec, expert_cfg, policy_cfg, control_vocab):
-    """One expert episode: its DemoSamples, one per tick, and whether it
-    had an infraction."""
-    w = sim.reset(spec)
-    episode = []
-    while not w.done and w.tick < MAX_EPISODE_TICKS:
-        snap = encode_scene(w, policy_cfg)
-        label = xp.expert_act(w, expert_cfg, control_vocab)
-        episode.append(DemoSample(
+class _DemoDriver:
+    """The expert, driving: each tick's scene and expert label are kept as a
+    DemoSample stamped with the tick's start time."""
+
+    def __init__(self, expert_cfg, policy_cfg, control_vocab):
+        self.expert_cfg = expert_cfg
+        self.policy_cfg = policy_cfg
+        self.control_vocab = control_vocab
+        self.samples = []
+
+    def act(self, w):
+        snap = encode_scene(w, self.policy_cfg)
+        label = xp.expert_act(w, self.expert_cfg, self.control_vocab)
+        self.samples.append(DemoSample(
             agent_feats=snap.agent_feats, map_feats=snap.map_feats,
             cmd_onehot=snap.cmd_onehot, traj_waypoints=label.waypoints,
             ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
-            scenario_id=scenario_id(spec), time=w.time))
-        sim.advance_world(w, label.command)
-    return episode, bool(w.infractions)
+            scenario_id=scenario_id(w.spec), time=w.time))
+        return label.command
+
+
+def _demo_episode(spec, expert_cfg, policy_cfg, control_vocab):
+    """One expert episode: its DemoSamples, one per tick, and whether it
+    had an infraction."""
+    driver = _DemoDriver(expert_cfg, policy_cfg, control_vocab)
+    return driver.samples, bool(run_episode(driver, spec).infractions)
 
 
 def collect_demos(suite, expert_cfg, policy_cfg, control_vocab,
@@ -185,65 +197,64 @@ def collect_demos(suite, expert_cfg, policy_cfg, control_vocab,
                              "subsample": subsample})
 
 
-def _shadow_episode(spec, policy, expert_cfg, round_index, eps_steer):
-    """One shadowed episode: its TakeoverSamples and its trigger counts."""
-    samples = []
-    trigger_counts = dict.fromkeys(TRIGGERS, 0)
-    w = sim.reset(spec)
-    driver = NeuralDriver(policy)
-    takeover_left = 0
-    suppress_left = 0
-    segment = None
-    seg_counter = 0
-    while not w.done and w.tick < MAX_EPISODE_TICKS:
-        final = driver.act(w)
-        snap, out = driver.snap, driver.out
-        expert_cmd = xp.expert_command(w, expert_cfg)
+class _ShadowDriver:
+    """The policy, driving through a NeuralDriver with the expert shadowing
+    it: a trigger hands control to the expert for TAKEOVER_TICKS ticks,
+    after which triggers are suppressed for SUPPRESS_TICKS ticks. Each
+    takeover tick is kept as (tick, segment, snapshot, policy output, expert
+    label); a segment is (id, trigger, steer gap)."""
 
-        if takeover_left == 0 and suppress_left == 0:
-            gap = abs(final.steer - expert_cmd.steer)
-            trigger = None
-            if xp.forecast_collision(w, expert_cfg.forecast_horizon) is not None:
-                trigger = "collision"
-            elif gap > eps_steer:
-                trigger = "threshold"
+    def __init__(self, policy, expert_cfg, round_index, eps_steer):
+        self.neural = NeuralDriver(policy)
+        self.expert_cfg, self.round_index, self.eps_steer = expert_cfg, round_index, eps_steer
+        self.takeover_left = self.suppress_left = 0
+        self.segments, self.takeovers = [], []
+
+    def act(self, w):
+        final = self.neural.act(w)
+        if self.takeover_left == 0 and self.suppress_left == 0:
+            gap = abs(final.steer - xp.expert_command(w, self.expert_cfg).steer)
+            collides = xp.forecast_collision(w, self.expert_cfg.forecast_horizon) is not None
+            trigger = "collision" if collides else "threshold" if gap > self.eps_steer else None
             if trigger is not None:
-                takeover_left = TAKEOVER_TICKS
-                seg_counter += 1
-                segment = (f"{scenario_id(spec)}/r{round_index}/s{seg_counter}",
-                           trigger, gap)
-                trigger_counts[trigger] += 1
+                self.takeover_left = TAKEOVER_TICKS
+                self.segments.append((f"{scenario_id(w.spec)}/r{self.round_index}"
+                                      f"/s{len(self.segments) + 1}", trigger, gap))
+        if self.takeover_left > 0:
+            label = xp.expert_act(w, self.expert_cfg, self.neural.policy.ctrl_vocab)
+            self.takeovers.append(
+                (w.tick, self.segments[-1], self.neural.snap, self.neural.out, label))
+            self.takeover_left -= 1
+            if self.takeover_left == 0:
+                self.suppress_left = SUPPRESS_TICKS
+            return label.command
+        if self.suppress_left > 0:
+            self.suppress_left -= 1
+        return final
 
-        if takeover_left > 0:
-            label = xp.expert_act(w, expert_cfg, policy.ctrl_vocab)
-            n_before = len(w.infractions)
-            sim.advance_world(w, label.command)
-            tick_kinds = tuple(e.kind for e in w.infractions[n_before:])
-            seg_id, trig, gap = segment
-            samples.append(TakeoverSample(
-                agent_feats=snap.agent_feats, map_feats=snap.map_feats,
-                cmd_onehot=snap.cmd_onehot, traj_waypoints=label.waypoints,
-                ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
-                scenario_id=scenario_id(spec), time=w.time,
-                trigger=trig, steer_gap=gap,
-                policy_traj_index=out.traj_index,
-                policy_ctrl_indices=out.ctrl_indices,
-                segment_id=seg_id, round_index=round_index,
-                ego_speed=w.ego.speed, infraction_kinds=tick_kinds,
-                truncated=False))
-            takeover_left -= 1
-            if takeover_left == 0:
-                suppress_left = SUPPRESS_TICKS
-        else:
-            if suppress_left > 0:
-                suppress_left -= 1
-            sim.advance_world(w, final)
-    if takeover_left > 0:
-        # Episode ended mid-segment: mark the partial segment.
-        for s in samples:
-            if s.segment_id == segment[0]:
-                s.truncated = True
-    return samples, trigger_counts
+
+def _shadow_episode(spec, policy, expert_cfg, round_index, eps_steer):
+    """One shadowed episode: its TakeoverSamples and its trigger counts. A
+    sample's time, ego speed and infractions are those of the Frame its
+    tick left in the trace; the last segment is truncated if the episode
+    ended inside it."""
+    driver = _ShadowDriver(policy, expert_cfg, round_index, eps_steer)
+    trace = run_episode(driver, spec).trace
+    samples = []
+    for tick, (seg_id, trig, gap), snap, out, label in driver.takeovers:
+        frame = trace[tick]
+        samples.append(TakeoverSample(
+            agent_feats=snap.agent_feats, map_feats=snap.map_feats,
+            cmd_onehot=snap.cmd_onehot, traj_waypoints=label.waypoints,
+            ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
+            scenario_id=scenario_id(spec), time=frame.time,
+            trigger=trig, steer_gap=gap,
+            policy_traj_index=out.traj_index,
+            policy_ctrl_indices=out.ctrl_indices,
+            segment_id=seg_id, round_index=round_index,
+            ego_speed=frame.ego[3], infraction_kinds=tuple(frame.infractions),
+            truncated=driver.takeover_left > 0 and seg_id == driver.segments[-1][0]))
+    return samples, {k: sum(t == k for _, t, _ in driver.segments) for k in TRIGGERS}
 
 
 def run_shadow_collection(policy, suite, expert_cfg, round_index, eps_steer=EPS_STEER,

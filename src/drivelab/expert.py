@@ -147,8 +147,6 @@ def _actor_snapshots(w):
 
 def expert_command(w, cfg):
     """The expert's control for the current frame (no trajectory rollout)."""
-    if w.route is None:
-        raise ValueError("expert requires a route")
     return _control_for(w.route, w.ego, _actor_snapshots(w), w.route.stop_line_s,
                         w.stop_line_served, cfg)
 
@@ -163,8 +161,6 @@ def expert_act(w, cfg, control_vocab=None):
     with actors propagated at constant velocity, sampled every 0.5 s in the
     current ego frame.
     """
-    if w.route is None:
-        raise ValueError("expert requires a route")
     snaps = _actor_snapshots(w)
     cmd = _control_for(w.route, w.ego, snaps, w.route.stop_line_s,
                        w.stop_line_served, cfg)

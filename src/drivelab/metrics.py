@@ -90,7 +90,10 @@ class NeuralDriver:
 
 
 def run_episode(driver, spec):
-    """Run any driver (object with act(world) -> ControlCommand) closed-loop."""
+    """Run any driver (object with act(world) -> ControlCommand) closed-loop
+    from the spec's first tick until the world is done or MAX_EPISODE_TICKS
+    have passed. This is the one episode loop: demo collection, shadow
+    collection and evaluation are each a driver run here."""
     w = sim.reset(spec)
     while not w.done and w.tick < MAX_EPISODE_TICKS:
         sim.advance_world(w, driver.act(w))

@@ -20,8 +20,6 @@ AGENT_FEATURES = 7      # rel x, rel y, sin/cos rel heading, speed, length, widt
 MAP_FEATURES = 12       # midpoint x/y, sin/cos direction, distance, 7 command one-hot
 POS_FREQS = (0.05, 0.2, 0.8, 3.2)
 
-GROUP_SLICES = {"throttle": (0, 5), "brake": (5, 2), "steer": (7, 9)}
-
 
 @dataclass
 class PolicyConfig:
@@ -252,7 +250,7 @@ class Policy:
         logits = _mlp2(params, "ctrl_head", ad.concat([e_agt, e_map]))
         flat = logits.reshape(*lead, self.ctrl_vocab.total)
         d_ctrl = tuple(ad.softmax(ad.narrow(flat, start, length))
-                       for start, length in GROUP_SLICES.values())
+                       for start, length in self.ctrl_vocab.group_slices)
         return {"traj_scores": scores, "d_traj": d_traj, "d_ctrl": d_ctrl}
 
     def forward(self, snapshots):

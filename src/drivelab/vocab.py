@@ -12,24 +12,25 @@ LLOYD_MAX_ITER = 100
 LLOYD_TOL_FRAC = 0.001       # stop once fewer points than this change cluster
 
 
-class ControlVocabulary:
-    """Discrete throttle/brake/steer values (5 / 2 / 9 entries)."""
+# The control branch's discrete values, one softmax group per control; the
+# branch's logits hold the three groups end to end in this order.
+THROTTLE_VALUES = (0.0, 0.3, 0.5, 0.7, 1.0)
+BRAKE_VALUES = (0.0, 1.0)
+STEER_VALUES = (-1.0, -0.6, -0.3, -0.1, 0.0, 0.1, 0.3, 0.6, 1.0)
 
-    def __init__(self,
-                 throttle=(0.0, 0.3, 0.5, 0.7, 1.0),
-                 brake=(0.0, 1.0),
-                 steer=(-1.0, -0.6, -0.3, -0.1, 0.0, 0.1, 0.3, 0.6, 1.0)):
-        for name, vals, size in (("throttle", throttle, 5), ("brake", brake, 2),
-                                 ("steer", steer, 9)):
-            if len(vals) != size:
-                raise ValueError(f"{name} list must have exactly {size} entries")
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"{name} list must be strictly increasing")
-        self.throttle = np.asarray(throttle, dtype=np.float64)
-        self.brake = np.asarray(brake, dtype=np.float64)
-        self.steer = np.asarray(steer, dtype=np.float64)
-        self.group_sizes = (5, 2, 9)
-        self.total = 16
+
+class ControlVocabulary:
+    """The discrete throttle/brake/steer values, their group sizes, their
+    total, and each group's (start, length) in the flat logits."""
+
+    def __init__(self):
+        self.throttle = np.asarray(THROTTLE_VALUES, dtype=np.float64)
+        self.brake = np.asarray(BRAKE_VALUES, dtype=np.float64)
+        self.steer = np.asarray(STEER_VALUES, dtype=np.float64)
+        self.group_sizes = (len(THROTTLE_VALUES), len(BRAKE_VALUES), len(STEER_VALUES))
+        self.total = sum(self.group_sizes)
+        starts = np.cumsum((0,) + self.group_sizes[:-1]).tolist()
+        self.group_slices = tuple(zip(starts, self.group_sizes))
 
     def nearest(self, values, value):
         """Index of the nearest entry; exact ties resolve to the lower index."""

@@ -455,10 +455,8 @@ class StaticScript:
 class Frame:
     time: float
     ego: tuple          # (x, y, heading, speed)
-    command: tuple      # executed (throttle, brake, steer)
     actors: list        # [(x, y, heading, speed), ...]
     infractions: list   # kinds logged this tick
-    progress: float
 
 
 class World:
@@ -527,11 +525,10 @@ def detect_collisions(world):
 
 
 def advance_world(world, cmd):
-    """Step ego + scripted actors one tick; log infractions. Returns the new
-    InfractionEvents for this tick."""
+    """Step ego + scripted actors one tick, log infractions, and append the
+    tick's Frame to the trace. A finished world is left as it is."""
     if world.done:
-        return []
-    executed_throttle = 0.0 if cmd.brake > 0.0 else cmd.throttle
+        return
     world.ego = step_kinematics(world.ego, cmd)
     for a in world.actors:
         if a.script is not None:
@@ -540,8 +537,7 @@ def advance_world(world, cmd):
     world.tick += 1
 
     tick_kinds = []
-    new_events = detect_collisions(world)
-    for ev in new_events:
+    for ev in detect_collisions(world):
         world.infractions.append(ev)
         tick_kinds.append(ev.kind)
 
@@ -584,15 +580,8 @@ def advance_world(world, cmd):
             world._log("blocked", tick_kinds)
 
     world.trace.append(Frame(
-        time=world.time,
-        ego=(world.ego.x, world.ego.y, world.ego.heading, world.ego.speed),
-        command=(executed_throttle, cmd.brake, cmd.steer),
-        actors=[(a.x, a.y, a.heading, a.speed) for a in world.actors],
-        infractions=tick_kinds,
-        progress=world.progress,
-    ))
-    new_events = list(new_events)
-    return new_events
+        time=world.time, ego=(world.ego.x, world.ego.y, world.ego.heading, world.ego.speed),
+        actors=[(a.x, a.y, a.heading, a.speed) for a in world.actors], infractions=tick_kinds))
 
 
 # -- scenario construction ----------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 from dataclasses import fields
@@ -91,6 +92,26 @@ class TestShadowCollection:
 
     def test_vocab_hash_stamped(self, takeover_dataset, trained_vocab):
         assert takeover_dataset.vocab_hash == trained_vocab.hash()
+
+    def test_raw_takeover_set_golden(self, tmp_path):
+        """A tiny fixed policy shadowed on three 40 m episodes: the persisted
+        raw takeover set has a fixed sha256. The suite has a collision
+        trigger, a segment cut short by the episode's end and a takeover tick
+        that logs an infraction, so each of those is pinned too."""
+        t = np.arange(1, 7) * 0.5
+        centers = np.array([np.stack([t * v, t * t * c], axis=1)
+                            for v in (0.0, 2.0, 5.0, 8.0) for c in (-0.3, 0.3)])
+        policy = pol.Policy(pol.PolicyConfig(feature_dim=16, k=8, init_seed=5),
+                            vocab.TrajectoryVocabulary(centers), CVOCAB)
+        suite = [sim.ScenarioSpec(kind, 0, route_length=40.0)
+                 for kind in ("Overtaking", "StopSign", "GiveWay")]
+        raw = ds.run_shadow_collection(policy, suite, ECFG, round_index=1)
+        assert raw.manifest["triggers"]["collision"] >= 1
+        assert any(s.truncated for s in raw.samples)
+        assert any(s.infraction_kinds for s in raw.samples)
+        ds.persist(raw, tmp_path / "takeover.jsonl")
+        digest = hashlib.sha256((tmp_path / "takeover.jsonl").read_bytes()).hexdigest()
+        assert digest == "31502ae8c010bb173e0d7817d6ce74e6fa204f45a2d8026096456ff1ad07feb9"
 
 
 class TestFilter:

@@ -3,6 +3,9 @@
 Every top-level function, class, method (dunders excepted) and module
 constant must be referenced somewhere in the package besides its own
 definition: as a loaded name, an attribute, or an imported name.
+
+The package also has one episode loop: `metrics.run_episode` is the only
+function that builds or steps a world.
 """
 
 import ast
@@ -37,9 +40,13 @@ def _references(tree):
             yield from (alias.name for alias in node.names)
 
 
+def _trees():
+    return {p.stem: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
 def unreferenced_names():
-    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
-             for p in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     used = {name for tree in trees.values() for name in _references(tree)}
     return sorted(qual for module, tree in trees.items()
                   for qual, name in _definitions(module, tree) if name not in used)
@@ -48,3 +55,22 @@ def unreferenced_names():
 def test_every_definition_is_referenced():
     dead = unreferenced_names()
     assert not dead, f"defined in src/drivelab but never referenced there: {dead}"
+
+
+def call_sites(name):
+    """(module, enclosing top-level function or class) of every call in the
+    package to a function named `name`, plain or as an attribute."""
+    sites = []
+    for module, tree in _trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                        sites.append((module, getattr(top, "name", None)))
+    return sites
+
+
+def test_one_episode_loop():
+    for name in ("reset", "advance_world"):
+        assert call_sites(name) == [("metrics", "run_episode")], name

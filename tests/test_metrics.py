@@ -29,8 +29,7 @@ class ScriptedDriver:
 
 
 def frame(t, ego, actors=(), infractions=()):
-    return sim.Frame(time=t, ego=ego, command=(0, 0, 0), actors=list(actors),
-                     infractions=list(infractions), progress=0.0)
+    return sim.Frame(time=t, ego=ego, actors=list(actors), infractions=list(infractions))
 
 
 class TestScoring:

@@ -10,12 +10,7 @@ class TestControlVocabulary:
         v = vocab.ControlVocabulary()
         assert v.group_sizes == (5, 2, 9)
         assert v.total == 16
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            vocab.ControlVocabulary(throttle=(0.0, 0.5, 1.0))   # wrong size
-        with pytest.raises(ValueError):
-            vocab.ControlVocabulary(brake=(1.0, 0.0))            # not increasing
+        assert v.group_slices == ((0, 5), (5, 2), (7, 9))
 
     def test_nearest_tie_resolves_to_lower_index(self):
         v = vocab.ControlVocabulary()
