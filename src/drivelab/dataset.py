@@ -148,16 +148,21 @@ def load(path, expect_vocab_hash=None):
 
 
 class _DemoDriver:
-    """The expert, driving: each tick's scene and expert label are kept as a
-    DemoSample stamped with the tick's start time."""
+    """The expert, driving: every `subsample`-th tick's scene and expert
+    label are kept as a DemoSample stamped with the tick's start time. The
+    other ticks need only the expert's command, which expert_command gives
+    without the planned trajectory."""
 
-    def __init__(self, expert_cfg, policy_cfg, control_vocab):
+    def __init__(self, expert_cfg, policy_cfg, control_vocab, subsample):
         self.expert_cfg = expert_cfg
         self.policy_cfg = policy_cfg
         self.control_vocab = control_vocab
+        self.subsample = subsample
         self.samples = []
 
     def act(self, w):
+        if w.tick % self.subsample:
+            return xp.expert_command(w, self.expert_cfg)
         snap = encode_scene(w, self.policy_cfg)
         label = xp.expert_act(w, self.expert_cfg, self.control_vocab)
         self.samples.append(DemoSample(
@@ -168,10 +173,10 @@ class _DemoDriver:
         return label.command
 
 
-def _demo_episode(spec, expert_cfg, policy_cfg, control_vocab):
-    """One expert episode: its DemoSamples, one per tick, and whether it
-    had an infraction."""
-    driver = _DemoDriver(expert_cfg, policy_cfg, control_vocab)
+def _demo_episode(spec, expert_cfg, policy_cfg, control_vocab, subsample):
+    """One expert episode: the DemoSamples of every `subsample`-th tick, and
+    whether it had an infraction."""
+    driver = _DemoDriver(expert_cfg, policy_cfg, control_vocab, subsample)
     return driver.samples, bool(run_episode(driver, spec).infractions)
 
 
@@ -185,8 +190,9 @@ def collect_demos(suite, expert_cfg, policy_cfg, control_vocab,
     and collection aborts.
     """
     episodes = map_episodes(partial(_demo_episode, expert_cfg=expert_cfg, policy_cfg=policy_cfg,
-                                    control_vocab=control_vocab), suite, jobs)
-    kept = [s for episode, bad in episodes if not bad for s in episode[::subsample]]
+                                    control_vocab=control_vocab, subsample=subsample),
+                            suite, jobs)
+    kept = [s for episode, bad in episodes if not bad for s in episode]
     discarded = sum(bad for _, bad in episodes)
     if discarded > max_infraction_rate * len(suite):
         raise RuntimeError(

@@ -53,6 +53,9 @@ def idm_free_accel(v, v0, cfg):
     return cfg.max_accel * (1.0 - (v / v0) ** 4)
 
 
+ROLLOUT_DT = 0.1    # planner rollout resolution; coarser than the sim tick
+
+
 @lru_cache(maxsize=4)
 def _yield_times(horizon):
     """Forecast instants (s) of the corridor-entry check, one per sim tick."""
@@ -61,9 +64,55 @@ def _yield_times(horizon):
     return times
 
 
-def leading_obstacle(route, ego, ego_s, actor_snaps, stop_line_s, stop_served, cfg):
-    """Nearest obstacle ahead in the lane corridor: a current occupant, a
-    predicted entrant (constant-velocity forecast), or an unserved stop line.
+class _Forecast:
+    """The actors of one frame moved at constant velocity to each rollout
+    step m (m * ROLLOUT_DT s ahead), and the route projections of their
+    corridor-entry points: an actor's position at step m plus its velocity
+    times each yield-horizon instant.
+
+    An actor's projections are made the first time a step asks for them,
+    for that step and every later one, as one windowed pass over all their
+    points (`Route.project_window`). A step with a point the window does not
+    cover projects its points with `project_many`, as a lone step would.
+    """
+
+    def __init__(self, w, cfg, n_steps):
+        self.route, self.n_steps = w.route, n_steps
+        self.times = _yield_times(cfg.yield_horizon)
+        self.snaps = [(a.x, a.y, a.heading, a.speed, a.length, a.width) for a in w.actors]
+        self.velocities = [(v * math.cos(h), v * math.sin(h))
+                           for (_, _, h, v, _, _) in self.snaps]
+        self.tables = {}    # actor index -> (first step, points, s, lateral, covered)
+
+    def actors(self, step):
+        """(x, y, heading, speed, length, width) of each actor at `step`."""
+        t = step * ROLLOUT_DT
+        return [(x + vx * t, y + vy * t, h, v, ln, wd)
+                for (x, y, h, v, ln, wd), (vx, vy) in zip(self.snaps, self.velocities)]
+
+    def corridor_entry(self, a, step):
+        """(s, lateral) arrays of actor a's corridor-entry points at `step`."""
+        if a not in self.tables:
+            x, y = self.snaps[a][:2]
+            vx, vy = self.velocities[a]
+            t = np.arange(step, self.n_steps) * ROLLOUT_DT
+            points = np.stack([(x + vx * t)[:, None] + vx * self.times,
+                               (y + vy * t)[:, None] + vy * self.times], axis=2)
+            s, lateral, covered = self.route.project_window(points.reshape(-1, 2))
+            rows = (len(t), len(self.times))
+            self.tables[a] = (step, points, s.reshape(rows), lateral.reshape(rows),
+                              covered.reshape(rows).all(axis=1))
+        first, points, s, lateral, covered = self.tables[a]
+        row = step - first
+        if covered[row]:
+            return s[row], lateral[row]
+        return self.route.project_many(points[row])
+
+
+def leading_obstacle(route, ego, ego_s, forecast, step, stop_served):
+    """Nearest obstacle ahead in the lane corridor at rollout step `step` of
+    `forecast`: a current occupant, a predicted entrant (constant-velocity
+    forecast), or an unserved stop line.
 
     Returns (gap from ego center along the route, leader speed along route)
     or None.
@@ -77,7 +126,7 @@ def leading_obstacle(route, ego, ego_s, actor_snaps, stop_line_s, stop_served, c
         if gap > -3.0 and (best is None or gap < best[0]):
             best = (max(gap, 0.05), v_lead)
 
-    for (x, y, heading, speed, length, width, _kind) in actor_snaps:
+    for a, (x, y, heading, speed, length, width) in enumerate(forecast.actors(step)):
         half = sim.LANE_HALF_WIDTH + width / 2.0
         s_a, lat_a = route.project(x, y)
         if s_a >= route.length - 0.1:
@@ -90,14 +139,12 @@ def leading_obstacle(route, ego, ego_s, actor_snaps, stop_line_s, stop_served, c
         # Not in the corridor yet: will its straight-line motion enter it ahead?
         if speed < 1e-3 or s_a - ego_s > 80.0 or s_a - ego_s < -10.0:
             continue
-        times = _yield_times(cfg.yield_horizon)
-        fut = np.stack([x + speed * math.cos(heading) * times,
-                        y + speed * math.sin(heading) * times], axis=1)
-        s_f, lat_f = route.project_many(fut)
+        s_f, lat_f = forecast.corridor_entry(a, step)
         hits = np.flatnonzero((np.abs(lat_f) <= half) & (s_f > ego_s))
         if len(hits):
             consider(s_f[hits[0]] - ego_s - (ego.length + length) / 2.0, v_along)
 
+    stop_line_s = route.stop_line_s
     if stop_line_s is not None and not stop_served and stop_line_s > ego_s - 2.0:
         # +1 m bias makes the IDM standstill settle ~1 m before the line,
         # inside the 2 m latch window.
@@ -129,10 +176,9 @@ def accel_to_command(accel, speed, steer):
     return sim.ControlCommand(throttle=0.0, brake=brake, steer=steer)
 
 
-def _control_for(route, ego, actor_snaps, stop_line_s, stop_served, cfg):
-    ego_s, _ = route.project(ego.x, ego.y)
+def _control_for(route, ego, ego_s, forecast, step, stop_served, cfg):
     v0 = min(cfg.desired_speed, route.speed_limit)
-    lead = leading_obstacle(route, ego, ego_s, actor_snaps, stop_line_s, stop_served, cfg)
+    lead = leading_obstacle(route, ego, ego_s, forecast, step, stop_served)
     if lead is None:
         accel = idm_free_accel(ego.speed, v0, cfg)
     else:
@@ -141,17 +187,11 @@ def _control_for(route, ego, actor_snaps, stop_line_s, stop_served, cfg):
     return accel_to_command(accel, ego.speed, steer)
 
 
-def _actor_snapshots(w):
-    return [(a.x, a.y, a.heading, a.speed, a.length, a.width, a.kind) for a in w.actors]
-
-
 def expert_command(w, cfg):
-    """The expert's control for the current frame (no trajectory rollout)."""
-    return _control_for(w.route, w.ego, _actor_snapshots(w), w.route.stop_line_s,
-                        w.stop_line_served, cfg)
-
-
-ROLLOUT_DT = 0.1    # planner rollout resolution; coarser than the sim tick
+    """The expert's control for the current frame (no trajectory rollout):
+    the command of expert_act's first rollout step."""
+    return _control_for(w.route, w.ego, w.route.project(w.ego.x, w.ego.y)[0],
+                        _Forecast(w, cfg, 1), 0, w.stop_line_served, cfg)
 
 
 def expert_act(w, cfg, control_vocab=None):
@@ -159,29 +199,29 @@ def expert_act(w, cfg, control_vocab=None):
 
     The planned trajectory rolls the expert controller forward kinematically
     with actors propagated at constant velocity, sampled every 0.5 s in the
-    current ego frame.
+    current ego frame. The command is the rollout's first step.
     """
-    snaps = _actor_snapshots(w)
-    cmd = _control_for(w.route, w.ego, snaps, w.route.stop_line_s,
-                       w.stop_line_served, cfg)
-
-    virt = sim.EgoState(**vars(w.ego))
+    route, stop_line_s, served = w.route, w.route.stop_line_s, w.stop_line_served
+    steps_per_wp = int(round(WAYPOINT_DT / ROLLOUT_DT))
+    forecast = _Forecast(w, cfg, WAYPOINTS_PER_TRAJ * steps_per_wp)
     cos_h, sin_h = math.cos(w.ego.heading), math.sin(w.ego.heading)
     ox, oy = w.ego.x, w.ego.y
     waypoints = np.zeros((WAYPOINTS_PER_TRAJ, 2))
-    steps_per_wp = int(round(WAYPOINT_DT / ROLLOUT_DT))
-    served = w.stop_line_served
-    velocities = [(v * math.cos(h), v * math.sin(h)) for (_, _, h, v, _, _, _) in snaps]
+    virt, ego_s = w.ego, None
     for i in range(WAYPOINTS_PER_TRAJ):
         for j in range(steps_per_wp):
-            t = (i * steps_per_wp + j) * ROLLOUT_DT
-            moved = [(x + vx * t, y + vy * t, h, v, ln, wd, kd)
-                     for (x, y, h, v, ln, wd, kd), (vx, vy) in zip(snaps, velocities)]
-            vcmd = _control_for(w.route, virt, moved, w.route.stop_line_s, served, cfg)
+            step = i * steps_per_wp + j
+            if ego_s is None:
+                ego_s = route.project(virt.x, virt.y)[0]
+            vcmd = _control_for(route, virt, ego_s, forecast, step, served, cfg)
+            if step == 0:
+                cmd = vcmd
             virt = sim.step_kinematics(virt, vcmd, dt=ROLLOUT_DT)
-            if (w.route.stop_line_s is not None and not served and virt.speed < 0.1
-                    and abs(w.route.project(virt.x, virt.y)[0] - w.route.stop_line_s) < 2.0):
-                served = True
+            ego_s = None
+            if stop_line_s is not None and not served and virt.speed < 0.1:
+                # The served check's projection is also the next step's.
+                ego_s = route.project(virt.x, virt.y)[0]
+                served = abs(ego_s - stop_line_s) < 2.0
         dx, dy = virt.x - ox, virt.y - oy
         waypoints[i] = (cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy)
 
@@ -196,15 +236,16 @@ def forecast_collision(w, horizon):
     """Earliest time within `horizon` at which the ego (constant speed and
     heading) overlaps an actor (constant velocity), or None."""
     e = w.ego
+    evx, evy = e.speed * math.cos(e.heading), e.speed * math.sin(e.heading)
+    actors = [(a, a.speed * math.cos(a.heading), a.speed * math.sin(a.heading))
+              for a in w.actors]
     n = int(round(horizon / sim.DT))
     for step in range(1, n + 1):
         t = step * sim.DT
-        ex = e.x + e.speed * math.cos(e.heading) * t
-        ey = e.y + e.speed * math.sin(e.heading) * t
-        for a in w.actors:
-            ax = a.x + a.speed * math.cos(a.heading) * t
-            ay = a.y + a.speed * math.sin(a.heading) * t
+        ex = e.x + evx * t
+        ey = e.y + evy * t
+        for a, vx, vy in actors:
             if sim.rects_collide(ex, ey, e.heading, e.length, e.width,
-                                 ax, ay, a.heading, a.length, a.width):
+                                 a.x + vx * t, a.y + vy * t, a.heading, a.length, a.width):
                 return t
     return None

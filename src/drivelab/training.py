@@ -48,12 +48,13 @@ class TrainConfig:
 
 def soft_trajectory_target(traj_vocab, waypoints, tau=1.0):
     """Distribution over vocabulary entries: softmax(-d_j / tau), d_j the
-    mean per-waypoint L2 distance to center j."""
+    mean per-waypoint L2 distance to center j; one row per trajectory of a
+    (B, 6, 2) stack."""
     d = traj_vocab.waypoint_distances(waypoints)
     z = -d / tau
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def one_hot(n, idx):
@@ -163,9 +164,9 @@ def _batch_loss(policy, samples, cfg, want_traj=True, want_ctrl=True):
     out = policy.forward([s.snapshot() for s in samples])
     terms = []
     if want_traj:
-        targets = [soft_trajectory_target(policy.traj_vocab, s.traj_waypoints, cfg.tau_label)
-                   for s in samples]
-        terms.append(kl_loss(np.stack(targets), out["d_traj"]))
+        targets = soft_trajectory_target(
+            policy.traj_vocab, np.stack([s.traj_waypoints for s in samples]), cfg.tau_label)
+        terms.append(kl_loss(targets, out["d_traj"]))
     if want_ctrl:
         sizes = policy.ctrl_vocab.group_sizes
         terms.append(_sum([
@@ -238,10 +239,11 @@ def dagger_epoch(policy, merged, cfg, rng):
 # -- preference optimization --------------------------------------------------
 
 
-def _winners(policy, sample):
-    """The expert's pick y_w in each preference group of a takeover sample:
-    trajectory, throttle, brake, steer."""
-    return (policy.traj_vocab.nearest_index(sample.traj_waypoints), *sample.ctrl_indices)
+def _winners(policy, samples):
+    """The expert's pick y_w in each preference group of each takeover
+    sample, one row per sample: trajectory, throttle, brake, steer."""
+    traj = policy.traj_vocab.nearest_index(np.stack([s.traj_waypoints for s in samples]))
+    return np.column_stack([traj, [s.ctrl_indices for s in samples]])
 
 
 def _pair_losses(policy, samples, cfg, flags=None):
@@ -249,7 +251,7 @@ def _pair_losses(policy, samples, cfg, flags=None):
     the four per-group pairs, from one forward pass; y_l is each row's live
     argmax."""
     out = policy.forward([s.snapshot() for s in samples])
-    y_w = np.array([_winners(policy, s) for s in samples])
+    y_w = _winners(policy, samples)
     return _mean([_row_mean(po_from_dist(dist, y_w[:, g], np.argmax(dist.data, axis=-1),
                                          cfg.beta, cfg.gamma, flags))
                   for g, dist in enumerate((out["d_traj"], *out["d_ctrl"]))])
@@ -258,13 +260,15 @@ def _pair_losses(policy, samples, cfg, flags=None):
 def mean_margin(policy, samples, cfg):
     """Mean preference margin beta (ln pi(y_w) - ln pi(y_l)) over all pairs,
     with y_l the current argmax. Always <= 0; larger is better."""
+    if not samples:
+        return 0.0
     margins = []
-    for s in samples:
+    for s, winners in zip(samples, _winners(policy, samples)):
         out = policy.infer(s.snapshot())
-        for dist, y_w in zip((out.d_traj, *out.d_ctrl), _winners(policy, s)):
+        for dist, y_w in zip((out.d_traj, *out.d_ctrl), winners):
             y_l = int(np.argmax(dist))
             margins.append(cfg.beta * (_log_prob_value(dist, y_w) - _log_prob_value(dist, y_l)))
-    return float(np.mean(margins)) if margins else 0.0
+    return float(np.mean(margins))
 
 
 def po_epoch(policy, samples, cfg, opt):

@@ -69,19 +69,24 @@ class TrajectoryVocabulary:
             np.ascontiguousarray(self.centers, dtype="<f8").tobytes()).hexdigest()[:16]
 
     def nearest_index(self, trajectory):
-        """Index of the center closest in mean per-waypoint L2 distance; a
-        trajectory with a non-finite waypoint has none."""
+        """Index of the center closest in mean per-waypoint L2 distance; for
+        a (B, 6, 2) stack, an array of B indices. A trajectory with a
+        non-finite waypoint has none."""
         d = self.waypoint_distances(trajectory)
-        i = int(np.argmin(d))
-        if not np.isfinite(d[i]):       # argmin returns the first nan, if any
-            raise ValueError("trajectory has a non-finite waypoint")
-        return i
+        i = np.argmin(d, axis=-1)       # argmin returns the first nan, if any
+        bad = np.flatnonzero(~np.isfinite(np.take_along_axis(d, i[..., None], axis=-1)))
+        if len(bad):
+            row = f" {bad[0]}" if d.ndim == 2 else ""
+            raise ValueError(f"trajectory{row} has a non-finite waypoint")
+        return i if d.ndim == 2 else int(i)
 
     def waypoint_distances(self, trajectory):
-        """Mean per-waypoint L2 distance (meters) from a trajectory to every center."""
-        traj = np.asarray(trajectory, dtype=np.float64).reshape(WAYPOINTS_PER_TRAJ, 2)
-        d = np.linalg.norm(self.centers - traj[None], axis=2)
-        return d.mean(axis=1)
+        """Mean per-waypoint L2 distance (meters) from a trajectory to every
+        center: (k,) for one trajectory, (B, k) for a (B, 6, 2) stack."""
+        traj = np.asarray(trajectory, dtype=np.float64)
+        stack = traj.reshape(-1, WAYPOINTS_PER_TRAJ, 2)
+        d = np.linalg.norm(self.centers[None] - stack[:, None], axis=3).mean(axis=2)
+        return d if traj.ndim == 3 else d[0]
 
     def save(self, path):
         with open(path, "w") as f:

@@ -124,22 +124,23 @@ def step_kinematics(ego, cmd, dt=DT, c_drag=C_DRAG):
     L = ego.wheelbase
     accel = A_MAX * throttle - B_MAX * cmd.brake
 
-    # The rates depend on heading and speed only; each stage is
-    # (x', y', heading', speed') in the order of the state.
-    def deriv(psi, v):
-        v = max(v, 0.0)
-        return v * math.cos(psi), v * math.sin(psi), v / L * tan_delta, accel - c_drag * v * v
-
+    # The rates depend on heading and speed only. Stage i is
+    # (v cos h, v sin h, v / L tan(delta), accel - c_drag v^2) at the clamped
+    # speed v = max(v_i, 0), with (h_i, v_i) the state the stage samples.
     half = 0.5 * dt
-    k1 = deriv(ego.heading, ego.speed)
-    k2 = deriv(ego.heading + half * k1[2], ego.speed + half * k1[3])
-    k3 = deriv(ego.heading + half * k2[2], ego.speed + half * k2[3])
-    k4 = deriv(ego.heading + dt * k3[2], ego.speed + dt * k3[3])
+    h, v = ego.heading, max(ego.speed, 0.0)
+    x1, y1, h1, v1 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
+    h, v = ego.heading + half * h1, max(ego.speed + half * v1, 0.0)
+    x2, y2, h2, v2 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
+    h, v = ego.heading + half * h2, max(ego.speed + half * v2, 0.0)
+    x3, y3, h3, v3 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
+    h, v = ego.heading + dt * h3, max(ego.speed + dt * v3, 0.0)
+    x4, y4, h4, v4 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
     w = dt / 6.0
-    x = ego.x + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    y = ego.y + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    psi = ego.heading + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    v = ego.speed + w * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    x = ego.x + w * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+    y = ego.y + w * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
+    psi = ego.heading + w * (h1 + 2.0 * h2 + 2.0 * h3 + h4)
+    v = ego.speed + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
     return EgoState(x=x, y=y, heading=wrap_angle(psi), speed=max(v, 0.0),
                     wheelbase=ego.wheelbase, length=ego.length, width=ego.width)
 
@@ -294,18 +295,28 @@ class Route:
         Returns (s, lateral) arrays of length m.
         """
         p = np.asarray(points, dtype=np.float64)
-        n = len(self._seg_len)
-        if self._u is None or n < _WINDOW:
-            return self._full_scan(p)
-        up = p @ self._u
-        lo = np.searchsorted(self._q_window, up, side="right")
-        s, lateral, best = self._nearest(p, lo[:, None] + _WINDOW_OFFSETS)
-        gap = np.minimum(up - self._q_bounds[lo], self._q_bounds[lo + _WINDOW] - up)
-        covered = gap > _reach(best)
+        s, lateral, covered = self.project_window(p)
         if not covered.all():
             rest = ~covered
             s[rest], lateral[rest] = self._full_scan(p[rest])
         return s, lateral
+
+    def project_window(self, points):
+        """project() over an (m, 2) array of points, searching only each
+        point's window of segments: (s, lateral, covered) arrays of length m.
+        Where `covered` holds, the window certifiably contains the closest
+        segment and (s, lateral) equal project(); elsewhere they are not
+        defined. A route without windows (one whose breakpoints do not rise,
+        or with fewer segments than a window) covers no point."""
+        p = np.asarray(points, dtype=np.float64)
+        if self._u is None or len(self._seg_len) < _WINDOW:
+            nan = np.full(len(p), np.nan)
+            return nan, nan.copy(), np.zeros(len(p), dtype=bool)
+        up = p @ self._u
+        lo = np.searchsorted(self._q_window, up, side="right")
+        s, lateral, best = self._nearest(p, lo[:, None] + _WINDOW_OFFSETS)
+        gap = np.minimum(up - self._q_bounds[lo], self._q_bounds[lo + _WINDOW] - up)
+        return s, lateral, gap > _reach(best)
 
     def _full_scan(self, p):
         """(s, lateral) for (m, 2) points over every segment."""

@@ -134,6 +134,8 @@ class TestDispatch:
             return xp.ExpertLabel(waypoints=wp,
                                   command=sim.ControlCommand(throttle=1.0))
         monkeypatch.setattr(ds.xp, "expert_act", reckless)
+        # with demo_subsample > 1 the ticks left out drive on expert_command
+        monkeypatch.setattr(ds.xp, "expert_command", lambda w, cfg: reckless(w, cfg).command)
         cfg_path = write_config(tmp_path, tmp_path / "bad", extra={
             "suites": {"train": {"kinds": ["EmergencyBrake"], "seeds": [0]}}})
         code = cli.main(["--config", cfg_path, "--jobs", "1", "collect-demos"])

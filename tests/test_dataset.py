@@ -49,6 +49,20 @@ class TestCollectDemos:
     def test_no_discards_with_good_expert(self, demo_dataset):
         assert demo_dataset.manifest["episodes_discarded"] == 0
 
+    def test_subsampled_demos_are_every_nth_tick(self, demo_dataset, tmp_path):
+        """Ticks left out of the subsample drive on expert_command; the kept
+        samples equal [::3] of each episode's unsubsampled demos."""
+        suite = [sim.ScenarioSpec("EmergencyBrake", 0), sim.ScenarioSpec("StopSign", 0)]
+        every3 = ds.collect_demos(suite, ECFG, PCFG, CVOCAB, subsample=3)
+        want = []
+        for spec in suite:
+            episode = [s for s in demo_dataset.samples if s.scenario_id == ds.scenario_id(spec)]
+            want += episode[::3]
+        ds.persist(every3, tmp_path / "every3.jsonl")
+        ds.persist(ds.Dataset(want, manifest=every3.manifest), tmp_path / "want.jsonl")
+        assert (tmp_path / "every3.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert every3.manifest["subsample"] == 3 and len(every3) == len(want)
+
     def test_bad_expert_episodes_discarded_whole(self, monkeypatch):
         # an expert that floors the throttle rear-ends the braking lead
         def reckless(w, cfg, control_vocab=None):

@@ -129,3 +129,212 @@ class TestClosedLoopExpert:
         assert w.termination == "completed"
         kinds = [e.kind for e in w.infractions]
         assert not any(k.startswith("collision") for k in kinds)
+
+
+# -- the per-step rollout the forecast table replaced -------------------------
+#
+# Written out as it ran before the table: every rollout step moves the actors
+# and projects each forecast actor's corridor-entry points with its own
+# project_many call, the command is a separate control step on the frame's
+# own actors, and the integrator evaluates its stages through a closure.
+
+def reference_step_kinematics(ego, cmd, dt):
+    throttle = 0.0 if cmd.brake > 0.0 else cmd.throttle
+    tan_delta = math.tan(sim.DELTA_MAX * cmd.steer)
+    L = ego.wheelbase
+    accel = sim.A_MAX * throttle - sim.B_MAX * cmd.brake
+
+    def deriv(psi, v):
+        v = max(v, 0.0)
+        return v * math.cos(psi), v * math.sin(psi), v / L * tan_delta, \
+            accel - sim.C_DRAG * v * v
+
+    half = 0.5 * dt
+    k1 = deriv(ego.heading, ego.speed)
+    k2 = deriv(ego.heading + half * k1[2], ego.speed + half * k1[3])
+    k3 = deriv(ego.heading + half * k2[2], ego.speed + half * k2[3])
+    k4 = deriv(ego.heading + dt * k3[2], ego.speed + dt * k3[3])
+    w = dt / 6.0
+    return sim.EgoState(
+        x=ego.x + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        y=ego.y + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        heading=sim.wrap_angle(ego.heading + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
+        speed=max(ego.speed + w * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]), 0.0),
+        wheelbase=ego.wheelbase, length=ego.length, width=ego.width)
+
+
+def reference_leading_obstacle(route, ego, ego_s, actor_snaps, stop_served, cfg):
+    best = None
+
+    def consider(gap, v_lead):
+        nonlocal best
+        if gap > -3.0 and (best is None or gap < best[0]):
+            best = (max(gap, 0.05), v_lead)
+
+    for (x, y, heading, speed, length, width) in actor_snaps:
+        half = sim.LANE_HALF_WIDTH + width / 2.0
+        s_a, lat_a = route.project(x, y)
+        if s_a >= route.length - 0.1:
+            continue
+        v_along = max(0.0, speed * math.cos(heading - route.point_at(s_a)[2]))
+        if abs(lat_a) <= half and s_a > ego_s:
+            consider(s_a - ego_s - (ego.length + length) / 2.0, v_along)
+            continue
+        if speed < 1e-3 or s_a - ego_s > 80.0 or s_a - ego_s < -10.0:
+            continue
+        times = np.arange(1, int(cfg.yield_horizon / sim.DT) + 1) * sim.DT
+        fut = np.stack([x + speed * math.cos(heading) * times,
+                        y + speed * math.sin(heading) * times], axis=1)
+        s_f, lat_f = route.project_many(fut)
+        hits = np.flatnonzero((np.abs(lat_f) <= half) & (s_f > ego_s))
+        if len(hits):
+            consider(s_f[hits[0]] - ego_s - (ego.length + length) / 2.0, v_along)
+
+    stop_line_s = route.stop_line_s
+    if stop_line_s is not None and not stop_served and stop_line_s > ego_s - 2.0:
+        consider(stop_line_s - ego_s + 1.0, 0.0)
+    return best
+
+
+def reference_control(route, ego, actor_snaps, stop_served, cfg):
+    ego_s, _ = route.project(ego.x, ego.y)
+    v0 = min(cfg.desired_speed, route.speed_limit)
+    lead = reference_leading_obstacle(route, ego, ego_s, actor_snaps, stop_served, cfg)
+    accel = xp.idm_free_accel(ego.speed, v0, cfg) if lead is None else \
+        xp.idm_accel(ego.speed, v0, lead[0], lead[1], cfg)
+    return xp.accel_to_command(accel, ego.speed,
+                               xp.pure_pursuit_steer(route, ego, cfg.lookahead, ego_s))
+
+
+def reference_act(w, cfg):
+    """(waypoints, command, stop line served at the rollout's end)."""
+    route = w.route
+    snaps = [(a.x, a.y, a.heading, a.speed, a.length, a.width) for a in w.actors]
+    cmd = reference_control(route, w.ego, snaps, w.stop_line_served, cfg)
+    virt = w.ego
+    cos_h, sin_h = math.cos(w.ego.heading), math.sin(w.ego.heading)
+    waypoints = np.zeros((6, 2))
+    served = w.stop_line_served
+    velocities = [(v * math.cos(h), v * math.sin(h)) for (_, _, h, v, _, _) in snaps]
+    for i in range(6):
+        for j in range(5):
+            t = (i * 5 + j) * 0.1
+            moved = [(x + vx * t, y + vy * t, h, v, ln, wd)
+                     for (x, y, h, v, ln, wd), (vx, vy) in zip(snaps, velocities)]
+            vcmd = reference_control(route, virt, moved, served, cfg)
+            virt = reference_step_kinematics(virt, vcmd, 0.1)
+            if (route.stop_line_s is not None and not served and virt.speed < 0.1
+                    and abs(route.project(virt.x, virt.y)[0] - route.stop_line_s) < 2.0):
+                served = True
+        dx, dy = virt.x - w.ego.x, virt.y - w.ego.y
+        waypoints[i] = (cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy)
+    return waypoints, cmd, served
+
+
+def command_bits(cmd):
+    return np.array([cmd.throttle, cmd.brake, cmd.steer]).tobytes()
+
+
+class WindowCounter:
+    """Counts Route.project_window passes: `tables` are the ones made for a
+    forecast table, the rest come from project_many."""
+
+    def __init__(self, monkeypatch):
+        self.windows = self.many = 0
+        window, many = sim.Route.project_window, sim.Route.project_many
+
+        def counted_window(route, points):
+            self.windows += 1
+            return window(route, points)
+
+        def counted_many(route, points):
+            self.many += 1
+            return many(route, points)
+
+        monkeypatch.setattr(sim.Route, "project_window", counted_window)
+        monkeypatch.setattr(sim.Route, "project_many", counted_many)
+
+    @property
+    def tables(self):
+        return self.windows - self.many
+
+
+# 15 straight 10 m segments from x = -30 to x = 120
+STRAIGHT = [[-30.0 + 10.0 * i, 0.0] for i in range(16)]
+
+
+def world_on(waypoints, actors, ego):
+    route = sim.Route(np.array(waypoints), ["LaneFollow"] * (len(waypoints) - 1))
+    return sim.World(sim.ScenarioSpec("EmergencyBrake", 0), route, ego, actors)
+
+
+def actor(x, y, heading, speed, kind="vehicle", length=4.5, width=1.9, ident=1):
+    return sim.ActorState(x, y, heading, speed, length, width, kind, None, ident)
+
+
+class TestPlanMatchesReference:
+    def assert_plan_matches(self, w, label=None):
+        """expert_act's plan and command, and expert_command, equal the
+        reference bit for bit; returns the reference's served flag."""
+        label = label or xp.expert_act(w, CFG)
+        waypoints, cmd, served = reference_act(w, CFG)
+        assert label.waypoints.tobytes() == waypoints.tobytes()
+        assert command_bits(label.command) == command_bits(cmd)
+        assert command_bits(xp.expert_command(w, CFG)) == command_bits(cmd)
+        return served
+
+    @pytest.mark.parametrize("kind", sim.SCENARIO_KINDS)
+    def test_whole_episodes(self, kind, monkeypatch):
+        counter = WindowCounter(monkeypatch)
+        for seed in range(4):
+            w = sim.reset(sim.ScenarioSpec(kind, seed))
+            while not w.done:
+                before = counter.tables
+                label = xp.expert_act(w, CFG)
+                assert counter.tables - before <= len(w.actors)   # one table per actor
+                self.assert_plan_matches(w, label)
+                sim.advance_world(w, label.command)
+            assert w.termination == "completed", (kind, seed)
+        # The walker's crossing and the merging car are forecast; the other
+        # kinds' actors are parked, already in the lane, or absent.
+        assert (counter.tables > 0) == (kind in ("GiveWay", "Merging"))
+
+    def test_rows_the_window_cannot_certify(self, monkeypatch):
+        # Far off the road, a forecast point's window is narrower than its
+        # distance to the route: the early rows fall back to project_many,
+        # the late ones are read from the table.
+        w = world_on(STRAIGHT, [actor(60.0, 50.0, -math.pi / 2, 10.0)],
+                     sim.EgoState(x=0.0, y=0.0, speed=8.0))
+        counter = WindowCounter(monkeypatch)
+        xp.expert_act(w, CFG)
+        assert counter.tables == 1 and 0 < counter.many < 30
+        self.assert_plan_matches(w)
+
+    def test_u_turn_route_has_no_window(self, monkeypatch):
+        pts = [[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [23.0, 3.0], [20.0, 6.0],
+               [10.0, 6.0], [0.0, 6.0]]
+        w = world_on(pts, [actor(12.0, -4.0, math.pi / 2, 1.5, "pedestrian", 0.6, 0.6)],
+                     sim.EgoState(x=0.0, y=0.0, speed=5.0))
+        assert not w.route.project_window(np.array([[12.0, -4.0]]))[2].any()
+        counter = WindowCounter(monkeypatch)
+        xp.expert_act(w, CFG)
+        # every step that forecasts the walker takes project_many
+        assert counter.tables == 1 and counter.many > 0
+        self.assert_plan_matches(w)
+
+    def test_stop_sign_before_the_line_is_served(self):
+        w = sim.reset(sim.ScenarioSpec("StopSign", 0))
+        x, y, h = w.route.point_at(w.route.stop_line_s - 2.5)
+        w.ego = sim.EgoState(x=x, y=y, heading=h, speed=1.5)
+        assert not w.stop_line_served
+        # the rollout stops at the line and latches it
+        assert self.assert_plan_matches(w)
+
+    def test_actor_at_negative_zero(self):
+        # At step 0 an actor moves by v t = +-0.0, so x = -0.0 may become
+        # 0.0; the command must not notice.
+        actors = [actor(-0.0, 6.0, -math.pi / 2, 2.0, "pedestrian", 0.6, 0.6, 1),
+                  actor(-0.0, -0.0, 0.0, 0.0, "static", ident=2),
+                  actor(-0.0, -5.0, math.pi, 1.0, ident=3)]
+        w = world_on(STRAIGHT, actors, sim.EgoState(x=-20.0, y=-0.0, speed=6.0))
+        self.assert_plan_matches(w)

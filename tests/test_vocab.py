@@ -81,6 +81,26 @@ class TestTrajectoryVocabulary:
         assert d[0] == pytest.approx(6.0)
         assert d[1] == pytest.approx(4.0)
 
+    def test_a_stack_equals_its_rows(self):
+        rng = np.random.default_rng(4)
+        v = vocab.TrajectoryVocabulary(rng.normal(0, 3.0, size=(16, 6, 2)))
+        trajs = rng.normal(0, 3.0, size=(5, 6, 2))
+        d = v.waypoint_distances(trajs)
+        assert d.shape == (5, 16)
+        assert d.tobytes() == np.stack([v.waypoint_distances(t) for t in trajs]).tobytes()
+        assert v.nearest_index(trajs).tolist() == [v.nearest_index(t) for t in trajs]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_stack_rejects_each_non_finite_row(self, bad):
+        v = vocab.TrajectoryVocabulary(np.random.default_rng(0).normal(size=(4, 6, 2)))
+        trajs = np.zeros((3, 6, 2))
+        trajs[2, 4, 1] = bad
+        with pytest.raises(ValueError, match="trajectory 2 has a non-finite waypoint"):
+            v.nearest_index(trajs)
+        with pytest.raises(ValueError, match="trajectory has a non-finite waypoint"):
+            v.nearest_index(trajs[2])
+        assert v.nearest_index(trajs[:2]).tolist() == [v.nearest_index(t) for t in trajs[:2]]
+
     def test_save_load_round_trip(self, tmp_path):
         v = vocab.TrajectoryVocabulary(np.random.default_rng(0).normal(size=(4, 6, 2)))
         path = tmp_path / "v.jsonl"
