@@ -23,18 +23,12 @@ TRIGGERS = ("collision", "threshold")   # takeover trigger kinds, in manifest or
 
 
 @dataclass
-class DemoSample:
-    agent_feats: np.ndarray
-    map_feats: np.ndarray
-    cmd_onehot: np.ndarray
+class DemoSample(SceneSnapshot):
+    """A scene with its expert label: the policy takes it as it is."""
     traj_waypoints: np.ndarray      # expert planned trajectory, (6, 2)
     ctrl_indices: tuple             # (throttle_idx, brake_idx, steer_idx)
     scenario_id: str
     time: float
-
-    def snapshot(self):
-        return SceneSnapshot(agent_feats=self.agent_feats, map_feats=self.map_feats,
-                             cmd_onehot=self.cmd_onehot)
 
 
 @dataclass
@@ -166,8 +160,7 @@ class _DemoDriver:
         snap = encode_scene(w, self.policy_cfg)
         label = xp.expert_act(w, self.expert_cfg, self.control_vocab)
         self.samples.append(DemoSample(
-            agent_feats=snap.agent_feats, map_feats=snap.map_feats,
-            cmd_onehot=snap.cmd_onehot, traj_waypoints=label.waypoints,
+            **vars(snap), traj_waypoints=label.waypoints,
             ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
             scenario_id=scenario_id(w.spec), time=w.time))
         return label.command
@@ -205,10 +198,12 @@ def collect_demos(suite, expert_cfg, policy_cfg, control_vocab,
 
 class _ShadowDriver:
     """The policy, driving through a NeuralDriver with the expert shadowing
-    it: a trigger hands control to the expert for TAKEOVER_TICKS ticks,
-    after which triggers are suppressed for SUPPRESS_TICKS ticks. Each
-    takeover tick is kept as (tick, segment, snapshot, policy output, expert
-    label); a segment is (id, trigger, steer gap)."""
+    it: a collision forecast, or a steer gap to the expert's pure-pursuit
+    steer (its command's steer), hands control to the expert for
+    TAKEOVER_TICKS ticks, after which triggers are suppressed for
+    SUPPRESS_TICKS ticks. Each takeover tick is kept as (tick, segment,
+    snapshot, policy output, expert label); a segment is (id, trigger,
+    steer gap)."""
 
     def __init__(self, policy, expert_cfg, round_index, eps_steer):
         self.neural = NeuralDriver(policy)
@@ -219,7 +214,9 @@ class _ShadowDriver:
     def act(self, w):
         final = self.neural.act(w)
         if self.takeover_left == 0 and self.suppress_left == 0:
-            gap = abs(final.steer - xp.expert_command(w, self.expert_cfg).steer)
+            ego_s = w.route.project(w.ego.x, w.ego.y)[0]
+            gap = abs(final.steer - xp.pure_pursuit_steer(w.route, w.ego,
+                                                          self.expert_cfg.lookahead, ego_s))
             collides = xp.forecast_collision(w, self.expert_cfg.forecast_horizon) is not None
             trigger = "collision" if collides else "threshold" if gap > self.eps_steer else None
             if trigger is not None:
@@ -250,8 +247,7 @@ def _shadow_episode(spec, policy, expert_cfg, round_index, eps_steer):
     for tick, (seg_id, trig, gap), snap, out, label in driver.takeovers:
         frame = trace[tick]
         samples.append(TakeoverSample(
-            agent_feats=snap.agent_feats, map_feats=snap.map_feats,
-            cmd_onehot=snap.cmd_onehot, traj_waypoints=label.waypoints,
+            **vars(snap), traj_waypoints=label.waypoints,
             ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
             scenario_id=scenario_id(spec), time=frame.time,
             trigger=trig, steer_gap=gap,

@@ -40,7 +40,6 @@ class SceneSnapshot:
 
 @dataclass
 class PolicyOutput:
-    traj_scores: np.ndarray        # k sigmoid scores in (0, 1)
     d_traj: np.ndarray             # normalized trajectory distribution
     d_ctrl: tuple                  # (throttle dist, brake dist, steer dist)
     traj_index: int
@@ -267,8 +266,7 @@ class Policy:
         traj_idx, ctrl_idx = sample_top1(d_traj, d_ctrl)
         throttle, brake, steer = self.ctrl_vocab.values(*ctrl_idx)
         return PolicyOutput(
-            traj_scores=out["traj_scores"], d_traj=d_traj, d_ctrl=d_ctrl,
-            traj_index=traj_idx, ctrl_indices=ctrl_idx,
+            d_traj=d_traj, d_ctrl=d_ctrl, traj_index=traj_idx, ctrl_indices=ctrl_idx,
             tau_plan=self.traj_vocab.centers[traj_idx],
             c_ctrl=sim.ControlCommand(throttle=throttle, brake=brake, steer=steer))
 

@@ -85,20 +85,14 @@ def kl_loss(target, predicted):
     return (cross * -1.0 + entropy_term) * (1.0 / target.shape[0])
 
 
-def _underflows(p):
-    """The ln pi floor rule: a probability below e^LOGPROB_FLOOR has its ln
-    clamped to LOGPROB_FLOOR."""
-    return p < math.exp(LOGPROB_FLOOR)
-
-
 def _log_prob(dist, idx, flags=None):
     """ln dist[r, idx[r]] for each row r of a distribution Tensor (one index
     for one (n,) distribution), as a (B,) Tensor. An underflowing entry is
     clamped to the floor, a constant with no gradient, and its index is
-    appended to `flags`."""
+    appended to `flags`: the ln pi floor rule, for every loss and margin."""
     idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
     p = dist.reshape(-1).take_rows(np.arange(len(idx)) * dist.shape[-1] + idx)
-    under = _underflows(p.data)
+    under = p.data < math.exp(LOGPROB_FLOOR)
     if not under.any():
         return p.log()
     if flags is not None:
@@ -109,24 +103,23 @@ def _log_prob(dist, idx, flags=None):
     return (p * (1.0 - clamped) + clamped).log() + LOGPROB_FLOOR * clamped
 
 
-def _log_prob_value(dist, idx):
-    """_log_prob of a numpy distribution, as a float."""
-    p = dist[idx:idx + 1]
-    return LOGPROB_FLOOR if _underflows(p.item()) else np.log(p).item()
-
-
 def _log_sigmoid_const(x):
     """ln sigma(x) for a python float, through the same fp ops the Tensor
     path uses so the compensation constant cancels exactly."""
     return float(Tensor(np.array([x])).sigmoid().log().data.item())
 
 
+def _margin(dist, y_w, y_l, beta, flags=None):
+    """The preference margin beta (ln pi(y_w) - ln pi(y_l)) per row of a
+    (B, n) distribution Tensor with per-row index arrays y_w and y_l, as a
+    (B,) Tensor; one (n,) distribution with two indices is a batch of one."""
+    return (_log_prob(dist, y_w, flags) - _log_prob(dist, y_l, flags)) * beta
+
+
 def simpo_from_dist(dist, y_w, y_l, beta, gamma, flags=None):
-    """Reference-free preference loss -ln sigma(beta ln pi(y_w) - beta ln pi(y_l) - gamma)
-    per row of a (B, n) distribution Tensor with per-row index arrays y_w
-    and y_l, as a (B,) Tensor; one (n,) distribution with two indices is a
-    batch of one."""
-    z = (_log_prob(dist, y_w, flags) - _log_prob(dist, y_l, flags)) * beta - gamma
+    """Reference-free preference loss -ln sigma(margin - gamma) per row (see
+    `_margin`), as a (B,) Tensor."""
+    z = _margin(dist, y_w, y_l, beta, flags) - gamma
     return z.sigmoid().log() * -1.0
 
 
@@ -161,7 +154,7 @@ def _batch_loss(policy, samples, cfg, want_traj=True, want_ctrl=True):
     """Mean imitation loss of a batch of demonstration samples, from one
     forward pass: the trajectory KL plus the summed control KL, either of
     them optional."""
-    out = policy.forward([s.snapshot() for s in samples])
+    out = policy.forward(samples)
     terms = []
     if want_traj:
         targets = soft_trajectory_target(
@@ -246,29 +239,34 @@ def _winners(policy, samples):
     return np.column_stack([traj, [s.ctrl_indices for s in samples]])
 
 
+def _preference_pairs(policy, samples):
+    """(distribution, y_w, y_l) per preference group (trajectory, throttle,
+    brake, steer) of a batch of takeover samples, from one forward pass;
+    y_l is each row's live argmax."""
+    out = policy.forward(samples)
+    y_w = _winners(policy, samples)
+    return [(dist, y_w[:, g], np.argmax(dist.data, axis=-1))
+            for g, dist in enumerate((out["d_traj"], *out["d_ctrl"]))]
+
+
 def _pair_losses(policy, samples, cfg, flags=None):
     """Mean compensated preference loss of a batch of takeover samples over
-    the four per-group pairs, from one forward pass; y_l is each row's live
-    argmax."""
-    out = policy.forward([s.snapshot() for s in samples])
-    y_w = _winners(policy, samples)
-    return _mean([_row_mean(po_from_dist(dist, y_w[:, g], np.argmax(dist.data, axis=-1),
-                                         cfg.beta, cfg.gamma, flags))
-                  for g, dist in enumerate((out["d_traj"], *out["d_ctrl"]))])
+    the four per-group pairs."""
+    return _mean([_row_mean(po_from_dist(dist, y_w, y_l, cfg.beta, cfg.gamma, flags))
+                  for dist, y_w, y_l in _preference_pairs(policy, samples)])
 
 
 def mean_margin(policy, samples, cfg):
-    """Mean preference margin beta (ln pi(y_w) - ln pi(y_l)) over all pairs,
-    with y_l the current argmax. Always <= 0; larger is better."""
+    """Mean preference margin over all pairs of all samples, from the
+    preference loss's pass over batches of cfg.batch_size. Always <= 0;
+    larger is better."""
     if not samples:
         return 0.0
     margins = []
-    for s, winners in zip(samples, _winners(policy, samples)):
-        out = policy.infer(s.snapshot())
-        for dist, y_w in zip((out.d_traj, *out.d_ctrl), winners):
-            y_l = int(np.argmax(dist))
-            margins.append(cfg.beta * (_log_prob_value(dist, y_w) - _log_prob_value(dist, y_l)))
-    return float(np.mean(margins))
+    for start in range(0, len(samples), cfg.batch_size):
+        pairs = _preference_pairs(policy, samples[start:start + cfg.batch_size])
+        margins.append(np.column_stack([_margin(*pair, cfg.beta).data for pair in pairs]))
+    return float(np.mean(np.concatenate(margins).ravel()))
 
 
 def po_epoch(policy, samples, cfg, opt):

@@ -634,8 +634,6 @@ def _make_route(rng, spec, lateral_bump=None, stop_line_s=None, curvature=None):
 def reset(spec):
     """Build the initial world for a scenario spec. Identical spec + seed give
     a bit-identical world."""
-    if not isinstance(spec, ScenarioSpec):
-        spec = ScenarioSpec(**spec)
     rng = np.random.default_rng(spec.seed)
     actors = []
     kind = spec.kind

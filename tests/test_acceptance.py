@@ -113,7 +113,7 @@ def test_criterion_2_gradient_suite():
 
         def simpo():
             # steer group of the live forward pass, y_l its live argmax
-            steer = policy.forward(demo.snapshot())["d_ctrl"][2]
+            steer = policy.forward(demo)["d_ctrl"][2]
             return tr.simpo_from_dist(steer, y_w_steer, int(np.argmax(steer.data)),
                                       cfg.beta, cfg.gamma)
 
@@ -162,7 +162,7 @@ TV_SHADOW = vocab.TrajectoryVocabulary(
 
 
 def _stub_output(tau_plan, c_ctrl):
-    return PolicyOutput(traj_scores=np.full(4, 0.5), d_traj=np.full(4, 0.25),
+    return PolicyOutput(d_traj=np.full(4, 0.25),
                         d_ctrl=(np.full(5, 0.2), np.full(2, 0.5),
                                 np.full(9, 1.0 / 9.0)),
                         traj_index=0, ctrl_indices=(4, 0, 4),

@@ -74,3 +74,9 @@ def call_sites(name):
 def test_one_episode_loop():
     for name in ("reset", "advance_world"):
         assert call_sites(name) == [("metrics", "run_episode")], name
+
+
+def test_one_inference_site():
+    """Only the closed-loop driver runs `infer`: stored samples go to the
+    network in batches, through `forward`."""
+    assert call_sites("infer") == [("metrics", "NeuralDriver")]

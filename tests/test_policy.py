@@ -107,6 +107,13 @@ class TestForward:
             pol.Policy(cfg, TrajectoryVocabulary(np.random.default_rng(0).normal(size=(4, 6, 2))))
 
 
+def _graph_free_scores(p, snap):
+    """The trajectory scores of infer's pass on plain arrays (PolicyOutput
+    does not keep them)."""
+    values = {name: t.data for name, t in p.params.items()}
+    return p._network(values, np.asarray, p._posenc.data, snap)["traj_scores"]
+
+
 class TestInferMatchesForward:
     """`infer` runs the network on plain arrays: its outputs equal
     `forward`'s bit for bit, it raises NonFiniteError where `forward` does,
@@ -124,7 +131,7 @@ class TestInferMatchesForward:
             cmd_onehot=pol.command_onehot(command))
         p = tiny_policy(seed=init_seed)
         out, fwd = p.infer(snap), p.forward(snap)
-        assert np.array_equal(out.traj_scores, fwd["traj_scores"].data)
+        assert np.array_equal(_graph_free_scores(p, snap), fwd["traj_scores"].data)
         assert np.array_equal(out.d_traj, fwd["d_traj"].data)
         assert len(out.d_ctrl) == len(fwd["d_ctrl"])
         for got, want in zip(out.d_ctrl, fwd["d_ctrl"]):
@@ -242,7 +249,8 @@ class TestBatchedForward:
         batched = _outputs(p.forward(snaps))
         for i, snap in enumerate(snaps):
             out = p.infer(snap)
-            for got, want in zip(batched, [out.traj_scores, out.d_traj, *out.d_ctrl]):
+            want_all = [_graph_free_scores(p, snap), out.d_traj, *out.d_ctrl]
+            for got, want in zip(batched, want_all):
                 np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-15)
 
     def test_batch_of_one_is_the_single_snapshot(self):

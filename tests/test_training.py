@@ -151,7 +151,7 @@ class TestPreferenceLosses:
         sample.policy_traj_index = -999          # the stored argmax is ignored
         sample.policy_ctrl_indices = (-999, -999, -999)
         loss = tr._pair_losses(policy, [sample], cfg)
-        out = policy.forward(sample.snapshot())
+        out = policy.forward(sample)
         winners = (policy.traj_vocab.nearest_index(sample.traj_waypoints),
                    *sample.ctrl_indices)
         dists = (out["d_traj"], *out["d_ctrl"])
@@ -182,10 +182,10 @@ class TestGradientChecks:
         target = tr.soft_trajectory_target(policy.traj_vocab, sample.traj_waypoints)
 
         def traj_kl():
-            return tr.kl_loss(target, policy.forward(sample.snapshot())["d_traj"])
+            return tr.kl_loss(target, policy.forward(sample)["d_traj"])
 
         def ctrl_kl():
-            out = policy.forward(sample.snapshot())
+            out = policy.forward(sample)
             return tr.kl_loss(tr.one_hot(5, 2), out["d_ctrl"][0]) \
                 + tr.kl_loss(tr.one_hot(9, 3), out["d_ctrl"][2])
 
@@ -193,7 +193,7 @@ class TestGradientChecks:
             return tr._batch_loss(policy, [sample, takeover], cfg)
 
         def simpo():
-            out = policy.forward(sample.snapshot())
+            out = policy.forward(sample)
             return tr.simpo_from_dist(out["d_traj"], 1, 0, cfg.beta, cfg.gamma)
 
         def po():
@@ -211,7 +211,7 @@ def reference_imitation_loss(policy, samples, cfg):
     three control KLs (each -ln pi(label) against a one-hot target)."""
     total = None
     for s in samples:
-        out = policy.forward(s.snapshot())
+        out = policy.forward(s)
         t = tr.soft_trajectory_target(policy.traj_vocab, s.traj_waypoints, cfg.tau_label)
         idx = np.flatnonzero(t > 0.0)
         loss = (out["d_traj"].take_rows(idx).log() * Tensor(t[idx])).sum() * -1.0 \
@@ -230,7 +230,7 @@ def reference_preference_loss(policy, samples, cfg, flags):
     shift = math.log(1.0 / (1.0 + math.exp(cfg.gamma)))
     total = None
     for s in samples:
-        out = policy.forward(s.snapshot())
+        out = policy.forward(s)
         winners = (policy.traj_vocab.nearest_index(s.traj_waypoints), *s.ctrl_indices)
         loss = None
         for dist, y_w in zip((out["d_traj"], *out["d_ctrl"]), winners):
@@ -333,7 +333,7 @@ class TestPretrain:
         tr.pretrain(policy, demo, cfg)
         target = tr.soft_trajectory_target(policy.traj_vocab,
                                            demo.samples[0].traj_waypoints)
-        out = policy.forward(demo.samples[0].snapshot())
+        out = policy.forward(demo.samples[0])
         assert tr.kl_loss(target, out["d_traj"]).data.item() < 0.01
 
     def test_stage2_freezes_stage1_parameters(self, small_world_data, monkeypatch):
@@ -433,11 +433,11 @@ class TestPoEpoch:
         rng = np.random.default_rng(2)
         s0 = make_takeover(rng)
         y_w = policy.traj_vocab.nearest_index(s0.traj_waypoints)
-        before = policy.forward(s0.snapshot())["d_traj"].data[y_w]
+        before = policy.forward(s0)["d_traj"].data[y_w]
         opt = ad.Adam(policy.params, lr=cfg.po_lr)
         for _ in range(20):
             tr.po_epoch(policy, [s0], cfg, opt)
-        after = policy.forward(s0.snapshot())["d_traj"].data[y_w]
+        after = policy.forward(s0)["d_traj"].data[y_w]
         assert after > before
 
     def test_margin_increases(self):
@@ -457,7 +457,7 @@ class TestPoEpoch:
         cfg = tr.TrainConfig(batch_size=4, seed=0)
         rng = np.random.default_rng(5)
         s = make_takeover(rng)
-        out = policy.infer(s.snapshot())
+        out = policy.infer(s)
         # rewrite the labels to the current argmaxes
         s.traj_waypoints = policy.traj_vocab.centers[out.traj_index].copy()
         s.ctrl_indices = out.ctrl_indices
@@ -505,34 +505,67 @@ def test_nan_waypoints_rejected_by_both_losses():
 
 class TestMeanMargin:
     def test_floor_and_forward_agreement(self, monkeypatch):
-        # infer, patched, gives every brake winner probability 1e-30: those
-        # pairs must use the floor, the other pairs the forward pass's _log_prob
+        # forward, patched, gives every brake winner probability 1e-30: those
+        # pairs must use the floor, the other pairs _log_prob on the rows of
+        # the same batched pass (5 samples in batches of 2: three passes)
         policy = tiny_policy(seed=3)
-        cfg = tr.TrainConfig()
+        cfg = tr.TrainConfig(batch_size=2)
         rng = np.random.default_rng(6)
-        samples = [make_takeover(rng, seg=f"s{i}") for i in range(3)]
+        samples = [make_takeover(rng, seg=f"s{i}") for i in range(5)]
         for s in samples:
             s.ctrl_indices = (s.ctrl_indices[0], 0, s.ctrl_indices[2])
-        real_infer = policy.infer
+        real_forward = policy.forward
 
-        def infer(snapshot):
-            out = real_infer(snapshot)
-            out.d_ctrl = (out.d_ctrl[0], np.array([1e-30, 1.0]), out.d_ctrl[2])
+        def forward(batch):
+            out = real_forward(batch)
+            throttle, _, steer = out["d_ctrl"]
+            out["d_ctrl"] = (throttle, Tensor(np.tile([1e-30, 1.0], (len(batch), 1))), steer)
             return out
 
-        monkeypatch.setattr(policy, "infer", infer)
+        monkeypatch.setattr(policy, "forward", forward)
         expected = []
-        for s in samples:
-            out = policy.forward(s.snapshot())
-            winners = (policy.traj_vocab.nearest_index(s.traj_waypoints), *s.ctrl_indices)
-            for group, (dist, y_w) in enumerate(zip((out["d_traj"], *out["d_ctrl"]), winners)):
-                if group == 2:      # brake: ln pi(y_w) floored, ln pi(y_l) = ln 1 = 0
-                    expected.append(cfg.beta * (tr.LOGPROB_FLOOR - 0.0))
-                    continue
-                y_l = int(np.argmax(dist.data))
-                expected.append(cfg.beta * (tr._log_prob(dist, y_w).data.item()
-                                            - tr._log_prob(dist, y_l).data.item()))
+        for start in range(0, len(samples), cfg.batch_size):
+            batch = samples[start:start + cfg.batch_size]
+            out = forward(batch)
+            for r, s in enumerate(batch):
+                winners = (policy.traj_vocab.nearest_index(s.traj_waypoints), *s.ctrl_indices)
+                for group, (dist, y_w) in enumerate(zip((out["d_traj"], *out["d_ctrl"]),
+                                                        winners)):
+                    if group == 2:  # brake: ln pi(y_w) floored, ln pi(y_l) = ln 1 = 0
+                        expected.append(cfg.beta * (tr.LOGPROB_FLOOR - 0.0))
+                        continue
+                    row = Tensor(dist.data[r])
+                    y_l = int(np.argmax(row.data))
+                    expected.append(cfg.beta * (tr._log_prob(row, y_w).data.item()
+                                                - tr._log_prob(row, y_l).data.item()))
         assert tr.mean_margin(policy, samples, cfg) == float(np.mean(expected))
+
+    def test_is_the_mean_of_the_preference_loss_margins(self, monkeypatch):
+        """mean_margin averages the very margins _pair_losses builds on the
+        same batches, sample by sample, bit for bit."""
+        policy = tiny_policy(seed=5)
+        cfg = tr.TrainConfig(batch_size=3)
+        rng = np.random.default_rng(8)
+        samples = [make_takeover(rng, seg=f"s{i}") for i in range(7)]
+        for i, s in enumerate(samples):
+            s.agent_feats = s.agent_feats[:i % 3]     # batches pad agent slots
+        got = tr.mean_margin(policy, samples, cfg)
+
+        built = []
+        real_margin = tr._margin
+
+        def margin(*args, **kwargs):
+            built.append(real_margin(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(tr, "_margin", margin)
+        rows = []
+        for start in range(0, len(samples), cfg.batch_size):
+            built.clear()
+            tr._pair_losses(policy, samples[start:start + cfg.batch_size], cfg)
+            assert len(built) == 4
+            rows.append(np.column_stack([m.data for m in built]))
+        assert got == float(np.mean(np.concatenate(rows).ravel()))
 
 
 class TestPostOptimize:
