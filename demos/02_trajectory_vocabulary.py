@@ -31,14 +31,17 @@ def main():
     for i, c in enumerate(costs):
         print(f"  iter {i:>2}  {c:12.1f}")
 
-    errs = [np.linalg.norm(tv.centers[tv.nearest_index(f)] - f, axis=1).mean()
-            for f in futures[::10]]
-    print(f"mean per-waypoint reconstruction error: {np.mean(errs):.2f} m")
+    held_out = futures[::10]
+
+    def reconstruction_error(v):
+        """Mean per-waypoint distance from each held-out future to its
+        nearest vocabulary entry, averaged over the futures."""
+        nearest = v.centers[v.nearest_index(held_out)]
+        return np.linalg.norm(nearest - held_out, axis=2).mean()
+
+    print(f"mean per-waypoint reconstruction error: {reconstruction_error(tv):.2f} m")
     for k in (4, 16, 64):
-        tv_k = vocab.build_vocabulary(futures, k=k, seed=0)
-        e = np.mean([np.linalg.norm(
-            tv_k.centers[tv_k.nearest_index(f)] - f, axis=1).mean()
-            for f in futures[::10]])
+        e = reconstruction_error(vocab.build_vocabulary(futures, k=k, seed=0))
         print(f"  k={k:<3} -> {e:.2f} m")
 
 

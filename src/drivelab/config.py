@@ -126,10 +126,10 @@ def validate(cfg):
     overlap = train_seeds & test_seeds
     if overlap:
         raise ConfigError(f"train and test suites share seeds {sorted(overlap)}")
-    if cfg["jobs"] < 1:
-        raise ConfigError("jobs must be >= 1")
-    if cfg["demo_subsample"] < 1:
-        raise ConfigError("demo_subsample must be >= 1")
+    for key in ("jobs", "demo_subsample"):
+        value = cfg[key]
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
     return cfg
 
 

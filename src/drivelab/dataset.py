@@ -328,13 +328,6 @@ class MergedDataset:
             self.samples.extend(d.samples)
             self.weights.extend([takeover_weight] * len(d.samples))
         self.weights = np.asarray(self.weights)
-        self.manifest = {
-            "kind": "merged",
-            "demo_count": len(demo.samples),
-            "takeover_counts": [len(d) for d in takeover_rounds],
-            "takeover_weight": takeover_weight,
-            "count": len(self.samples),
-        }
 
     def __len__(self):
         return len(self.samples)

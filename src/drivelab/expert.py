@@ -160,11 +160,7 @@ def pure_pursuit_steer(route, ego, lookahead, ego_s):
     cos_h, sin_h = math.cos(ego.heading), math.sin(ego.heading)
     local_x = cos_h * dx + sin_h * dy
     local_y = -sin_h * dx + cos_h * dy
-    alpha = math.atan2(local_y, local_x)
-    ld = max(math.hypot(dx, dy), 1e-6)
-    curvature = 2.0 * math.sin(alpha) / ld
-    delta = math.atan(ego.wheelbase * curvature)
-    return min(max(delta / sim.DELTA_MAX, -1.0), 1.0)
+    return sim.steer_toward(local_x, local_y, max(math.hypot(dx, dy), 1e-6), ego.wheelbase)
 
 
 def accel_to_command(accel, speed, steer):

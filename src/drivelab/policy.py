@@ -55,6 +55,7 @@ def command_onehot(command):
 
 
 _COMMAND_ROWS = {c: command_onehot(c).tolist() for c in sim.COMMANDS}
+_ONE_HOT_ROWS = np.eye(len(sim.COMMANDS))
 
 
 def encode_scene(world, cfg):
@@ -126,37 +127,32 @@ def _cross_attention(params, prefix, queries, keys, mask):
     return queries + scaled_dot_attention(q, k, v, mask)
 
 
-def _pad(rows, width):
-    """Stack per-sample (n_i, F) row blocks into (B, width, F), each block in
-    front and the padded slots zero, with the (B, width) valid-slot mask;
-    the mask is None when no slot is padded."""
+def _pad(rows):
+    """Stack per-sample (n_i, F) row blocks into (B, n, F), n the largest n_i,
+    each block in front and the padded slots zero, with the (B, n) valid-slot
+    mask; the mask is None when no slot is padded."""
+    lengths = [len(r) for r in rows]
+    width = max(lengths)
+    if min(lengths) == width:
+        return np.array(rows, dtype=np.float64), None
     out = np.zeros((len(rows), width, rows[0].shape[1]))
     for i, r in enumerate(rows):
         out[i, :len(r)] = r
-    mask = np.arange(width) < np.array([len(r) for r in rows])[:, None]
-    return out, (None if mask.all() else mask)
+    return out, np.arange(width) < np.array(lengths)[:, None]
 
 
 def _batch_inputs(snapshots):
-    """The network's inputs: (agent feats, agent mask, map feats, map mask,
-    command rows, batch shape). One SceneSnapshot gives its own arrays and an
-    empty batch shape; a list gives (B, ...) arrays padded to the batch's
-    largest agent and map counts, so a batch of one pads nothing."""
-    if isinstance(snapshots, SceneSnapshot):
-        s = snapshots
-        cmd = np.asarray(s.cmd_onehot, dtype=np.float64).reshape(1, -1)
-        agents, agent_mask, maps, map_mask, lead = s.agent_feats, None, s.map_feats, None, ()
-    else:
-        cmd = np.array([s.cmd_onehot for s in snapshots], dtype=np.float64)
-        agent_rows = [s.agent_feats for s in snapshots]
-        map_rows = [s.map_feats for s in snapshots]
-        agents, agent_mask = _pad(agent_rows, max(len(r) for r in agent_rows))
-        maps, map_mask = _pad(map_rows, max(len(r) for r in map_rows))
-        lead = (len(snapshots),)
+    """The network's inputs from a list of B snapshots: (B, ...) agent and
+    map feats padded to the batch's largest agent and map counts, their
+    valid-slot masks, and the (B, 1, 7) command rows."""
+    cmd = np.array([s.cmd_onehot for s in snapshots], dtype=np.float64)
+    # A row is one-hot exactly when it equals the one-hot row of its argmax.
     if cmd.shape[-1] != len(sim.COMMANDS) or not (
-            np.all((cmd == 0.0) | (cmd == 1.0)) and np.all(cmd.sum(axis=-1) == 1.0)):
+            cmd == _ONE_HOT_ROWS[cmd.argmax(axis=-1)]).all():
         raise ValueError(f"cmd must be one-hot over {len(sim.COMMANDS)} categories")
-    return agents, agent_mask, maps, map_mask, cmd.reshape(*lead, 1, -1), lead
+    agents, agent_mask = _pad([s.agent_feats for s in snapshots])
+    maps, map_mask = _pad([s.map_feats for s in snapshots])
+    return agents, agent_mask, maps, map_mask, cmd[:, None]
 
 
 class Policy:
@@ -218,16 +214,17 @@ class Policy:
         arrays (`params` a name -> array dict, `leaf` np.asarray), which
         gives the same values bit for bit and builds no graph.
 
-        `snapshots` is one SceneSnapshot, giving outputs without a batch
-        axis, or a list of B, giving (B, ...) outputs from one pass over
-        token slots padded and masked per sample.
+        `snapshots` is a list of B SceneSnapshots; every output has a
+        leading batch axis of B, from one pass over token slots padded and
+        masked per sample.
 
         Floating-point warnings are off while it runs: both paths raise
         NonFiniteError on the non-finite values that would warn (see
         `autodiff`), so neither warns first."""
-        agents, agent_mask, maps, map_mask, cmd, lead = _batch_inputs(snapshots)
-        agents = _mlp2(params, "agent_mlp", leaf(agents)) if agents.shape[-2] else None
-        maps = _mlp2(params, "map_mlp", leaf(maps)) if maps.shape[-2] else None
+        agents, agent_mask, maps, map_mask, cmd = _batch_inputs(snapshots)
+        B = len(snapshots)
+        agents = _mlp2(params, "agent_mlp", leaf(agents)) if agents.shape[1] else None
+        maps = _mlp2(params, "map_mlp", leaf(maps)) if maps.shape[1] else None
 
         # Trajectory branch: a sigmoid score per candidate, then normalized.
         e = params["traj_base"] \
@@ -236,33 +233,31 @@ class Policy:
         e_agt = _cross_attention(params, "traj_attn_agent", e, agents, agent_mask)
         e_map = _cross_attention(params, "traj_attn_map", e_agt, maps, map_mask)
         logits = _mlp2(params, "traj_head", ad.concat([e_agt, e_map]))
-        scores = ad.sigmoid(logits.reshape(*lead, self.cfg.k))
+        scores = ad.sigmoid(logits.reshape(B, self.cfg.k))
         d_traj = ad.normalize(scores)
 
         # Control branch: a softmax per group (throttle, brake, steer), from
-        # the learned queries, one copy per sample of a batch.
-        queries = params["ctrl_base"]
-        if lead:
-            queries = queries + leaf(np.zeros(lead + (1, 1)))
+        # the learned queries, one copy per sample.
+        queries = params["ctrl_base"] + leaf(np.zeros((B, 1, 1)))
         e_agt = _cross_attention(params, "ctrl_attn_agent", queries, agents, agent_mask)
         e_map = _cross_attention(params, "ctrl_attn_map", e_agt, maps, map_mask)
         logits = _mlp2(params, "ctrl_head", ad.concat([e_agt, e_map]))
-        flat = logits.reshape(*lead, self.ctrl_vocab.total)
+        flat = logits.reshape(B, self.ctrl_vocab.total)
         d_ctrl = tuple(ad.softmax(ad.narrow(flat, start, length))
                        for start, length in self.ctrl_vocab.group_slices)
         return {"traj_scores": scores, "d_traj": d_traj, "d_ctrl": d_ctrl}
 
     def forward(self, snapshots):
-        """Full differentiable forward pass over one snapshot or a list of
-        them (see `_network`); returns Tensors for training."""
+        """Full differentiable forward pass over a list of snapshots (see
+        `_network`); returns Tensors for training."""
         return self._network(self.params, Tensor, self._posenc, snapshots)
 
     def infer(self, snapshot):
-        """One closed-loop tick: the network on plain arrays, then the top-1
-        picks."""
+        """One closed-loop tick: the network on plain arrays over a batch of
+        one, then the top-1 picks."""
         values = {name: t.data for name, t in self.params.items()}
-        out = self._network(values, np.asarray, self._posenc.data, snapshot)
-        d_traj, d_ctrl = out["d_traj"], out["d_ctrl"]
+        out = self._network(values, np.asarray, self._posenc.data, [snapshot])
+        d_traj, d_ctrl = out["d_traj"][0], tuple(d[0] for d in out["d_ctrl"])
         traj_idx, ctrl_idx = sample_top1(d_traj, d_ctrl)
         throttle, brake, steer = self.ctrl_vocab.values(*ctrl_idx)
         return PolicyOutput(
@@ -323,10 +318,8 @@ class PidTracker:
             return sim.ControlCommand(throttle=0.0, brake=1.0, steer=0.0)
 
         i = min(range(len(dists)), key=lambda j: abs(dists[j] - self.LOOKAHEAD))
-        ld = max(dists[i], 1e-6)
         x, y = wps[i].tolist()
-        curvature = 2.0 * math.sin(math.atan2(y, x)) / ld
-        steer = _clip(math.atan(ego.wheelbase * curvature) / sim.DELTA_MAX, 1.0)
+        steer = sim.steer_toward(x, y, max(dists[i], 1e-6), ego.wheelbase)
 
         total = 0.0
         for length in lengths:    # left to right, as numpy sums six terms

@@ -68,25 +68,22 @@ class TrajectoryVocabulary:
         return hashlib.sha256(
             np.ascontiguousarray(self.centers, dtype="<f8").tobytes()).hexdigest()[:16]
 
-    def nearest_index(self, trajectory):
-        """Index of the center closest in mean per-waypoint L2 distance; for
-        a (B, 6, 2) stack, an array of B indices. A trajectory with a
+    def nearest_index(self, trajectories):
+        """Index of the center closest in mean per-waypoint L2 distance, for
+        each trajectory of a (B, 6, 2) stack: (B,). A trajectory with a
         non-finite waypoint has none."""
-        d = self.waypoint_distances(trajectory)
-        i = np.argmin(d, axis=-1)       # argmin returns the first nan, if any
-        bad = np.flatnonzero(~np.isfinite(np.take_along_axis(d, i[..., None], axis=-1)))
+        d = self.waypoint_distances(trajectories)
+        i = np.argmin(d, axis=1)        # argmin returns the first nan, if any
+        bad = np.flatnonzero(~np.isfinite(d[np.arange(len(d)), i]))
         if len(bad):
-            row = f" {bad[0]}" if d.ndim == 2 else ""
-            raise ValueError(f"trajectory{row} has a non-finite waypoint")
-        return i if d.ndim == 2 else int(i)
+            raise ValueError(f"trajectory {bad[0]} has a non-finite waypoint")
+        return i
 
-    def waypoint_distances(self, trajectory):
-        """Mean per-waypoint L2 distance (meters) from a trajectory to every
-        center: (k,) for one trajectory, (B, k) for a (B, 6, 2) stack."""
-        traj = np.asarray(trajectory, dtype=np.float64)
-        stack = traj.reshape(-1, WAYPOINTS_PER_TRAJ, 2)
-        d = np.linalg.norm(self.centers[None] - stack[:, None], axis=3).mean(axis=2)
-        return d if traj.ndim == 3 else d[0]
+    def waypoint_distances(self, trajectories):
+        """Mean per-waypoint L2 distance (meters) from each trajectory of a
+        (B, 6, 2) stack to every center: (B, k)."""
+        stack = np.asarray(trajectories, dtype=np.float64).reshape(-1, WAYPOINTS_PER_TRAJ, 2)
+        return np.linalg.norm(self.centers[None] - stack[:, None], axis=3).mean(axis=2)
 
     def save(self, path):
         with open(path, "w") as f:

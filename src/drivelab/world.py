@@ -113,6 +113,14 @@ class ScenarioSpec:
             raise ValueError(f"speed_limit {self.speed_limit} must be positive")
 
 
+def steer_toward(x, y, ld, wheelbase):
+    """The pure-pursuit steer law: the normalized command that bends the
+    ego toward the ego-frame point (x, y) at lookahead distance `ld`,
+    atan(wheelbase * 2 sin(atan2(y, x)) / ld) / DELTA_MAX clipped to +-1."""
+    curvature = 2.0 * math.sin(math.atan2(y, x)) / ld
+    return min(max(math.atan(wheelbase * curvature) / DELTA_MAX, -1.0), 1.0)
+
+
 def step_kinematics(ego, cmd, dt=DT, c_drag=C_DRAG):
     """Advance the bicycle model one tick with RK4 (control held over the tick).
 

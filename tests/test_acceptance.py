@@ -113,7 +113,7 @@ def test_criterion_2_gradient_suite():
 
         def simpo():
             # steer group of the live forward pass, y_l its live argmax
-            steer = policy.forward(demo)["d_ctrl"][2]
+            steer = policy.forward([demo])["d_ctrl"][2]
             return tr.simpo_from_dist(steer, y_w_steer, int(np.argmax(steer.data)),
                                       cfg.beta, cfg.gamma)
 

@@ -110,6 +110,11 @@ class TestDispatch:
         assert cli.main(["--config", str(bad), "report"]) == 1
         bad.write_text("[1]")
         assert cli.main(["--config", str(bad), "report"]) == 1
+        out = tmp_path / "x"
+        for value in ("jobs=abc", "jobs=2.5", "jobs=true", "demo_subsample=1.5"):
+            assert cli.main(["--set", value, "--out-dir", str(out), "report"]) == 1
+            assert "must be an integer >= 1" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("section, key", [("expert", "desired_sped"),
                                               ("scenario", "route_len")])

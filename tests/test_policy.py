@@ -56,20 +56,20 @@ class TestEncodeScene:
 class TestForward:
     def test_distributions_are_valid(self):
         p = tiny_policy()
-        out = p.forward(snapshot_from())
-        scores = out["traj_scores"].data
+        out = p.forward([snapshot_from()])
+        scores = out["traj_scores"].data[0]
         assert np.all((scores > 0) & (scores < 1))
-        assert out["d_traj"].data.sum() == pytest.approx(1.0, abs=1e-12)
+        assert out["d_traj"].data[0].sum() == pytest.approx(1.0, abs=1e-12)
         for d in out["d_ctrl"]:
-            assert d.data.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(d.data > 0)
-        assert tuple(len(d.data) for d in out["d_ctrl"]) == (5, 2, 9)
+            assert d.data[0].sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(d.data[0] > 0)
+        assert tuple(len(d.data[0]) for d in out["d_ctrl"]) == (5, 2, 9)
 
     def test_forward_deterministic(self):
         p = tiny_policy()
         snap = snapshot_from()
-        a = p.forward(snap)["d_traj"].data
-        b = p.forward(snap)["d_traj"].data
+        a = p.forward([snap])["d_traj"].data
+        b = p.forward([snap])["d_traj"].data
         assert np.array_equal(a, b)
 
     def test_rejects_bad_command_vector(self):
@@ -77,7 +77,14 @@ class TestForward:
         snap = snapshot_from()
         snap.cmd_onehot = np.full(7, 1.0 / 7.0)
         with pytest.raises(ValueError, match="one-hot"):
-            p.forward(snap)
+            p.forward([snap])
+
+    def test_rejects_a_lone_snapshot(self):
+        """The network takes a list of snapshots only; `infer` is the one
+        entry point for a single one."""
+        p = tiny_policy()
+        with pytest.raises(TypeError):
+            p.forward(snapshot_from())
 
     def test_infer_picks_argmax_and_vocab_entry(self):
         p = tiny_policy()
@@ -109,15 +116,15 @@ class TestForward:
 
 def _graph_free_scores(p, snap):
     """The trajectory scores of infer's pass on plain arrays (PolicyOutput
-    does not keep them)."""
+    does not keep them): row 0 of the pass over [snap]."""
     values = {name: t.data for name, t in p.params.items()}
-    return p._network(values, np.asarray, p._posenc.data, snap)["traj_scores"]
+    return p._network(values, np.asarray, p._posenc.data, [snap])["traj_scores"][0]
 
 
 class TestInferMatchesForward:
-    """`infer` runs the network on plain arrays: its outputs equal
-    `forward`'s bit for bit, it raises NonFiniteError where `forward` does,
-    and it builds no autodiff graph."""
+    """`infer` runs the network on plain arrays over a batch of one: its
+    outputs equal row 0 of `forward([snapshot])` bit for bit, it raises
+    NonFiniteError where `forward` does, and it builds no autodiff graph."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 16), st.integers(0, pol.PolicyConfig.n_agents),
@@ -130,19 +137,19 @@ class TestInferMatchesForward:
             map_feats=rng.normal(0, scale, (n_map, pol.MAP_FEATURES)),
             cmd_onehot=pol.command_onehot(command))
         p = tiny_policy(seed=init_seed)
-        out, fwd = p.infer(snap), p.forward(snap)
-        assert np.array_equal(_graph_free_scores(p, snap), fwd["traj_scores"].data)
-        assert np.array_equal(out.d_traj, fwd["d_traj"].data)
+        out, fwd = p.infer(snap), p.forward([snap])
+        assert np.array_equal(_graph_free_scores(p, snap), fwd["traj_scores"].data[0])
+        assert np.array_equal(out.d_traj, fwd["d_traj"].data[0])
         assert len(out.d_ctrl) == len(fwd["d_ctrl"])
         for got, want in zip(out.d_ctrl, fwd["d_ctrl"]):
-            assert np.array_equal(got, want.data)
+            assert np.array_equal(got, want.data[0])
 
     def _assert_both_raise(self, p, snap):
         # Each raises before numpy warns of the value it rejects.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ad.NonFiniteError):
-                p.forward(snap)
+                p.forward([snap])
             with pytest.raises(ad.NonFiniteError):
                 p.infer(snap)
 
@@ -181,7 +188,7 @@ class TestInferMatchesForward:
         monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
         p.infer(snap)
         assert len(built) == 0
-        p.forward(snap)
+        p.forward([snap])
         assert len(built) > 0
 
 
@@ -225,8 +232,8 @@ class TestBatchedForward:
         clean = run()
         real_pad = pol._pad
 
-        def junk_pad(rows, width):
-            out, mask = real_pad(rows, width)
+        def junk_pad(rows):
+            out, mask = real_pad(rows)
             if mask is not None:
                 out[~mask] = rng.normal(0, 50.0, size=(int((~mask).sum()), out.shape[-1]))
             return out, mask
@@ -252,14 +259,6 @@ class TestBatchedForward:
             want_all = [_graph_free_scores(p, snap), out.d_traj, *out.d_ctrl]
             for got, want in zip(batched, want_all):
                 np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-15)
-
-    def test_batch_of_one_is_the_single_snapshot(self):
-        p = tiny_policy()
-        snap = snapshot_from("EmergencyBrake", 0, p.cfg)
-        single, batched = _outputs(p.forward(snap)), _outputs(p.forward([snap]))
-        for a, b in zip(single, batched):
-            assert b.shape == (1,) + a.shape
-            assert np.array_equal(a, b[0])
 
 
 class TestEnsemble:

@@ -26,6 +26,19 @@ def tiny_policy(seed=0, k=4, dim=8):
     return pol.Policy(cfg, vocab.TrajectoryVocabulary(centers), CVOCAB)
 
 
+def forward_row(policy, sample):
+    """Row 0 of `forward([sample])`: each output distribution of the batch
+    of one as a 1-D Tensor."""
+    out = policy.forward([sample])
+    return {"d_traj": out["d_traj"].reshape(-1),
+            "d_ctrl": tuple(d.reshape(-1) for d in out["d_ctrl"])}
+
+
+def nearest(tv, waypoints):
+    """The vocabulary index nearest one (6, 2) trajectory."""
+    return int(tv.nearest_index(waypoints[None])[0])
+
+
 def make_sample(rng, scenario_id="StopSign:0", time=0.0):
     return ds.DemoSample(
         agent_feats=rng.normal(size=(2, 7)), map_feats=rng.normal(size=(4, 12)),
@@ -151,8 +164,8 @@ class TestPreferenceLosses:
         sample.policy_traj_index = -999          # the stored argmax is ignored
         sample.policy_ctrl_indices = (-999, -999, -999)
         loss = tr._pair_losses(policy, [sample], cfg)
-        out = policy.forward(sample)
-        winners = (policy.traj_vocab.nearest_index(sample.traj_waypoints),
+        out = forward_row(policy, sample)
+        winners = (nearest(policy.traj_vocab, sample.traj_waypoints),
                    *sample.ctrl_indices)
         dists = (out["d_traj"], *out["d_ctrl"])
         ref = np.mean([tr.po_from_dist(d, y_w, int(np.argmax(d.data)),
@@ -167,9 +180,9 @@ class TestSoftTarget:
         tv = vocab.TrajectoryVocabulary(rng.normal(0, 3.0, size=(8, 6, 2)))
         for _ in range(20):
             traj = rng.normal(0, 3.0, size=(6, 2))
-            t = tr.soft_trajectory_target(tv, traj)
+            t = tr.soft_trajectory_target(tv, traj[None])[0]
             assert t.sum() == pytest.approx(1.0, abs=1e-12)
-            assert int(np.argmax(t)) == tv.nearest_index(traj)
+            assert int(np.argmax(t)) == nearest(tv, traj)
 
 
 class TestGradientChecks:
@@ -179,13 +192,13 @@ class TestGradientChecks:
         rng = np.random.default_rng(0)
         sample = make_sample(rng)
         takeover = make_takeover(rng)
-        target = tr.soft_trajectory_target(policy.traj_vocab, sample.traj_waypoints)
+        target = tr.soft_trajectory_target(policy.traj_vocab, sample.traj_waypoints[None])[0]
 
         def traj_kl():
-            return tr.kl_loss(target, policy.forward(sample)["d_traj"])
+            return tr.kl_loss(target, forward_row(policy, sample)["d_traj"])
 
         def ctrl_kl():
-            out = policy.forward(sample)
+            out = forward_row(policy, sample)
             return tr.kl_loss(tr.one_hot(5, 2), out["d_ctrl"][0]) \
                 + tr.kl_loss(tr.one_hot(9, 3), out["d_ctrl"][2])
 
@@ -193,7 +206,7 @@ class TestGradientChecks:
             return tr._batch_loss(policy, [sample, takeover], cfg)
 
         def simpo():
-            out = policy.forward(sample)
+            out = forward_row(policy, sample)
             return tr.simpo_from_dist(out["d_traj"], 1, 0, cfg.beta, cfg.gamma)
 
         def po():
@@ -211,8 +224,8 @@ def reference_imitation_loss(policy, samples, cfg):
     three control KLs (each -ln pi(label) against a one-hot target)."""
     total = None
     for s in samples:
-        out = policy.forward(s)
-        t = tr.soft_trajectory_target(policy.traj_vocab, s.traj_waypoints, cfg.tau_label)
+        out = forward_row(policy, s)
+        t = tr.soft_trajectory_target(policy.traj_vocab, s.traj_waypoints[None], cfg.tau_label)[0]
         idx = np.flatnonzero(t > 0.0)
         loss = (out["d_traj"].take_rows(idx).log() * Tensor(t[idx])).sum() * -1.0 \
             + float((t[idx] * np.log(t[idx])).sum())
@@ -230,8 +243,8 @@ def reference_preference_loss(policy, samples, cfg, flags):
     shift = math.log(1.0 / (1.0 + math.exp(cfg.gamma)))
     total = None
     for s in samples:
-        out = policy.forward(s)
-        winners = (policy.traj_vocab.nearest_index(s.traj_waypoints), *s.ctrl_indices)
+        out = forward_row(policy, s)
+        winners = (nearest(policy.traj_vocab, s.traj_waypoints), *s.ctrl_indices)
         loss = None
         for dist, y_w in zip((out["d_traj"], *out["d_ctrl"]), winners):
             lps = []
@@ -332,8 +345,8 @@ class TestPretrain:
                              pretrain_lr=3e-3)
         tr.pretrain(policy, demo, cfg)
         target = tr.soft_trajectory_target(policy.traj_vocab,
-                                           demo.samples[0].traj_waypoints)
-        out = policy.forward(demo.samples[0])
+                                           demo.samples[0].traj_waypoints[None])[0]
+        out = forward_row(policy, demo.samples[0])
         assert tr.kl_loss(target, out["d_traj"]).data.item() < 0.01
 
     def test_stage2_freezes_stage1_parameters(self, small_world_data, monkeypatch):
@@ -432,12 +445,12 @@ class TestPoEpoch:
         cfg = tr.TrainConfig(po_lr=1e-3, batch_size=1, seed=0)
         rng = np.random.default_rng(2)
         s0 = make_takeover(rng)
-        y_w = policy.traj_vocab.nearest_index(s0.traj_waypoints)
-        before = policy.forward(s0)["d_traj"].data[y_w]
+        y_w = nearest(policy.traj_vocab, s0.traj_waypoints)
+        before = forward_row(policy, s0)["d_traj"].data[y_w]
         opt = ad.Adam(policy.params, lr=cfg.po_lr)
         for _ in range(20):
             tr.po_epoch(policy, [s0], cfg, opt)
-        after = policy.forward(s0)["d_traj"].data[y_w]
+        after = forward_row(policy, s0)["d_traj"].data[y_w]
         assert after > before
 
     def test_margin_increases(self):
@@ -528,7 +541,7 @@ class TestMeanMargin:
             batch = samples[start:start + cfg.batch_size]
             out = forward(batch)
             for r, s in enumerate(batch):
-                winners = (policy.traj_vocab.nearest_index(s.traj_waypoints), *s.ctrl_indices)
+                winners = (nearest(policy.traj_vocab, s.traj_waypoints), *s.ctrl_indices)
                 for group, (dist, y_w) in enumerate(zip((out["d_traj"], *out["d_ctrl"]),
                                                         winners)):
                     if group == 2:  # brake: ln pi(y_w) floored, ln pi(y_l) = ln 1 = 0

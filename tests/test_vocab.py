@@ -74,10 +74,10 @@ class TestTrajectoryVocabulary:
         centers = np.zeros((2, 6, 2))
         centers[1, :, 0] = 10.0
         v = vocab.TrajectoryVocabulary(centers)
-        traj = np.zeros((6, 2))
-        traj[:, 0] = 6.0
-        assert v.nearest_index(traj) == 1
-        d = v.waypoint_distances(traj)
+        traj = np.zeros((1, 6, 2))
+        traj[0, :, 0] = 6.0
+        assert v.nearest_index(traj)[0] == 1
+        d = v.waypoint_distances(traj)[0]
         assert d[0] == pytest.approx(6.0)
         assert d[1] == pytest.approx(4.0)
 
@@ -87,8 +87,8 @@ class TestTrajectoryVocabulary:
         trajs = rng.normal(0, 3.0, size=(5, 6, 2))
         d = v.waypoint_distances(trajs)
         assert d.shape == (5, 16)
-        assert d.tobytes() == np.stack([v.waypoint_distances(t) for t in trajs]).tobytes()
-        assert v.nearest_index(trajs).tolist() == [v.nearest_index(t) for t in trajs]
+        assert d.tobytes() == np.concatenate([v.waypoint_distances(t[None]) for t in trajs]).tobytes()
+        assert v.nearest_index(trajs).tolist() == [v.nearest_index(t[None])[0] for t in trajs]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_stack_rejects_each_non_finite_row(self, bad):
@@ -97,9 +97,9 @@ class TestTrajectoryVocabulary:
         trajs[2, 4, 1] = bad
         with pytest.raises(ValueError, match="trajectory 2 has a non-finite waypoint"):
             v.nearest_index(trajs)
-        with pytest.raises(ValueError, match="trajectory has a non-finite waypoint"):
-            v.nearest_index(trajs[2])
-        assert v.nearest_index(trajs[:2]).tolist() == [v.nearest_index(t) for t in trajs[:2]]
+        with pytest.raises(ValueError, match="trajectory 0 has a non-finite waypoint"):
+            v.nearest_index(trajs[2:])
+        assert v.nearest_index(trajs[:2]).tolist() == [v.nearest_index(t[None])[0] for t in trajs[:2]]
 
     def test_save_load_round_trip(self, tmp_path):
         v = vocab.TrajectoryVocabulary(np.random.default_rng(0).normal(size=(4, 6, 2)))
