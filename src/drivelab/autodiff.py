@@ -5,9 +5,16 @@ linear algebra (batched: a (B, n, d) operand against a (d, m) weight or a
 (B, d, m) batch, the weight's gradient summed over the batch), pointwise
 nonlinearities, a row softmax with an optional mask, sums, reciprocal, flat
 gathers, last-axis slices and concatenation, and single-head attention with a
-key mask. Every op is recorded on an implicit tape (the parent graph);
-gradients replay in exact reverse execution order, so repeated backward
-passes are bit-identical.
+key mask. Every op records its parents; `backward` orders the graph by a
+depth-first topological sort from the loss and runs each node's backward in
+that order, so repeated backward passes are bit-identical.
+
+Gradients accumulate by two rules. A node's first gradient is stored as it
+arrives, without a copy: it may be a view of another node's gradient, and
+no non-parameter gradient is ever written in place, so it cannot change
+under the node. Each later gradient is added out of place. A parameter's
+gradient is the exception: it is added in place into the parameter's view
+of the store's gradient buffer (see `ParameterStore`).
 
 The key mask lets one graph run a padded batch: a masked key gets exactly
 zero attention weight, so its value adds nothing and no gradient reaches it,
@@ -102,15 +109,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
     def _accum(self, g):
         if self.grad is None:
-            # A copy: g may be a view of another node's gradient.
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     # -- arithmetic -------------------------------------------------------
 
@@ -270,6 +273,8 @@ def _wrap(x):
 
 def _unbroadcast(grad, shape):
     """Reduce a broadcast gradient back to the original operand shape."""
+    if grad.shape == shape:
+        return grad
     g = grad
     while g.ndim > len(shape):
         g = g.sum(axis=0)
@@ -368,6 +373,8 @@ def backward(loss, params=None):
     if params is not None:
         params.zero_grad()
 
+    # Leaves (no parents) have no backward to run and leave the order of
+    # the other nodes as it is, so the sort skips them.
     topo = []
     visited = set()
     stack = [(loss, False)]
@@ -375,14 +382,12 @@ def backward(loss, params=None):
         node, processed = stack.pop()
         if processed:
             topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
+        elif node not in visited:
+            visited.add(node)
+            stack.append((node, True))
+            for p in node._parents:
+                if p._parents and p not in visited:
+                    stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
@@ -390,21 +395,59 @@ def backward(loss, params=None):
             node._backward(node)
 
 
+class _Parameter(Tensor):
+    """A ParameterStore entry: its `data` and `grad` are views of the
+    store's flat buffers, and a gradient is added into its view in place."""
+
+    __slots__ = ()
+
+    def _accum(self, g):
+        self.grad += g
+
+
 class ParameterStore:
-    """Named, insertion-ordered registry of trainable tensors."""
+    """Named, ordered registry of trainable tensors, stored flat.
 
-    def __init__(self):
+    Built once from (name, initial value) pairs: all values sit in one
+    contiguous float64 buffer and all gradients in a second, each
+    parameter's range following the previous one's. A parameter's `data`
+    and `grad` are fixed views of its range: values are written into them
+    (`load_values`, `Adam.step`) and never rebound, gradients are zeroed by
+    one `fill`. `arrays` maps each name to its value view, for the
+    graph-free network.
+    """
+
+    def __init__(self, params):
         self._params = {}
-
-    def add(self, name, data):
-        if name in self._params:
-            raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(data)
-        self._params[name] = t
-        return t
+        for name, data in params:
+            if name in self._params:
+                raise ValueError(f"duplicate parameter {name!r}")
+            self._params[name] = _Parameter(data)
+        self.values = np.concatenate(
+            [np.zeros(0)] + [t.data.ravel() for t in self._params.values()])
+        self.grads = np.zeros_like(self.values)
+        self._ranges = {}         # name -> (start, stop) in the flat buffers
+        start = 0
+        for name, t in self._params.items():
+            stop = start + t.data.size
+            self._ranges[name] = (start, stop)
+            t.data = self.values[start:stop].reshape(t.data.shape)
+            t.grad = self.grads[start:stop].reshape(t.data.shape)
+            start = stop
+        self.arrays = {name: t.data for name, t in self._params.items()}
 
     def __getitem__(self, name):
         return self._params[name]
+
+    def __getstate__(self):
+        # A pickled view would come back as a copy of its own: pickle the
+        # values and rebuild the views from them.
+        return self.copy_values(), self.grads
+
+    def __setstate__(self, state):
+        values, grads = state
+        self.__init__(values.items())
+        self.grads[:] = grads
 
     def names(self):
         return list(self._params)
@@ -412,17 +455,27 @@ class ParameterStore:
     def items(self):
         return self._params.items()
 
+    def spans(self, names):
+        """The (start, stop) buffer ranges that cover `names`, adjacent
+        parameters merged into one range."""
+        spans = []
+        for a, b in sorted(self._ranges[n] for n in names):
+            if spans and spans[-1][1] == a:
+                spans[-1] = (spans[-1][0], b)
+            else:
+                spans.append((a, b))
+        return spans
+
     def zero_grad(self):
-        for t in self._params.values():
-            t.zero_grad()
+        self.grads.fill(0.0)
 
     def copy_values(self):
-        return {k: v.data.copy() for k, v in self._params.items()}
+        return {k: v.data.copy() for k, v in self.items()}
 
     def load_values(self, values):
-        """Replace every parameter's value; a value set that lacks a stored
-        parameter, holds an unknown one or has a wrong shape is rejected
-        before any value is replaced."""
+        """Copy a value for every parameter into its view; a value set that
+        lacks a stored parameter, holds an unknown one or has a wrong shape
+        is rejected before any value is written."""
         for k in self._params:
             if k not in values:
                 raise KeyError(f"missing parameter {k!r}")
@@ -433,15 +486,18 @@ class ParameterStore:
                 raise ShapeError(
                     f"parameter {k!r}: shape {v.shape} != {self._params[k].data.shape}")
         for k, v in values.items():
-            self._params[k].data = v.astype(np.float64).copy()
+            self._params[k].data[...] = v
 
 
 class Adam:
     """Adam with an optional cosine-annealed learning rate.
 
     Schedule "cosine" decays lr from lr0 to 0 over total_steps; "constant"
-    keeps lr0. A non-finite gradient aborts the whole step with no partial
-    parameter updates.
+    keeps lr0. The moments m and v are flat buffers laid out like the
+    store's, and a step is one elementwise update per buffer range of the
+    trainable parameters, so it gives the bits a per-parameter loop would.
+    A non-finite gradient aborts the whole step with no partial parameter
+    updates.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -458,8 +514,8 @@ class Adam:
         self.schedule = schedule
         self.total_steps = total_steps
         self.step_count = 0
-        self._m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self._v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        self._m = np.zeros_like(params.values)
+        self._v = np.zeros_like(params.values)
 
     def current_lr(self):
         if self.schedule == "constant":
@@ -468,30 +524,26 @@ class Adam:
         return self.lr0 * 0.5 * (1.0 + math.cos(math.pi * frac))
 
     def step(self, trainable=None):
-        """Apply one update. `trainable` optionally restricts updated names."""
+        """Apply one update. `trainable` optionally restricts updated names;
+        the others keep their values and their moments."""
         names = self.params.names() if trainable is None else list(trainable)
-        for name in names:
-            g = self.params[name].grad
-            if g is None:
-                raise ValueError(f"parameter {name!r} has no gradient")
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError(f"non-finite gradient for {name!r}; step aborted")
+        spans = self.params.spans(names)
+        grads = self.params.grads
+        if not all(np.isfinite(grads[a:b]).all() for a, b in spans):
+            bad = next(n for n in names if not np.isfinite(self.params[n].grad).all())
+            raise NonFiniteError(f"non-finite gradient for {bad!r}; step aborted")
         lr = self.current_lr()
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.BETA1, self.BETA2
-        for name in names:
-            p = self.params[name]
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
+        for a, b in spans:
+            g, m, v = grads[a:b], self._m[a:b], self._v[a:b]
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            mhat = m / (1.0 - b1 ** t)
-            vhat = v / (1.0 - b2 ** t)
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.EPS)
+            self.params.values[a:b] -= lr * (m / (1.0 - b1 ** t)) / (
+                np.sqrt(v / (1.0 - b2 ** t)) + self.EPS)
 
 
 CHECKPOINT_MAGIC = "DRIVELAB-CKPT/1"

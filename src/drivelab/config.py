@@ -126,11 +126,27 @@ def validate(cfg):
     overlap = train_seeds & test_seeds
     if overlap:
         raise ConfigError(f"train and test suites share seeds {sorted(overlap)}")
-    for key in ("jobs", "demo_subsample"):
-        value = cfg[key]
-        if type(value) is not int or value < 1:
-            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    _check_types(cfg, DEFAULT_CONFIG)
     return cfg
+
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_AT_LEAST_ONE = ("jobs", "demo_subsample")     # a worker count and a stride
+
+
+def _check_types(node, defaults, prefix=""):
+    """The rule for every scalar entry: it has the type of its default. An
+    int counts for a float; a bool counts for neither."""
+    for key, value in node.items():
+        default, path = defaults.get(key), prefix + key
+        if isinstance(default, dict) and isinstance(value, dict):
+            _check_types(value, default, path + ".")
+        elif type(default) in _TYPE_NAMES:
+            want = type(default)
+            ok = type(value) is want or (want is float and type(value) is int)
+            if not ok or (path in _AT_LEAST_ONE and value < 1):
+                bound = " >= 1" if path in _AT_LEAST_ONE else ""
+                raise ConfigError(f"{path} must be {_TYPE_NAMES[want]}{bound}, got {value!r}")
 
 
 def config_hash(cfg):

@@ -170,36 +170,38 @@ class Policy:
         self.cfg = cfg
         self.traj_vocab = traj_vocab
         self.ctrl_vocab = ctrl_vocab or ControlVocabulary()
-        self.params = ad.ParameterStore()
         self._posenc = Tensor(positional_encoding(traj_vocab.flat()))
-        self._init_params()
+        self.params = ad.ParameterStore(self._init_params())
 
     def _init_params(self):
+        """(name, initial value) pairs, in the store's order."""
         C = self.cfg.feature_dim
         rng = np.random.default_rng(self.cfg.init_seed)
+        params = []
 
         def dense(name, fan_in, fan_out):
-            self.params.add(f"{name}.w1", rng.normal(0, 1 / math.sqrt(fan_in), (fan_in, C)))
-            self.params.add(f"{name}.b1", np.zeros(C))
-            self.params.add(f"{name}.w2", rng.normal(0, 1 / math.sqrt(C), (C, fan_out)))
-            self.params.add(f"{name}.b2", np.zeros(fan_out))
+            params.append((f"{name}.w1", rng.normal(0, 1 / math.sqrt(fan_in), (fan_in, C))))
+            params.append((f"{name}.b1", np.zeros(C)))
+            params.append((f"{name}.w2", rng.normal(0, 1 / math.sqrt(C), (C, fan_out))))
+            params.append((f"{name}.b2", np.zeros(fan_out)))
 
         def attn(name):
             for w in ("wq", "wk", "wv"):
-                self.params.add(f"{name}.{w}", rng.normal(0, 1 / math.sqrt(C), (C, C)))
+                params.append((f"{name}.{w}", rng.normal(0, 1 / math.sqrt(C), (C, C))))
 
         dense("agent_mlp", AGENT_FEATURES, C)
         dense("map_mlp", MAP_FEATURES, C)
         dense("cmd_mlp", len(sim.COMMANDS), C)
         dense("pos_mlp", self._posenc.shape[1], C)
-        self.params.add("traj_base", rng.normal(0, 0.1, (self.cfg.k, C)))
+        params.append(("traj_base", rng.normal(0, 0.1, (self.cfg.k, C))))
         attn("traj_attn_agent")
         attn("traj_attn_map")
         dense("traj_head", 2 * C, 1)
-        self.params.add("ctrl_base", rng.normal(0, 0.1, (self.ctrl_vocab.total, C)))
+        params.append(("ctrl_base", rng.normal(0, 0.1, (self.ctrl_vocab.total, C))))
         attn("ctrl_attn_agent")
         attn("ctrl_attn_map")
         dense("ctrl_head", 2 * C, 1)
+        return params
 
     def param_names(self, prefixes):
         return [n for n in self.params.names()
@@ -211,8 +213,9 @@ class Policy:
     def _network(self, params, leaf, posenc, snapshots):
         """The policy's wiring, written once. `forward` runs it on Tensors
         (`params` the ParameterStore, `leaf` Tensor) and `infer` on float64
-        arrays (`params` a name -> array dict, `leaf` np.asarray), which
-        gives the same values bit for bit and builds no graph.
+        arrays (`params` the store's name -> value view dict, `leaf`
+        np.asarray), which gives the same values bit for bit and builds no
+        graph.
 
         `snapshots` is a list of B SceneSnapshots; every output has a
         leading batch axis of B, from one pass over token slots padded and
@@ -255,8 +258,7 @@ class Policy:
     def infer(self, snapshot):
         """One closed-loop tick: the network on plain arrays over a batch of
         one, then the top-1 picks."""
-        values = {name: t.data for name, t in self.params.items()}
-        out = self._network(values, np.asarray, self._posenc.data, [snapshot])
+        out = self._network(self.params.arrays, np.asarray, self._posenc.data, [snapshot])
         d_traj, d_ctrl = out["d_traj"][0], tuple(d[0] for d in out["d_ctrl"])
         traj_idx, ctrl_idx = sample_top1(d_traj, d_ctrl)
         throttle, brake, steer = self.ctrl_vocab.values(*ctrl_idx)

@@ -1,11 +1,14 @@
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivelab import autodiff as ad
+from drivelab import policy as pol
+from drivelab import vocab
 from drivelab.autodiff import Tensor
 
 
@@ -193,10 +196,8 @@ def test_backward_is_deterministic():
 
 
 def test_backward_zeroes_unreachable_params():
-    store = ad.ParameterStore()
-    a = store.add("a", np.ones(3))
-    store.add("b", np.ones(3))
-    loss = (a * 2.0).sum()
+    store = ad.ParameterStore([("a", np.ones(3)), ("b", np.ones(3))])
+    loss = (store["a"] * 2.0).sum()
     ad.backward(loss, store)
     assert np.array_equal(store["b"].grad, np.zeros(3))
     assert np.array_equal(store["a"].grad, np.full(3, 2.0))
@@ -204,23 +205,18 @@ def test_backward_zeroes_unreachable_params():
 
 class TestParameterStore:
     def test_duplicate_rejected(self):
-        s = ad.ParameterStore()
-        s.add("w", np.zeros(2))
         with pytest.raises(ValueError):
-            s.add("w", np.zeros(2))
+            ad.ParameterStore([("w", np.zeros(2)), ("w", np.zeros(2))])
 
     def test_load_unknown_and_shape(self):
-        s = ad.ParameterStore()
-        s.add("w", np.zeros((2, 2)))
+        s = ad.ParameterStore([("w", np.zeros((2, 2)))])
         with pytest.raises(KeyError):
             s.load_values({"nope": np.zeros(2)})
         with pytest.raises(ad.ShapeError):
             s.load_values({"w": np.zeros(3)})
 
     def test_rejected_load_leaves_values_untouched(self):
-        s = ad.ParameterStore()
-        s.add("a", np.zeros(2))
-        s.add("b", np.zeros(2))
+        s = ad.ParameterStore([("a", np.zeros(2)), ("b", np.zeros(2))])
         with pytest.raises(KeyError, match="zzz"):
             s.load_values({"a": np.ones(2), "b": np.ones(2), "zzz": np.ones(2)})
         with pytest.raises(ad.ShapeError, match="'b'"):
@@ -229,8 +225,7 @@ class TestParameterStore:
         assert np.array_equal(s["b"].data, np.zeros(2))
 
     def test_copy_load_round_trip(self):
-        s = ad.ParameterStore()
-        s.add("w", np.arange(4.0))
+        s = ad.ParameterStore([("w", np.arange(4.0))])
         vals = s.copy_values()
         vals["w"] += 1
         s.load_values(vals)
@@ -239,10 +234,9 @@ class TestParameterStore:
 
 class TestAdam:
     def test_first_step_matches_manual(self):
-        s = ad.ParameterStore()
-        s.add("w", np.array([1.0, 2.0]))
+        s = ad.ParameterStore([("w", np.array([1.0, 2.0]))])
         opt = ad.Adam(s, lr=0.1)
-        s["w"].grad = np.array([0.5, -0.5])
+        s["w"].grad[...] = np.array([0.5, -0.5])
         opt.step()
         # first Adam step moves each coordinate by ~lr in the gradient direction
         expect = np.array([1.0, 2.0]) - 0.1 * np.array([0.5, -0.5]) / (
@@ -250,8 +244,7 @@ class TestAdam:
         assert np.allclose(s["w"].data, expect, atol=1e-7)
 
     def test_cosine_schedule_endpoints(self):
-        s = ad.ParameterStore()
-        s.add("w", np.zeros(1))
+        s = ad.ParameterStore([("w", np.zeros(1))])
         opt = ad.Adam(s, lr=2e-4, schedule="cosine", total_steps=10)
         assert opt.current_lr() == pytest.approx(2e-4)
         opt.step_count = 5
@@ -260,30 +253,25 @@ class TestAdam:
         assert opt.current_lr() == pytest.approx(0.0, abs=1e-20)
 
     def test_nonfinite_grad_aborts_whole_step(self):
-        s = ad.ParameterStore()
-        s.add("a", np.array([1.0]))
-        s.add("b", np.array([1.0]))
+        s = ad.ParameterStore([("a", np.array([1.0])), ("b", np.array([1.0]))])
         opt = ad.Adam(s, lr=0.1)
-        s["a"].grad = np.array([0.5])
-        s["b"].grad = np.array([np.inf])
+        s["a"].grad[...] = np.array([0.5])
+        s["b"].grad[...] = np.array([np.inf])
         with pytest.raises(ad.NonFiniteError):
             opt.step()
         assert s["a"].data.item() == 1.0  # no partial update
 
     def test_trainable_subset_freezes_others(self):
-        s = ad.ParameterStore()
-        s.add("a", np.array([1.0]))
-        s.add("b", np.array([1.0]))
+        s = ad.ParameterStore([("a", np.array([1.0])), ("b", np.array([1.0]))])
         opt = ad.Adam(s, lr=0.1)
-        s["a"].grad = np.array([1.0])
-        s["b"].grad = np.array([1.0])
+        s["a"].grad[...] = np.array([1.0])
+        s["b"].grad[...] = np.array([1.0])
         opt.step(trainable=["a"])
         assert s["a"].data.item() != 1.0
         assert s["b"].data.item() == 1.0
 
     def test_bad_config(self):
-        s = ad.ParameterStore()
-        s.add("w", np.zeros(1))
+        s = ad.ParameterStore([("w", np.zeros(1))])
         with pytest.raises(ValueError):
             ad.Adam(s, lr=0.0)
         with pytest.raises(ValueError):
@@ -292,12 +280,178 @@ class TestAdam:
             ad.Adam(s, lr=0.1, schedule="cosine", total_steps=0)
 
 
+def reference_adam_step(values, grads, m, v, names, lr, t):
+    """The per-parameter Adam loop the fused step replaced, on name -> array
+    dicts: every named gradient is checked first, then each parameter gets
+    about ten numpy ops of its own."""
+    for name in names:
+        if not np.all(np.isfinite(grads[name])):
+            raise ad.NonFiniteError(f"non-finite gradient for {name!r}; step aborted")
+    b1, b2 = ad.Adam.BETA1, ad.Adam.BETA2
+    for name in names:
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        mhat = m[name] / (1.0 - b1 ** t)
+        vhat = v[name] / (1.0 - b2 ** t)
+        values[name] = values[name] - lr * mhat / (np.sqrt(vhat) + ad.Adam.EPS)
+
+
+def reference_lr(lr0, schedule, total_steps, step_count):
+    if schedule == "constant":
+        return lr0
+    frac = min(step_count, total_steps) / total_steps
+    return lr0 * 0.5 * (1.0 + math.cos(math.pi * frac))
+
+
+def _tiny_policy():
+    rng = np.random.default_rng(5)
+    return pol.Policy(pol.PolicyConfig(feature_dim=8, k=4),
+                      vocab.TrajectoryVocabulary(rng.normal(0, 3.0, size=(4, 6, 2))),
+                      vocab.ControlVocabulary())
+
+
+def _trainable_sets(policy):
+    """Every pretrain stage's trainable set, in `training.pretrain`'s
+    order, and a set that is not contiguous in the store."""
+    names = policy.params.names()
+    return {
+        "trajectory": policy.param_names(policy.ENCODER_PREFIXES + policy.TRAJ_PREFIXES),
+        "control": policy.param_names(policy.CTRL_PREFIXES),
+        "joint": None,
+        "every_third": names[::3],
+    }
+
+
+class TestAdamMatchesReference:
+    """The fused step over the store's buffer ranges equals the old
+    per-parameter loop bit for bit: values, moments, frozen parameters and
+    the non-finite error."""
+
+    def moments(self, opt, name):
+        (a, b), = opt.params.spans([name])
+        shape = opt.params[name].data.shape
+        return opt._m[a:b].reshape(shape), opt._v[a:b].reshape(shape)
+
+    def run(self, schedule, stages):
+        policy = _tiny_policy()
+        store = policy.params
+        sets = _trainable_sets(policy)
+        rng = np.random.default_rng(11)
+        opt = ad.Adam(store, lr=3e-2, schedule=schedule, total_steps=7)
+        values = store.copy_values()
+        m = {n: np.zeros_like(a) for n, a in values.items()}
+        v = {n: np.zeros_like(a) for n, a in values.items()}
+        t = 0
+        for stage in stages:
+            trainable = sets[stage]
+            names = store.names() if trainable is None else trainable
+            for _ in range(4):
+                for n in store.names():
+                    store[n].grad[...] = rng.normal(0, 10.0 ** rng.integers(-6, 3),
+                                                    store[n].grad.shape)
+                grads = {n: store[n].grad.copy() for n in names}
+                lr = reference_lr(3e-2, schedule, 7, t)
+                t += 1
+                opt.step(trainable=trainable)
+                reference_adam_step(values, grads, m, v, names, lr, t)
+                for n in store.names():
+                    assert store[n].data.tobytes() == values[n].tobytes(), (stage, n)
+                    got_m, got_v = self.moments(opt, n)
+                    assert got_m.tobytes() == m[n].tobytes(), (stage, n)
+                    assert got_v.tobytes() == v[n].tobytes(), (stage, n)
+
+    @pytest.mark.parametrize("schedule", ["constant", "cosine"])
+    def test_pretrain_stages(self, schedule):
+        # One optimizer across the stages, so the frozen parameters of each
+        # stage hold moments the step must leave untouched.
+        self.run(schedule, ["joint", "trajectory", "control", "joint"])
+
+    @pytest.mark.parametrize("schedule", ["constant", "cosine"])
+    def test_set_that_is_not_contiguous(self, schedule):
+        policy = _tiny_policy()
+        assert len(policy.params.spans(_trainable_sets(policy)["every_third"])) > 1
+        self.run(schedule, ["joint", "every_third", "control"])
+
+    def test_spans_merge_adjacent_parameters(self):
+        policy = _tiny_policy()
+        store = policy.params
+        sets = {k: v or store.names() for k, v in _trainable_sets(policy).items()}
+        assert len(store.spans(sets["trajectory"])) == 1
+        assert len(store.spans(sets["control"])) == 1
+        assert store.spans(sets["joint"]) == [(0, store.values.size)]
+
+    def test_non_finite_gradient_names_first_bad_parameter(self):
+        store = _tiny_policy().params
+        trainable = store.names()[::3]
+        opt = ad.Adam(store, lr=0.1)
+        for n in store.names():
+            store[n].grad[...] = 1.0
+        opt.step(trainable=trainable)
+        before = store.values.copy(), opt._m.copy(), opt._v.copy()
+        store[store.names()[1]].grad.flat[0] = np.nan     # frozen: not checked
+        store[trainable[2]].grad.flat[-1] = np.inf
+        store[trainable[4]].grad.flat[0] = np.nan
+        with pytest.raises(ad.NonFiniteError) as err:
+            opt.step(trainable=trainable)
+        assert str(err.value) == f"non-finite gradient for {trainable[2]!r}; step aborted"
+        for got, want in zip((store.values, opt._m, opt._v), before):
+            assert got.tobytes() == want.tobytes()
+        assert opt.step_count == 1
+        store[trainable[2]].grad[...] = 1.0
+        store[trainable[4]].grad[...] = 1.0
+        opt.step(trainable=trainable)     # a frozen nan gradient aborts nothing
+
+
+class TestFlatViews:
+    """Each parameter's `data` and `grad` stay views of the store's two
+    buffers, whatever writes the values."""
+
+    def assert_views(self, store):
+        for name, t in store.items():
+            (a, b), = store.spans([name])
+            assert t.data.base is store.values and t.grad.base is store.grads, name
+            assert np.shares_memory(t.data, store.values[a:b])
+            assert np.shares_memory(t.grad, store.grads[a:b])
+            assert store.arrays[name] is t.data
+
+    def store(self):
+        rng = np.random.default_rng(2)
+        return ad.ParameterStore([("w", rng.normal(size=(3, 4))), ("b", rng.normal(size=4)),
+                                  ("s", rng.normal(size=()))])
+
+    def test_after_load_adam_and_zero_grad(self):
+        s = self.store()
+        self.assert_views(s)
+        s.load_values({n: a + 1.0 for n, a in s.copy_values().items()})
+        self.assert_views(s)
+        opt = ad.Adam(s, lr=0.1)
+        for _ in range(3):
+            loss = ((s["w"] @ s["b"].reshape(4, 1)) * s["s"]).sum()
+            ad.backward(loss, s)
+            opt.step()
+        self.assert_views(s)
+        s.zero_grad()
+        assert not s.grads.any()
+        self.assert_views(s)
+
+    def test_pickle_round_trip(self):
+        s = self.store()
+        s["w"].grad[...] = 3.0
+        back = pickle.loads(pickle.dumps(s))
+        self.assert_views(back)
+        assert back.names() == s.names()
+        assert back.values.tobytes() == s.values.tobytes()
+        assert back.grads.tobytes() == s.grads.tobytes()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        s = ad.ParameterStore()
         rng = np.random.default_rng(0)
-        s.add("layer.w", rng.normal(size=(3, 4)))
-        s.add("layer.b", rng.normal(size=4))
+        s = ad.ParameterStore([("layer.w", rng.normal(size=(3, 4))),
+                               ("layer.b", rng.normal(size=4))])
         path = tmp_path / "p.ckpt"
         ad.save_checkpoint(path, s, meta={"k": "8"})
         values, meta = ad.load_checkpoint(path)
@@ -306,15 +460,13 @@ class TestCheckpoint:
             assert np.array_equal(values[name], t.data)
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        s = ad.ParameterStore()
-        s.add("w", np.arange(6.0).reshape(2, 3))
+        s = ad.ParameterStore([("w", np.arange(6.0).reshape(2, 3))])
         ad.save_checkpoint(tmp_path / "a", s, meta={"x": 1})
         ad.save_checkpoint(tmp_path / "b", s, meta={"x": 1})
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     def test_bad_magic_and_truncation(self, tmp_path):
-        s = ad.ParameterStore()
-        s.add("w", np.arange(4.0))
+        s = ad.ParameterStore([("w", np.arange(4.0))])
         path = tmp_path / "p.ckpt"
         ad.save_checkpoint(path, s)
         raw = path.read_bytes()

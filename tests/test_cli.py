@@ -116,6 +116,21 @@ class TestDispatch:
             assert "must be an integer >= 1" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("seed=abc", "seed must be an integer, got 'abc'"),
+        ("policy.k=abc", "policy.k must be an integer, got 'abc'"),
+        ("train.rounds=abc", "train.rounds must be an integer, got 'abc'"),
+        ("creep_enabled=no", "creep_enabled must be a boolean, got 'no'"),
+    ])
+    def test_wrongly_typed_value_exits_1(self, tmp_path, capsys, override, message):
+        out = tmp_path / "x"
+        cfg = cf.apply_overrides(cf.load_config(), [override])
+        with pytest.raises(cf.ConfigError, match=message):
+            cf.validate(cfg)
+        assert cli.main(["--set", override, "--out-dir", str(out), "collect-demos"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key", [("expert", "desired_sped"),
                                               ("scenario", "route_len")])
     def test_unknown_config_key_exits_1(self, tmp_path, capsys, section, key):

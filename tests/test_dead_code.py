@@ -80,3 +80,46 @@ def test_one_inference_site():
     """Only the closed-loop driver runs `infer`: stored samples go to the
     network in batches, through `forward`."""
     assert call_sites("infer") == [("metrics", "NeuralDriver")]
+
+
+def _data_assignments(node):
+    """Line numbers of the assignments to a `.data` attribute in `node`:
+    plain, augmented or annotated targets (tuples unpacked) and
+    `setattr(x, "data", ...)`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Assign):
+            targets = list(sub.targets)
+        elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
+            targets = [sub.target]
+        elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+              and sub.func.id == "setattr" and len(sub.args) > 1
+              and isinstance(sub.args[1], ast.Constant) and sub.args[1].value == "data"):
+            yield sub.lineno
+            continue
+        else:
+            continue
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets.extend(t.elts)
+            elif isinstance(t, ast.Starred):
+                targets.append(t.value)
+            elif isinstance(t, ast.Attribute) and t.attr == "data":
+                yield t.lineno
+
+
+def test_parameter_values_are_never_rebound():
+    """A parameter's `data` is a fixed view of its store's value buffer, so
+    nothing outside `ParameterStore` and `Tensor.__init__` may assign a
+    `.data` attribute; values change by writes into the view."""
+    sites = []
+    for module, tree in _trees().items():
+        for top in tree.body:
+            if module == "autodiff" and isinstance(top, ast.ClassDef):
+                if top.name == "ParameterStore":
+                    continue
+                if top.name == "Tensor":
+                    top = ast.Module(body=[n for n in top.body if getattr(n, "name", None)
+                                           != "__init__"], type_ignores=[])
+            sites += [f"{module}.py:{line}" for line in _data_assignments(top)]
+    assert not sites, f"assignments to .data outside ParameterStore: {sites}"

@@ -3,12 +3,14 @@
 Every method of the classes in `drivelab.autodiff` (`__init__` excepted,
 dunders included) and every function defined there is wrapped at each
 module that looks it up. A tiny pretrain, DAgger epoch, margin pass,
-preference epoch, inference and checkpoint round trip then run, and any op
-none of them called fails the test.
+preference epoch, inference, checkpoint round trip and the pickle round
+trip that sends the policy to `--jobs` workers then run, and any op none of
+them called fails the test.
 """
 
 import functools
 import inspect
+import pickle
 import sys
 
 import numpy as np
@@ -85,6 +87,7 @@ def test_every_autodiff_op_is_used(monkeypatch, tmp_path):
     policy.infer(takeover.samples[0])
     policy.save(tmp_path / "p.ckpt")
     policy.load(tmp_path / "p.ckpt")
+    pickle.loads(pickle.dumps(policy))
 
     unused = sorted(ops - called)
     assert not unused, f"autodiff ops the pipeline never calls: {unused}"

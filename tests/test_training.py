@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -322,6 +323,90 @@ class TestBatchedLossesMatchPerSample:
             for k in want_grads:
                 _assert_close(got_grads[k], want_grads[k], f"preference d/d{k}")
             assert sorted(flags) == sorted(ref_flags)
+
+
+def _copying_accum(self, g):
+    """The accumulation rule the copy-free one replaced: a node's first
+    gradient is copied, later ones are added in place into the copy."""
+    if self.grad is None:
+        self.grad = np.array(g, dtype=np.float64)
+    else:
+        self.grad += g
+
+
+def _fan_out_graph(store):
+    """A graph whose nodes hand views of their gradients on: `s = a + b`
+    gives a and b its gradient array itself, the concat hands five views of
+    its gradient to four nodes (a twice), reshape, mT and sum hand views
+    on, and a, b and s receive more gradient later in backward's order."""
+    x = Tensor(np.linspace(-2.0, 2.0, 12).reshape(4, 3))
+    h = x @ store["w"]
+    a = h.relu()
+    b = h.sigmoid()
+    s = a + b
+    c = s.mT.reshape(4, 3)
+    n = ad.concat([a, b, s, c, a])
+    loss = (n * n).sum() + (s.sum(axis=-1) * a.sum(axis=-1)).sum() + (b * s).sum()
+    return loss, {"x": x, "h": h, "a": a, "b": b, "s": s, "c": c, "n": n}
+
+
+class TestCopyFreeAccumulation:
+    """Storing a node's first gradient without a copy and adding later ones
+    out of place gives the copying rule's gradients bit for bit."""
+
+    def both_rules(self, monkeypatch, build):
+        """build() -> (loss, {name: node}); the loss and every node's and
+        parameter's gradient under each rule."""
+        runs = []
+        for rule in (None, _copying_accum):
+            with monkeypatch.context() as mp:
+                if rule is not None:
+                    mp.setattr(Tensor, "_accum", rule)
+                loss, nodes, store = build()
+                ad.backward(loss, store)
+                grads = {k: t.grad.tobytes() for k, t in nodes.items()}
+                grads.update({k: t.grad.tobytes() for k, t in store.items()})
+                runs.append((loss.data.tobytes(), grads))
+        return runs
+
+    @pytest.mark.parametrize("loss", ["imitation", "preference"])
+    def test_batched_losses(self, monkeypatch, loss):
+        rng = np.random.default_rng(3)
+        policy = tiny_policy(seed=1, k=8)
+        policy.params["traj_head.w2"].data[...] *= 20.0   # some clamped probabilities
+        cfg = tr.TrainConfig()
+        samples = random_samples(rng, 12)
+        losses = {"imitation": lambda: tr._batch_loss(policy, samples, cfg),
+                  "preference": lambda: tr._pair_losses(policy, samples, cfg)}
+        new, old = self.both_rules(
+            monkeypatch, lambda: (losses[loss](), {}, policy.params))
+        assert new == old
+
+    def test_gradient_views_handed_to_many_consumers(self, monkeypatch):
+        store = ad.ParameterStore([("w", np.random.default_rng(4).normal(size=(3, 3)))])
+        new, old = self.both_rules(monkeypatch, lambda: (*_fan_out_graph(store), store))
+        assert new == old
+        assert len(new[1]) == 8
+
+
+class TestPickledPolicy:
+    """A policy sent to `--jobs` workers comes back with its parameters as
+    views of its store and trains to the same bits as the original."""
+
+    def test_views_intact_and_same_training(self):
+        rng = np.random.default_rng(6)
+        demo = ds.Dataset([make_sample(rng) for _ in range(8)], kind="demo")
+        cfg = tr.TrainConfig(pretrain_epochs=2, batch_size=3, seed=0)
+        policy = tiny_policy(k=4)
+        clone = pickle.loads(pickle.dumps(policy))
+        for p in (policy, clone):
+            tr.pretrain(p, demo, cfg)
+            for name, t in p.params.items():
+                assert t.data.base is p.params.values, name
+                assert t.grad.base is p.params.grads, name
+                assert p.params.arrays[name] is t.data, name
+        assert clone.params.values.tobytes() == policy.params.values.tobytes()
+        assert clone.params.values is not policy.params.values
 
 
 @pytest.fixture(scope="module")
