@@ -21,11 +21,15 @@ zero attention weight, so its value adds nothing and no gradient reaches it,
 whatever the padded slot holds; a query row with no valid key attends to
 nothing and its attention output is exactly zero.
 
+A plain array or Python scalar is a constant: it joins no graph and gets no
+gradient. `+`, `-`, `*` and `@` (a constant on either side of `@`) accept
+one constant operand and record the op against the Tensor operand alone.
 The module-level ops the policy calls (`relu`, `sigmoid`, `softmax`,
 `narrow`, `concat`, `normalize`, `linear`, `scaled_dot_attention`) take a
-Tensor or a plain float64 array. A Tensor records the op; an array gets the
-same value formula and records nothing, so a network written once runs as a
-graph for training and graph-free for inference, bit for bit alike.
+Tensor or a plain float64 array: a Tensor records the op, an array gets the
+same value formula and records nothing. So a network written once, its
+inputs constants, runs as a graph when its parameters are Tensors and
+graph-free when they are arrays, bit for bit alike.
 
 Both paths check for non-finite values in the same three places, the value
 formulas they share: the inputs of sigmoid and softmax, where an inf would
@@ -117,59 +121,46 @@ class Tensor:
 
     # -- arithmetic -------------------------------------------------------
 
+    # numpy hands `array @ Tensor` to `__rmatmul__` instead of treating the
+    # Tensor as an object scalar.
+    __array_ufunc__ = None
+
     def __add__(self, other):
-        other = _wrap(other)
+        b = _value(other)
         try:
-            out_data = self.data + other.data
+            out_data = self.data + b
         except ValueError:
-            raise ShapeError(f"add: incompatible shapes {self.shape} and {other.shape}")
+            raise ShapeError(f"add: incompatible shapes {self.shape} and {b.shape}")
 
         def backward(out):
             self._accum(_unbroadcast(out.grad, self.data.shape))
-            other._accum(_unbroadcast(out.grad, other.data.shape))
+            if isinstance(other, Tensor):
+                other._accum(_unbroadcast(out.grad, b.shape))
 
-        return Tensor(out_data, parents=(self, other), backward=backward)
+        return Tensor(out_data, parents=_graph_parents(self, other), backward=backward)
 
     def __sub__(self, other):
-        return self + (_wrap(other) * -1.0)
+        return self + other * -1.0
 
     def __mul__(self, other):
-        other = _wrap(other)
+        b = _value(other)
         try:
-            out_data = self.data * other.data
+            out_data = self.data * b
         except ValueError:
-            raise ShapeError(f"mul: incompatible shapes {self.shape} and {other.shape}")
+            raise ShapeError(f"mul: incompatible shapes {self.shape} and {b.shape}")
 
         def backward(out):
-            self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
-            other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
+            self._accum(_unbroadcast(out.grad * b, self.data.shape))
+            if isinstance(other, Tensor):
+                other._accum(_unbroadcast(out.grad * self.data, b.shape))
 
-        return Tensor(out_data, parents=(self, other), backward=backward)
+        return Tensor(out_data, parents=_graph_parents(self, other), backward=backward)
 
     def __matmul__(self, other):
-        """Matrix product over the last two axes, leading (batch) axes
-        broadcast as numpy does: (n, d) @ (d, m), (B, n, d) @ (d, m) and
-        (B, n, d) @ (B, d, m)."""
-        other = _wrap(other)
-        a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-            raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-        try:
-            out_data = a @ b
-        except ValueError:
-            raise ShapeError(f"matmul: incompatible batch shapes {a.shape} and {b.shape}")
+        return _matmul(self, other)
 
-        def backward(out):
-            g = out.grad
-            self._accum(_unbroadcast(g @ b.mT, a.shape))
-            if b.ndim == 2:
-                # A weight shared by the batch: one product sums its
-                # gradient over every row of every sample.
-                other._accum(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            else:
-                other._accum(_unbroadcast(a.mT @ g, b.shape))
-
-        return Tensor(out_data, parents=(self, other), backward=backward)
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
 
     @property
     def mT(self):
@@ -267,8 +258,44 @@ class Tensor:
         return Tensor(self.data[indices], parents=(self,), backward=backward)
 
 
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _value(x):
+    """The array an operand holds: a Tensor's data, or the constant itself."""
+    return x.data if isinstance(x, Tensor) else _as_array(x)
+
+
+def _graph_parents(x, y):
+    """A binary op's graph parents: its Tensor operands (one or two)."""
+    if not isinstance(y, Tensor):
+        return (x,)
+    return (x, y) if isinstance(x, Tensor) else (y,)
+
+
+def _matmul(x, y):
+    """Matrix product over the last two axes, leading (batch) axes broadcast
+    as numpy does: (n, d) @ (d, m), (B, n, d) @ (d, m) and (B, n, d) @
+    (B, d, m). Either operand may be a constant."""
+    a, b = _value(x), _value(y)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    try:
+        out_data = a @ b
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible batch shapes {a.shape} and {b.shape}")
+
+    def backward(out):
+        g = out.grad
+        if isinstance(x, Tensor):
+            x._accum(_unbroadcast(g @ b.mT, a.shape))
+        if not isinstance(y, Tensor):
+            return
+        if b.ndim == 2:
+            # A weight shared by the batch: one product sums its gradient
+            # over every row of every sample.
+            y._accum(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        else:
+            y._accum(_unbroadcast(a.mT @ g, b.shape))
+
+    return Tensor(out_data, parents=_graph_parents(x, y), backward=backward)
 
 
 def _unbroadcast(grad, shape):

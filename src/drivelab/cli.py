@@ -7,6 +7,7 @@ producing command's name when one is missing.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -80,11 +81,11 @@ def cmd_build_vocab(cfg, args):
 
 
 def cmd_pretrain(cfg, args):
+    tcfg = _train_cfg(cfg)
     demos = ds.load(_require(_path(cfg, "demos"), "collect-demos"))
     vocab = TrajectoryVocabulary.load(_require(_path(cfg, "vocab"), "build-vocab"))
     policy = Policy(_policy_cfg(cfg), vocab, ControlVocabulary())
-    history = tr.pretrain(policy, demos, _train_cfg(cfg),
-                          progress=lambda m: print(m))
+    history = tr.pretrain(policy, demos, tcfg, progress=lambda m: print(m))
     policy.save(_path(cfg, "pretrained"),
                 extra_meta={"config_hash": config_hash(cfg)})
     with open(_path(cfg, "pretrain_history"), "w") as f:
@@ -93,10 +94,10 @@ def cmd_pretrain(cfg, args):
 
 
 def cmd_postopt(cfg, args):
-    ckpt = _require(_path(cfg, "pretrained"), "pretrain")
     tcfg = _train_cfg(cfg)
     if args.rounds is not None:
-        tcfg.rounds = args.rounds
+        tcfg = dataclasses.replace(tcfg, rounds=args.rounds)
+    ckpt = _require(_path(cfg, "pretrained"), "pretrain")
     final = _path(cfg, "final")
     os.makedirs(os.path.dirname(final), exist_ok=True)
     if tcfg.rounds == 0:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import world as sim
-from .autodiff import Tensor, scaled_dot_attention
+from .autodiff import scaled_dot_attention
 from .vocab import ControlVocabulary, WAYPOINT_DT
 
 AGENT_FEATURES = 7      # rel x, rel y, sin/cos rel heading, speed, length, width
@@ -170,7 +170,7 @@ class Policy:
         self.cfg = cfg
         self.traj_vocab = traj_vocab
         self.ctrl_vocab = ctrl_vocab or ControlVocabulary()
-        self._posenc = Tensor(positional_encoding(traj_vocab.flat()))
+        self._posenc = positional_encoding(traj_vocab.flat())
         self.params = ad.ParameterStore(self._init_params())
 
     def _init_params(self):
@@ -210,12 +210,12 @@ class Policy:
     # -- forward ----------------------------------------------------------
 
     @np.errstate(all="ignore")
-    def _network(self, params, leaf, posenc, snapshots):
-        """The policy's wiring, written once. `forward` runs it on Tensors
-        (`params` the ParameterStore, `leaf` Tensor) and `infer` on float64
-        arrays (`params` the store's name -> value view dict, `leaf`
-        np.asarray), which gives the same values bit for bit and builds no
-        graph.
+    def _network(self, params, snapshots):
+        """The policy's wiring, written once. The inputs and the positional
+        encoding are constants (plain arrays), so `params` alone picks the
+        path: `forward` passes the ParameterStore and gets a graph over its
+        Tensors, `infer` passes the store's name -> value view dict and gets
+        float64 arrays with the same values bit for bit and no graph.
 
         `snapshots` is a list of B SceneSnapshots; every output has a
         leading batch axis of B, from one pass over token slots padded and
@@ -226,13 +226,13 @@ class Policy:
         `autodiff`), so neither warns first."""
         agents, agent_mask, maps, map_mask, cmd = _batch_inputs(snapshots)
         B = len(snapshots)
-        agents = _mlp2(params, "agent_mlp", leaf(agents)) if agents.shape[1] else None
-        maps = _mlp2(params, "map_mlp", leaf(maps)) if maps.shape[1] else None
+        agents = _mlp2(params, "agent_mlp", agents) if agents.shape[1] else None
+        maps = _mlp2(params, "map_mlp", maps) if maps.shape[1] else None
 
         # Trajectory branch: a sigmoid score per candidate, then normalized.
         e = params["traj_base"] \
-            + _mlp2(params, "cmd_mlp", leaf(cmd)) \
-            + _mlp2(params, "pos_mlp", posenc)
+            + _mlp2(params, "cmd_mlp", cmd) \
+            + _mlp2(params, "pos_mlp", self._posenc)
         e_agt = _cross_attention(params, "traj_attn_agent", e, agents, agent_mask)
         e_map = _cross_attention(params, "traj_attn_map", e_agt, maps, map_mask)
         logits = _mlp2(params, "traj_head", ad.concat([e_agt, e_map]))
@@ -241,7 +241,7 @@ class Policy:
 
         # Control branch: a softmax per group (throttle, brake, steer), from
         # the learned queries, one copy per sample.
-        queries = params["ctrl_base"] + leaf(np.zeros((B, 1, 1)))
+        queries = params["ctrl_base"] + np.zeros((B, 1, 1))
         e_agt = _cross_attention(params, "ctrl_attn_agent", queries, agents, agent_mask)
         e_map = _cross_attention(params, "ctrl_attn_map", e_agt, maps, map_mask)
         logits = _mlp2(params, "ctrl_head", ad.concat([e_agt, e_map]))
@@ -253,12 +253,12 @@ class Policy:
     def forward(self, snapshots):
         """Full differentiable forward pass over a list of snapshots (see
         `_network`); returns Tensors for training."""
-        return self._network(self.params, Tensor, self._posenc, snapshots)
+        return self._network(self.params, snapshots)
 
     def infer(self, snapshot):
         """One closed-loop tick: the network on plain arrays over a batch of
         one, then the top-1 picks."""
-        out = self._network(self.params.arrays, np.asarray, self._posenc.data, [snapshot])
+        out = self._network(self.params.arrays, [snapshot])
         d_traj, d_ctrl = out["d_traj"][0], tuple(d[0] for d in out["d_ctrl"])
         traj_idx, ctrl_idx = sample_top1(d_traj, d_ctrl)
         throttle, brake, steer = self.ctrl_vocab.values(*ctrl_idx)

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataset as ds
-from .autodiff import Tensor
 
 LOGPROB_FLOOR = -50.0   # ln pi clamp on underflow
 
@@ -34,16 +33,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta <= 0 or self.gamma <= 0:
-            raise ValueError("beta and gamma must be positive")
+        # Stated as what must hold, so a nan fails too.
+        for f in ("beta", "gamma", "tau_label", "pretrain_lr", "dagger_lr", "po_lr"):
+            if not getattr(self, f) > 0:
+                raise ValueError(f"TrainConfig.{f} must be positive")
         for f in ("pretrain_epochs", "batch_size"):
-            if getattr(self, f) < 1:
+            if not getattr(self, f) >= 1:
                 raise ValueError(f"TrainConfig.{f} must be >= 1")
-        for f in ("dagger_epochs", "po_epochs"):     # 0 ablates the stage
-            if getattr(self, f) < 0:
+        # 0 epochs ablates a stage, 0 rounds keeps the pretrained policy and
+        # a takeover weight of 0 leaves takeovers out of the DAgger data.
+        for f in ("dagger_epochs", "po_epochs", "rounds", "takeover_weight"):
+            if not getattr(self, f) >= 0:
                 raise ValueError(f"TrainConfig.{f} must be >= 0")
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
 
 
 def soft_trajectory_target(traj_vocab, waypoints, tau=1.0):
@@ -81,7 +82,7 @@ def kl_loss(target, predicted):
     if np.any(p.data <= 0.0):
         raise ValueError("support mismatch: predicted has zero mass where target > 0")
     entropy_term = float((t * np.log(t)).sum())
-    cross = (p.log() * Tensor(t)).sum()
+    cross = (p.log() * t).sum()
     return (cross * -1.0 + entropy_term) * (1.0 / target.shape[0])
 
 
@@ -106,7 +107,7 @@ def _log_prob(dist, idx, flags=None):
 def _log_sigmoid_const(x):
     """ln sigma(x) for a python float, through the same fp ops the Tensor
     path uses so the compensation constant cancels exactly."""
-    return float(Tensor(np.array([x])).sigmoid().log().data.item())
+    return float(np.log(ad.sigmoid(np.array([x]))).item())
 
 
 def _margin(dist, y_w, y_l, beta, flags=None):

@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from drivelab import autodiff as ad
 from drivelab import policy as pol
 from drivelab import vocab
 from drivelab.autodiff import Tensor
+
+from gradcheck_util import policy_grad_check
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -174,6 +177,60 @@ def test_shape_errors():
         a.narrow(2, 5)
     with pytest.raises(ad.ShapeError):
         ad.backward(a)  # non-scalar loss
+
+
+_CONSTANT_CASES = [   # (name, op, Tensor operand shape, constant shape)
+    ("add", lambda t, c: t + c, (3, 4), (3, 4)),
+    ("add broadcast", lambda t, c: t + c, (3, 4), (2, 1, 1)),
+    ("mul", lambda t, c: t * c, (3, 4), (3, 4)),
+    ("sub", lambda t, c: t - c, (3, 4), (4,)),
+    ("tensor @ array", lambda t, c: t @ c, (3, 4), (4, 2)),
+    ("array @ tensor", lambda t, c: c @ t, (4, 2), (3, 4)),
+    ("batch tensor @ array", lambda t, c: t @ c, (2, 3, 4), (4, 5)),
+    ("batch array @ tensor", lambda t, c: c @ t, (4, 5), (2, 3, 4)),
+]
+
+
+class TestConstantOperands:
+    """A plain array or Python scalar operand is a constant: the op's value
+    is numpy's, bit for bit, and only the Tensor operand joins the graph and
+    gets a gradient."""
+
+    @pytest.mark.parametrize("name, op, t_shape, c_shape", _CONSTANT_CASES)
+    def test_value_and_gradient(self, name, op, t_shape, c_shape):
+        rng = np.random.default_rng(11)
+        x0, c = rng.normal(size=t_shape), rng.normal(size=c_shape)
+        want = op(x0, c)
+        holder = SimpleNamespace(params=ad.ParameterStore([("x", x0)]))
+        x = holder.params["x"]
+        out = op(x, c)
+        assert np.array_equal(out.data, want)
+        assert out._parents == (x,)
+        r = rng.normal(size=want.shape)
+        c_before = c.copy()
+        assert policy_grad_check(holder, lambda: (op(x, c) * r).sum(), rng) < 1e-6
+        assert np.array_equal(c, c_before)
+
+    def test_python_scalars(self):
+        x0 = np.random.default_rng(15).normal(size=(2, 3))
+        t = Tensor(x0)
+        for out, want in ((t + 0.5, x0 + 0.5), (t * -2.0, x0 * -2.0), (t - 1.5, x0 - 1.5)):
+            assert out._parents == (t,)
+            assert np.array_equal(out.data, want)
+        check_grad(lambda t: ((t - 1.5) * 3.0 + 2.0).sum(), x0)
+
+    @pytest.mark.parametrize("op, t_shape, c_shape", [
+        (lambda t, c: t + c, (2, 3), (4, 5)),
+        (lambda t, c: t * c, (2, 3), (4, 5)),
+        (lambda t, c: t - c, (2, 3), (4, 5)),
+        (lambda t, c: t @ c, (2, 3), (4, 5)),
+        (lambda t, c: c @ t, (2, 3), (4, 5)),
+        (lambda t, c: t @ c, (2, 3), (3,)),
+        (lambda t, c: c @ t, (3, 5, 2), (2, 4, 5)),
+    ])
+    def test_shape_mismatch_raises(self, op, t_shape, c_shape):
+        with pytest.raises(ad.ShapeError):
+            op(Tensor(np.zeros(t_shape)), np.zeros(c_shape))
 
 
 def test_nonfinite_rejection():

@@ -131,6 +131,22 @@ class TestDispatch:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("train.tau_label=-1.0", "TrainConfig.tau_label must be positive"),
+        ("train.tau_label=0", "TrainConfig.tau_label must be positive"),
+        ("train.pretrain_lr=0", "TrainConfig.pretrain_lr must be positive"),
+        ("train.dagger_lr=-5e-5", "TrainConfig.dagger_lr must be positive"),
+        ("train.po_lr=0", "TrainConfig.po_lr must be positive"),
+        ("train.takeover_weight=-1.0", "TrainConfig.takeover_weight must be >= 0"),
+    ])
+    @pytest.mark.parametrize("command", ["pretrain", "postopt"])
+    def test_bad_train_value_exits_1_before_reading_artifacts(
+            self, tmp_path, capsys, command, override, message):
+        out = tmp_path / "x"
+        assert cli.main(["--set", override, "--out-dir", str(out), command]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "missing artifact" not in err
+
     @pytest.mark.parametrize("section, key", [("expert", "desired_sped"),
                                               ("scenario", "route_len")])
     def test_unknown_config_key_exits_1(self, tmp_path, capsys, section, key):
@@ -176,6 +192,13 @@ class TestDispatch:
         assert cli.main(["--config", cfg_path, "postopt", "--rounds", "0"]) == 0
         assert (out / "postopt" / "policy.ckpt").read_bytes() == \
             (out / "pretrained.ckpt").read_bytes()
+
+    def test_postopt_negative_rounds_exits_1_writing_nothing(self, pipeline, capsys):
+        tmp, out, cfg_path = pipeline
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert cli.main(["--config", cfg_path, "postopt", "--rounds", "-1"]) == 1
+        assert "error: TrainConfig.rounds must be >= 0" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_eval_and_report(self, pipeline, capsys):
         tmp, out, cfg_path = pipeline

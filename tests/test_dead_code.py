@@ -82,6 +82,13 @@ def test_one_inference_site():
     assert call_sites("infer") == [("metrics", "NeuralDriver")]
 
 
+def test_tensors_are_built_only_in_autodiff():
+    """Inputs, targets and masks are plain arrays, constants that join no
+    graph: only the engine's own ops build a Tensor."""
+    sites = call_sites("Tensor")
+    assert sites and all(module == "autodiff" for module, _ in sites), sites
+
+
 def _data_assignments(node):
     """Line numbers of the assignments to a `.data` attribute in `node`:
     plain, augmented or annotated targets (tuples unpacked) and

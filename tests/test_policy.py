@@ -117,8 +117,7 @@ class TestForward:
 def _graph_free_scores(p, snap):
     """The trajectory scores of infer's pass on plain arrays (PolicyOutput
     does not keep them): row 0 of the pass over [snap]."""
-    values = {name: t.data for name, t in p.params.items()}
-    return p._network(values, np.asarray, p._posenc.data, [snap])["traj_scores"][0]
+    return p._network(p.params.arrays, [snap])["traj_scores"][0]
 
 
 class TestInferMatchesForward:

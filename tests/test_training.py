@@ -389,6 +389,39 @@ class TestCopyFreeAccumulation:
         assert len(new[1]) == 8
 
 
+def _graph_leaves(loss):
+    """Every node without parents that `loss` reaches through its graph."""
+    leaves, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(node._parents)
+        if not node._parents:
+            leaves.add(node)
+    return leaves
+
+
+@pytest.mark.parametrize("loss", ["imitation", "preference"])
+def test_every_graph_leaf_is_a_parameter(loss):
+    """Inputs, padding, targets, clamp masks and the positional encoding are
+    constants: a training loss's graph has the store's parameters as its only
+    leaves, so backward computes no gradient that nothing reads."""
+    policy = tiny_policy(seed=1, k=8)
+    if loss == "preference":     # some clamped probabilities
+        policy.params["ctrl_head.w2"].data[...] *= 1000.0
+    samples = random_samples(np.random.default_rng(10), 12)
+    cfg, flags = tr.TrainConfig(), []
+    losses = {"imitation": lambda: tr._batch_loss(policy, samples, cfg),
+              "preference": lambda: tr._pair_losses(policy, samples, cfg, flags)}
+    leaves = _graph_leaves(losses[loss]())
+    assert leaves <= {t for _, t in policy.params.items()}
+    assert all(isinstance(t, ad._Parameter) for t in leaves)
+    assert len(leaves) == len(policy.params.names())
+    assert loss == "imitation" or flags
+
+
 class TestPickledPolicy:
     """A policy sent to `--jobs` workers comes back with its parameters as
     views of its store and trains to the same bits as the original."""
@@ -726,6 +759,13 @@ def test_config_validation():
         assert getattr(tr.TrainConfig(**{field: 0}), field) == 0
         with pytest.raises(ValueError, match=field):
             tr.TrainConfig(**{field: -1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rounds must be >= 0"):
         tr.TrainConfig(rounds=-1)
+    for field in ("tau_label", "pretrain_lr", "dagger_lr", "po_lr"):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be positive"):
+                tr.TrainConfig(**{field: bad})
+    assert tr.TrainConfig(takeover_weight=0.0).takeover_weight == 0.0
+    with pytest.raises(ValueError, match="takeover_weight must be >= 0"):
+        tr.TrainConfig(takeover_weight=-1.0)
 
