@@ -24,12 +24,13 @@ nothing and its attention output is exactly zero.
 A plain array or Python scalar is a constant: it joins no graph and gets no
 gradient. `+`, `-`, `*` and `@` (a constant on either side of `@`) accept
 one constant operand and record the op against the Tensor operand alone.
-The module-level ops the policy calls (`relu`, `sigmoid`, `softmax`,
-`narrow`, `concat`, `normalize`, `linear`, `scaled_dot_attention`) take a
-Tensor or a plain float64 array: a Tensor records the op, an array gets the
-same value formula and records nothing. So a network written once, its
-inputs constants, runs as a graph when its parameters are Tensors and
-graph-free when they are arrays, bit for bit alike.
+The module-level ops the policy and the margin call (`relu`, `sigmoid`,
+`softmax`, `log`, `take_rows`, `narrow`, `concat`, `normalize`, `linear`,
+`scaled_dot_attention`) take a Tensor or a plain float64 array: a Tensor
+records the op, an array gets the same value formula and records nothing.
+So a network written once, its inputs constants, runs as a graph when its
+parameters are Tensors and graph-free when they are arrays, bit for bit
+alike; `value` reads the array either one holds.
 
 Both paths check for non-finite values in the same three places, the value
 formulas they share: the inputs of sigmoid and softmax, where an inf would
@@ -98,6 +99,12 @@ def _reciprocal(x):
     return _finite(1.0 / x)
 
 
+def _log(x):
+    if np.any(x <= 0.0):
+        raise NonFiniteError("log: non-positive input")
+    return np.log(x)
+
+
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse-mode autodiff."""
 
@@ -126,7 +133,7 @@ class Tensor:
     __array_ufunc__ = None
 
     def __add__(self, other):
-        b = _value(other)
+        b = value(other)
         try:
             out_data = self.data + b
         except ValueError:
@@ -143,7 +150,7 @@ class Tensor:
         return self + other * -1.0
 
     def __mul__(self, other):
-        b = _value(other)
+        b = value(other)
         try:
             out_data = self.data * b
         except ValueError:
@@ -187,9 +194,7 @@ class Tensor:
         return Tensor(out_data, parents=(self,), backward=backward)
 
     def log(self):
-        if np.any(self.data <= 0.0):
-            raise NonFiniteError("log: non-positive input")
-        out_data = np.log(self.data)
+        out_data = _log(self.data)
 
         def backward(out):
             self._accum(out.grad / self.data)
@@ -258,7 +263,7 @@ class Tensor:
         return Tensor(self.data[indices], parents=(self,), backward=backward)
 
 
-def _value(x):
+def value(x):
     """The array an operand holds: a Tensor's data, or the constant itself."""
     return x.data if isinstance(x, Tensor) else _as_array(x)
 
@@ -274,7 +279,7 @@ def _matmul(x, y):
     """Matrix product over the last two axes, leading (batch) axes broadcast
     as numpy does: (n, d) @ (d, m), (B, n, d) @ (d, m) and (B, n, d) @
     (B, d, m). Either operand may be a constant."""
-    a, b = _value(x), _value(y)
+    a, b = value(x), value(y)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     try:
@@ -324,6 +329,17 @@ def sigmoid(x):
 
 def softmax(x, mask=None):
     return x.softmax(mask) if isinstance(x, Tensor) else _softmax(x, mask)
+
+
+def log(x):
+    return x.log() if isinstance(x, Tensor) else _log(x)
+
+
+def take_rows(x, indices):
+    """Rows by integer index (first axis); a 1-D operand gathers entries."""
+    if isinstance(x, Tensor):
+        return x.take_rows(indices)
+    return x[np.asarray(indices, dtype=np.intp)]
 
 
 def narrow(x, start, length):

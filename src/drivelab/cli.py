@@ -18,10 +18,9 @@ import numpy as np
 from . import dataset as ds
 from . import metrics as bench
 from . import training as tr
-from .config import (ConfigError, apply_overrides, config_hash, expand_suite,
-                     file_hash, load_config, validate)
-from .expert import ExpertConfig
-from .policy import Policy, PolicyConfig
+from .config import (ConfigError, apply_overrides, config_hash, expand_suite, expert_config,
+                     file_hash, load_config, policy_config, train_config, validate)
+from .policy import Policy
 from .vocab import ControlVocabulary, TrajectoryVocabulary, build_vocabulary
 
 
@@ -40,21 +39,9 @@ def _require(path, producer):
     return path
 
 
-def _policy_cfg(cfg):
-    return PolicyConfig(init_seed=cfg["seed"], **cfg["policy"])
-
-
-def _expert_cfg(cfg):
-    return ExpertConfig(**cfg["expert"])
-
-
-def _train_cfg(cfg):
-    return tr.TrainConfig(seed=cfg["seed"], **cfg["train"])
-
-
 def _load_policy(cfg, ckpt_path):
     vocab = TrajectoryVocabulary.load(_require(_path(cfg, "vocab"), "build-vocab"))
-    policy = Policy(_policy_cfg(cfg), vocab, ControlVocabulary())
+    policy = Policy(policy_config(cfg), vocab, ControlVocabulary())
     policy.load(ckpt_path)
     return policy
 
@@ -63,7 +50,7 @@ def _load_policy(cfg, ckpt_path):
 
 
 def cmd_collect_demos(cfg, args):
-    out = ds.collect_demos(expand_suite(cfg, "train"), _expert_cfg(cfg), _policy_cfg(cfg),
+    out = ds.collect_demos(expand_suite(cfg, "train"), expert_config(cfg), policy_config(cfg),
                            ControlVocabulary(), subsample=cfg["demo_subsample"],
                            jobs=cfg["jobs"])
     ds.persist(out, _path(cfg, "demos"))
@@ -81,10 +68,10 @@ def cmd_build_vocab(cfg, args):
 
 
 def cmd_pretrain(cfg, args):
-    tcfg = _train_cfg(cfg)
+    tcfg = train_config(cfg)
     demos = ds.load(_require(_path(cfg, "demos"), "collect-demos"))
     vocab = TrajectoryVocabulary.load(_require(_path(cfg, "vocab"), "build-vocab"))
-    policy = Policy(_policy_cfg(cfg), vocab, ControlVocabulary())
+    policy = Policy(policy_config(cfg), vocab, ControlVocabulary())
     history = tr.pretrain(policy, demos, tcfg, progress=lambda m: print(m))
     policy.save(_path(cfg, "pretrained"),
                 extra_meta={"config_hash": config_hash(cfg)})
@@ -94,7 +81,7 @@ def cmd_pretrain(cfg, args):
 
 
 def cmd_postopt(cfg, args):
-    tcfg = _train_cfg(cfg)
+    tcfg = train_config(cfg)
     if args.rounds is not None:
         tcfg = dataclasses.replace(tcfg, rounds=args.rounds)
     ckpt = _require(_path(cfg, "pretrained"), "pretrain")
@@ -115,7 +102,7 @@ def cmd_postopt(cfg, args):
         return {"mean_ds": report.mean_ds, "sr": report.sr}
 
     out_dir = os.path.join(cfg["out_dir"], cfg["paths"]["postopt_dir"])
-    policy, reports = tr.post_optimize(policy, demos, suite, _expert_cfg(cfg),
+    policy, reports = tr.post_optimize(policy, demos, suite, expert_config(cfg),
                                        tcfg, out_dir, evaluate=evaluate,
                                        progress=lambda m: print(m), jobs=cfg["jobs"])
     policy.save(final, extra_meta={"config_hash": config_hash(cfg)})

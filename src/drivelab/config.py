@@ -120,13 +120,30 @@ def expand_suite(cfg, name):
                              speed_limit=sc["speed_limit"]) for k, s in items]
 
 
+def policy_config(cfg):
+    return PolicyConfig(init_seed=cfg["seed"], **cfg["policy"])
+
+
+def expert_config(cfg):
+    return ExpertConfig(**cfg["expert"])
+
+
+def train_config(cfg):
+    return TrainConfig(seed=cfg["seed"], **cfg["train"])
+
+
 def validate(cfg):
+    """Check a config before any command runs: suites, types, and every
+    section that builds a config class (which checks its own values), so
+    each command rejects what any command would."""
     train_seeds = {s.seed for s in expand_suite(cfg, "train")}
     test_seeds = {s.seed for s in expand_suite(cfg, "test")}
     overlap = train_seeds & test_seeds
     if overlap:
         raise ConfigError(f"train and test suites share seeds {sorted(overlap)}")
     _check_types(cfg, DEFAULT_CONFIG)
+    for build in (policy_config, expert_config, train_config):
+        build(cfg)
     return cfg
 
 

@@ -214,7 +214,7 @@ class _ShadowDriver:
     def act(self, w):
         final = self.neural.act(w)
         if self.takeover_left == 0 and self.suppress_left == 0:
-            ego_s = w.route.project(w.ego.x, w.ego.y)[0]
+            ego_s = w.ego_projection()[0]
             gap = abs(final.steer - xp.pure_pursuit_steer(w.route, w.ego,
                                                           self.expert_cfg.lookahead, ego_s))
             collides = xp.forecast_collision(w, self.expert_cfg.forecast_horizon) is not None

@@ -186,8 +186,8 @@ def _control_for(route, ego, ego_s, forecast, step, stop_served, cfg):
 def expert_command(w, cfg):
     """The expert's control for the current frame (no trajectory rollout):
     the command of expert_act's first rollout step."""
-    return _control_for(w.route, w.ego, w.route.project(w.ego.x, w.ego.y)[0],
-                        _Forecast(w, cfg, 1), 0, w.stop_line_served, cfg)
+    return _control_for(w.route, w.ego, w.ego_projection()[0], _Forecast(w, cfg, 1), 0,
+                        w.stop_line_served, cfg)
 
 
 def expert_act(w, cfg, control_vocab=None):
@@ -203,7 +203,7 @@ def expert_act(w, cfg, control_vocab=None):
     cos_h, sin_h = math.cos(w.ego.heading), math.sin(w.ego.heading)
     ox, oy = w.ego.x, w.ego.y
     waypoints = np.zeros((WAYPOINTS_PER_TRAJ, 2))
-    virt, ego_s = w.ego, None
+    virt, ego_s = w.ego, w.ego_projection()[0]
     for i in range(WAYPOINTS_PER_TRAJ):
         for j in range(steps_per_wp):
             step = i * steps_per_wp + j

@@ -29,6 +29,12 @@ class PolicyConfig:
     n_map: int = 16            # map token slots (N_m)
     init_seed: int = 0
 
+    def __post_init__(self):
+        for f in ("feature_dim", "k", "n_agents", "n_map"):
+            v = getattr(self, f)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"PolicyConfig.{f} must be an integer >= 1, got {v!r}")
+
 
 @dataclass
 class SceneSnapshot:
@@ -82,7 +88,7 @@ def encode_scene(world, cfg):
     agent_feats = np.array(agent_rows) if agent_rows else np.zeros((0, AGENT_FEATURES))
 
     route = world.route
-    ego_s, _ = route.project(ego.x, ego.y)
+    ego_s, _ = world.ego_projection()
     first_seg = route.segment_index(ego_s)
     points = route.points
     map_rows = []
@@ -112,8 +118,9 @@ def _mlp2(params, prefix, x):
     return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
-def _cross_attention(params, prefix, queries, keys, mask):
-    """Residual single-head cross-attention of queries over key tokens.
+def _cross_attention(params, prefix, queries, q, keys, mask):
+    """Residual single-head cross-attention of queries, whose projection
+    through `{prefix}.wq` is `q`, over key tokens.
 
     `mask` marks each sample's valid key slots (None: all valid), so a
     sample with no valid key gets exactly zero attention term. `keys` is None
@@ -121,7 +128,6 @@ def _cross_attention(params, prefix, queries, keys, mask):
     through unchanged."""
     if keys is None:
         return queries
-    q = queries @ params[f"{prefix}.wq"]
     k = keys @ params[f"{prefix}.wk"]
     v = keys @ params[f"{prefix}.wv"]
     return queries + scaled_dot_attention(q, k, v, mask)
@@ -142,9 +148,9 @@ def _pad(rows):
 
 
 def _batch_inputs(snapshots):
-    """The network's inputs from a list of B snapshots: (B, ...) agent and
-    map feats padded to the batch's largest agent and map counts, their
-    valid-slot masks, and the (B, 1, 7) command rows."""
+    """The network's inputs from a list of B snapshots: the (B, 1, 7)
+    command rows, and (B, ...) agent and map feats padded to the batch's
+    largest agent and map counts, each with its valid-slot mask."""
     cmd = np.array([s.cmd_onehot for s in snapshots], dtype=np.float64)
     # A row is one-hot exactly when it equals the one-hot row of its argmax.
     if cmd.shape[-1] != len(sim.COMMANDS) or not (
@@ -152,7 +158,7 @@ def _batch_inputs(snapshots):
         raise ValueError(f"cmd must be one-hot over {len(sim.COMMANDS)} categories")
     agents, agent_mask = _pad([s.agent_feats for s in snapshots])
     maps, map_mask = _pad([s.map_feats for s in snapshots])
-    return agents, agent_mask, maps, map_mask, cmd[:, None]
+    return cmd[:, None], agents, agent_mask, maps, map_mask
 
 
 class Policy:
@@ -172,6 +178,7 @@ class Policy:
         self.ctrl_vocab = ctrl_vocab or ControlVocabulary()
         self._posenc = positional_encoding(traj_vocab.flat())
         self.params = ad.ParameterStore(self._init_params())
+        self._memo_bits, self._memo = None, {}     # see _memoized_command_terms
 
     def _init_params(self):
         """(name, initial value) pairs, in the store's order."""
@@ -210,55 +217,97 @@ class Policy:
     # -- forward ----------------------------------------------------------
 
     @np.errstate(all="ignore")
-    def _network(self, params, snapshots):
-        """The policy's wiring, written once. The inputs and the positional
-        encoding are constants (plain arrays), so `params` alone picks the
-        path: `forward` passes the ParameterStore and gets a graph over its
-        Tensors, `infer` passes the store's name -> value view dict and gets
-        float64 arrays with the same values bit for bit and no graph.
+    def _command_terms(self, params, cmd):
+        """The part of the network that only the parameters and the (B, 1, 7)
+        command rows decide: the trajectory queries (`traj_base` plus the
+        embedded command and waypoint encodings) and the control queries,
+        each with its projection through the first cross-attention's `wq`.
+        Floating-point warnings are off, as in `_scene_terms`."""
+        e = params["traj_base"] \
+            + _mlp2(params, "cmd_mlp", cmd) \
+            + _mlp2(params, "pos_mlp", self._posenc)
+        queries = params["ctrl_base"] + np.zeros((len(cmd), 1, 1))
+        return (e, e @ params["traj_attn_agent.wq"],
+                queries, queries @ params["ctrl_attn_agent.wq"])
 
-        `snapshots` is a list of B SceneSnapshots; every output has a
-        leading batch axis of B, from one pass over token slots padded and
-        masked per sample.
+    @np.errstate(all="ignore")
+    def _scene_terms(self, params, command_terms, agents, agent_mask, maps, map_mask):
+        """The rest of the network: both branches attend from the command
+        terms over the embedded agent and map tokens, padded and masked per
+        sample, and score their candidates.
 
         Floating-point warnings are off while it runs: both paths raise
         NonFiniteError on the non-finite values that would warn (see
         `autodiff`), so neither warns first."""
-        agents, agent_mask, maps, map_mask, cmd = _batch_inputs(snapshots)
-        B = len(snapshots)
+        e, q_traj, queries, q_ctrl = command_terms
+        B = len(agents)
         agents = _mlp2(params, "agent_mlp", agents) if agents.shape[1] else None
         maps = _mlp2(params, "map_mlp", maps) if maps.shape[1] else None
 
         # Trajectory branch: a sigmoid score per candidate, then normalized.
-        e = params["traj_base"] \
-            + _mlp2(params, "cmd_mlp", cmd) \
-            + _mlp2(params, "pos_mlp", self._posenc)
-        e_agt = _cross_attention(params, "traj_attn_agent", e, agents, agent_mask)
-        e_map = _cross_attention(params, "traj_attn_map", e_agt, maps, map_mask)
+        e_agt = _cross_attention(params, "traj_attn_agent", e, q_traj, agents, agent_mask)
+        e_map = _cross_attention(params, "traj_attn_map", e_agt,
+                                 e_agt @ params["traj_attn_map.wq"], maps, map_mask)
         logits = _mlp2(params, "traj_head", ad.concat([e_agt, e_map]))
         scores = ad.sigmoid(logits.reshape(B, self.cfg.k))
         d_traj = ad.normalize(scores)
 
         # Control branch: a softmax per group (throttle, brake, steer), from
         # the learned queries, one copy per sample.
-        queries = params["ctrl_base"] + np.zeros((B, 1, 1))
-        e_agt = _cross_attention(params, "ctrl_attn_agent", queries, agents, agent_mask)
-        e_map = _cross_attention(params, "ctrl_attn_map", e_agt, maps, map_mask)
+        e_agt = _cross_attention(params, "ctrl_attn_agent", queries, q_ctrl, agents, agent_mask)
+        e_map = _cross_attention(params, "ctrl_attn_map", e_agt,
+                                 e_agt @ params["ctrl_attn_map.wq"], maps, map_mask)
         logits = _mlp2(params, "ctrl_head", ad.concat([e_agt, e_map]))
         flat = logits.reshape(B, self.ctrl_vocab.total)
         d_ctrl = tuple(ad.softmax(ad.narrow(flat, start, length))
                        for start, length in self.ctrl_vocab.group_slices)
         return {"traj_scores": scores, "d_traj": d_traj, "d_ctrl": d_ctrl}
 
+    def _network(self, params, snapshots):
+        """The policy's wiring, written once: `_command_terms`, then
+        `_scene_terms`. The inputs and the positional encoding are constants
+        (plain arrays), so `params` alone picks the path: `forward` passes
+        the ParameterStore and gets a graph over its Tensors, `predict`
+        passes the store's name -> value view dict and gets float64 arrays
+        with the same values bit for bit and no graph.
+
+        `snapshots` is a list of B SceneSnapshots; every output has a
+        leading batch axis of B, from one pass over token slots padded and
+        masked per sample."""
+        cmd, *scene = _batch_inputs(snapshots)
+        return self._scene_terms(params, self._command_terms(params, cmd), *scene)
+
     def forward(self, snapshots):
         """Full differentiable forward pass over a list of snapshots (see
         `_network`); returns Tensors for training."""
         return self._network(self.params, snapshots)
 
+    def predict(self, snapshots):
+        """`forward`'s outputs as plain arrays, bit for bit, with no graph:
+        for a pass that never calls `backward`."""
+        return self._network(self.params.arrays, snapshots)
+
+    def _memoized_command_terms(self, cmd):
+        """`_command_terms` of the parameters' values and one (1, 1, 7)
+        command row, computed once per row. The memo is keyed on the bits of
+        the flat value buffer, so any write to it (through a view,
+        `load_values` or an Adam step) starts a new one."""
+        bits = self.params.values.view(np.int64)
+        if not np.array_equal(bits, self._memo_bits):
+            self._memo_bits, self._memo = bits.copy(), {}
+        row = int(cmd.argmax())
+        if row not in self._memo:
+            terms = self._command_terms(self.params.arrays, cmd)
+            for t in terms:
+                t.flags.writeable = False
+            self._memo[row] = terms
+        return self._memo[row]
+
     def infer(self, snapshot):
         """One closed-loop tick: the network on plain arrays over a batch of
-        one, then the top-1 picks."""
-        out = self._network(self.params.arrays, [snapshot])
+        one, its command terms memoized, then the top-1 picks."""
+        cmd, *scene = _batch_inputs([snapshot])
+        out = self._scene_terms(self.params.arrays, self._memoized_command_terms(cmd), *scene)
         d_traj, d_ctrl = out["d_traj"][0], tuple(d[0] for d in out["d_ctrl"])
         traj_idx, ctrl_idx = sample_top1(d_traj, d_ctrl)
         throttle, brake, steer = self.ctrl_vocab.values(*ctrl_idx)
@@ -297,7 +346,10 @@ class PidTracker:
     """Converts a planned trajectory into a control command.
 
     Pure-pursuit steering toward the waypoint nearest a 4 m lookahead arc;
-    PI speed control against the trajectory-implied target speed.
+    PI speed control against the trajectory-implied target speed. Only the
+    integrator runs every tick: the steer and target speed of the last plan
+    are kept, keyed on the plan's bits and the wheelbase, and a closed-loop
+    plan (a vocabulary entry) rarely changes from one tick to the next.
     """
 
     KP = 0.5
@@ -307,9 +359,11 @@ class PidTracker:
 
     def __init__(self):
         self.integral = 0.0
+        self._plan_key = self._plan = None     # the last plan's key and geometry
 
-    def track(self, tau_plan, ego):
-        wps = np.asarray(tau_plan, dtype=np.float64)
+    def _plan_geometry(self, wps, wheelbase):
+        """(steer, target speed) of an (n, 2) plan, or None for a plan
+        whose waypoints all sit on the ego."""
         steps = wps.copy()
         steps[1:] -= wps[:-1]     # the first step runs from the ego
         # One np.hypot for the waypoint distances and the step lengths
@@ -317,16 +371,25 @@ class PidTracker:
         norms = np.hypot(*np.concatenate((wps, steps)).T).tolist()
         dists, lengths = norms[:len(wps)], norms[len(wps):]
         if max(dists) < 1e-6:
-            return sim.ControlCommand(throttle=0.0, brake=1.0, steer=0.0)
+            return None
 
         i = min(range(len(dists)), key=lambda j: abs(dists[j] - self.LOOKAHEAD))
         x, y = wps[i].tolist()
-        steer = sim.steer_toward(x, y, max(dists[i], 1e-6), ego.wheelbase)
+        steer = sim.steer_toward(x, y, max(dists[i], 1e-6), wheelbase)
 
         total = 0.0
         for length in lengths:    # left to right, as numpy sums six terms
             total += length
-        target_speed = total / len(lengths) / WAYPOINT_DT
+        return steer, total / len(lengths) / WAYPOINT_DT
+
+    def track(self, tau_plan, ego):
+        wps = np.asarray(tau_plan, dtype=np.float64)
+        key = (wps.tobytes(), ego.wheelbase)
+        if key != self._plan_key:
+            self._plan_key, self._plan = key, self._plan_geometry(wps, ego.wheelbase)
+        if self._plan is None:
+            return sim.ControlCommand(throttle=0.0, brake=1.0, steer=0.0)
+        steer, target_speed = self._plan
         err = target_speed - ego.speed
         self.integral = _clip(self.integral + err * sim.DT, self.INTEGRAL_CLAMP)
         u = self.KP * err + self.KI * self.integral

@@ -87,21 +87,22 @@ def kl_loss(target, predicted):
 
 
 def _log_prob(dist, idx, flags=None):
-    """ln dist[r, idx[r]] for each row r of a distribution Tensor (one index
-    for one (n,) distribution), as a (B,) Tensor. An underflowing entry is
-    clamped to the floor, a constant with no gradient, and its index is
-    appended to `flags`: the ln pi floor rule, for every loss and margin."""
+    """ln dist[r, idx[r]] for each row r of a distribution (one index for
+    one (n,) distribution), as a (B,) Tensor, or as a plain array with the
+    same floats for an array distribution. An underflowing entry is clamped
+    to the floor, a constant with no gradient, and its index is appended to
+    `flags`: the ln pi floor rule, for every loss and margin."""
     idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
-    p = dist.reshape(-1).take_rows(np.arange(len(idx)) * dist.shape[-1] + idx)
-    under = p.data < math.exp(LOGPROB_FLOOR)
+    p = ad.take_rows(dist.reshape(-1), np.arange(len(idx)) * dist.shape[-1] + idx)
+    under = ad.value(p) < math.exp(LOGPROB_FLOOR)
     if not under.any():
-        return p.log()
+        return ad.log(p)
     if flags is not None:
         flags.extend(idx[under].tolist())
     # ln(p * 0 + 1) + floor = floor on a clamped entry, and no gradient
     # reaches p there; a kept entry is ln(p * 1 + 0) + 0 = ln p exactly.
     clamped = under.astype(np.float64)
-    return (p * (1.0 - clamped) + clamped).log() + LOGPROB_FLOOR * clamped
+    return ad.log(p * (1.0 - clamped) + clamped) + LOGPROB_FLOOR * clamped
 
 
 def _log_sigmoid_const(x):
@@ -112,8 +113,9 @@ def _log_sigmoid_const(x):
 
 def _margin(dist, y_w, y_l, beta, flags=None):
     """The preference margin beta (ln pi(y_w) - ln pi(y_l)) per row of a
-    (B, n) distribution Tensor with per-row index arrays y_w and y_l, as a
-    (B,) Tensor; one (n,) distribution with two indices is a batch of one."""
+    (B, n) distribution with per-row index arrays y_w and y_l, as a (B,)
+    Tensor, or array for an array distribution (see `_log_prob`); one (n,)
+    distribution with two indices is a batch of one."""
     return (_log_prob(dist, y_w, flags) - _log_prob(dist, y_l, flags)) * beta
 
 
@@ -240,13 +242,14 @@ def _winners(policy, samples):
     return np.column_stack([traj, [s.ctrl_indices for s in samples]])
 
 
-def _preference_pairs(policy, samples):
+def _preference_pairs(policy, samples, network):
     """(distribution, y_w, y_l) per preference group (trajectory, throttle,
-    brake, steer) of a batch of takeover samples, from one forward pass;
-    y_l is each row's live argmax."""
-    out = policy.forward(samples)
+    brake, steer) of a batch of takeover samples, from one pass of
+    `network` (`policy.forward`, or `policy.predict` for a pass with no
+    graph); y_l is each row's live argmax."""
+    out = network(samples)
     y_w = _winners(policy, samples)
-    return [(dist, y_w[:, g], np.argmax(dist.data, axis=-1))
+    return [(dist, y_w[:, g], np.argmax(ad.value(dist), axis=-1))
             for g, dist in enumerate((out["d_traj"], *out["d_ctrl"]))]
 
 
@@ -254,19 +257,20 @@ def _pair_losses(policy, samples, cfg, flags=None):
     """Mean compensated preference loss of a batch of takeover samples over
     the four per-group pairs."""
     return _mean([_row_mean(po_from_dist(dist, y_w, y_l, cfg.beta, cfg.gamma, flags))
-                  for dist, y_w, y_l in _preference_pairs(policy, samples)])
+                  for dist, y_w, y_l in _preference_pairs(policy, samples, policy.forward)])
 
 
 def mean_margin(policy, samples, cfg):
     """Mean preference margin over all pairs of all samples, from the
-    preference loss's pass over batches of cfg.batch_size. Always <= 0;
-    larger is better."""
+    preference loss's pass over batches of cfg.batch_size, run with no
+    graph. Always <= 0; larger is better."""
     if not samples:
         return 0.0
     margins = []
     for start in range(0, len(samples), cfg.batch_size):
-        pairs = _preference_pairs(policy, samples[start:start + cfg.batch_size])
-        margins.append(np.column_stack([_margin(*pair, cfg.beta).data for pair in pairs]))
+        pairs = _preference_pairs(policy, samples[start:start + cfg.batch_size],
+                                  policy.predict)
+        margins.append(np.column_stack([_margin(*pair, cfg.beta) for pair in pairs]))
     return float(np.mean(np.concatenate(margins).ravel()))
 
 

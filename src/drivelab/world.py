@@ -394,7 +394,7 @@ class RouteFollower:
             if self.brake_at_s is not None and self.s >= self.brake_at_s:
                 self._phase, self._phase_t = "stopping", 0.0
             if self.merge_trigger_gap is not None:
-                ego_s, _ = world.route.project(world.ego.x, world.ego.y)
+                ego_s, _ = world.ego_projection()
                 if self.s - ego_s <= self.merge_trigger_gap:
                     self._phase, self._phase_t = "merging", 0.0
         elif self._phase == "stopping":
@@ -448,7 +448,7 @@ class CrossingWalker:
 
     def step(self, world, actor, dt):
         if not self.walking:
-            ego_s, _ = world.route.project(world.ego.x, world.ego.y)
+            ego_s, _ = world.ego_projection()
             if self.cross_s - ego_s <= self.trigger_gap:
                 self.walking = True
         if self.walking and self.offset > self.end_offset:
@@ -497,11 +497,22 @@ class World:
         self._off_road_active = False
         self._blocked_ticks = 0
         self._prev_s = 0.0
+        self._ego_memo = None     # see ego_projection
+
+    def ego_projection(self):
+        """The ego's route projection (s, lateral), computed once per ego
+        state. A hit needs the same EgoState holding the same x and y
+        objects, so a new ego, as each tick makes, or a coordinate assigned
+        anew is projected again."""
+        ego, memo = self.ego, self._ego_memo
+        if memo is None or memo[0] is not ego or memo[1] is not ego.x or memo[2] is not ego.y:
+            self._ego_memo = memo = (ego, ego.x, ego.y, self.route.project(ego.x, ego.y))
+        return memo[3]
 
     def leading_gap(self):
         """Distance along the route to the nearest actor ahead inside the
         forward lane corridor, or None beyond LEADING_GAP_RANGE."""
-        ego_s, _ = self.route.project(self.ego.x, self.ego.y)
+        ego_s, _ = self.ego_projection()
         best = None
         for a in self.actors:
             s_a, lat_a = self.route.project(a.x, a.y)
@@ -560,7 +571,7 @@ def advance_world(world, cmd):
         world.infractions.append(ev)
         tick_kinds.append(ev.kind)
 
-    s, lateral = world.route.project(world.ego.x, world.ego.y)
+    s, lateral = world.ego_projection()
     world.progress = max(world.progress, s)
 
     if abs(lateral) > 8.0:

@@ -147,6 +147,24 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "missing artifact" not in err
 
+    @pytest.mark.parametrize("override, message", [
+        ("train.po_lr=0", "TrainConfig.po_lr must be positive"),
+        ("policy.feature_dim=0", "PolicyConfig.feature_dim must be an integer >= 1, got 0"),
+        ("policy.k=-3", "PolicyConfig.k must be an integer >= 1, got -3"),
+        ("policy.n_agents=0", "PolicyConfig.n_agents must be an integer >= 1, got 0"),
+        ("policy.n_map=0", "PolicyConfig.n_map must be an integer >= 1, got 0"),
+        ("expert.lookahead=0", "ExpertConfig.lookahead must be positive"),
+    ])
+    @pytest.mark.parametrize("command", ["collect-demos", "build-vocab", "eval", "report"])
+    def test_bad_section_value_exits_1_under_every_command(
+            self, tmp_path, capsys, command, override, message):
+        """validate builds every config section, so each command rejects a
+        value that the commands using it would, before writing anything."""
+        out = tmp_path / "x"
+        assert cli.main(["--set", override, "--out-dir", str(out), command]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key", [("expert", "desired_sped"),
                                               ("scenario", "route_len")])
     def test_unknown_config_key_exits_1(self, tmp_path, capsys, section, key):

@@ -89,6 +89,35 @@ def test_tensors_are_built_only_in_autodiff():
     assert sites and all(module == "autodiff" for module, _ in sites), sites
 
 
+def _projects_the_ego(call):
+    """A call `<route>.project(<...>.ego.x, ...)` or `<route>.project(ego.x, ...)`."""
+    f = call.func
+    if not (isinstance(f, ast.Attribute) and f.attr == "project" and call.args):
+        return False
+    x = call.args[0]
+    if not (isinstance(x, ast.Attribute) and x.attr == "x"):
+        return False
+    owner = x.value
+    return (isinstance(owner, ast.Name) and owner.id == "ego") or (
+        isinstance(owner, ast.Attribute) and owner.attr == "ego")
+
+
+def test_one_ego_projection():
+    """`World.ego_projection` is the only code that projects the ego's
+    position onto the route; every other reader of the ego's arc length or
+    lateral offset shares its one projection per ego state."""
+    sites = []
+    for module, tree in _trees().items():
+        for top in tree.body:
+            is_class = isinstance(top, ast.ClassDef)
+            for member in top.body if is_class else [top]:
+                name = f"{top.name}.{getattr(member, 'name', '')}" if is_class \
+                    else getattr(top, "name", "")
+                sites += [f"{module}.{name}" for node in ast.walk(member)
+                          if isinstance(node, ast.Call) and _projects_the_ego(node)]
+    assert sites == ["world.World.ego_projection"], sites
+
+
 def _data_assignments(node):
     """Line numbers of the assignments to a `.data` attribute in `node`:
     plain, augmented or annotated targets (tuples unpacked) and

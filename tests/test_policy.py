@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -108,6 +109,13 @@ class TestForward:
         assert not np.array_equal(a.params["traj_base"].data,
                                   b.params["traj_base"].data)
 
+    @pytest.mark.parametrize("field", ["feature_dim", "k", "n_agents", "n_map"])
+    @pytest.mark.parametrize("bad", [0, -3, 1.5, True, "8"])
+    def test_config_sizes_are_integers_at_least_1(self, field, bad):
+        with pytest.raises(ValueError, match=f"PolicyConfig.{field} must be an integer >= 1"):
+            pol.PolicyConfig(**{field: bad})
+        assert getattr(pol.PolicyConfig(**{field: np.int64(1)}), field) == 1
+
     def test_vocab_size_mismatch_rejected(self):
         cfg = pol.PolicyConfig(feature_dim=16, k=8)
         with pytest.raises(ValueError):
@@ -189,6 +197,80 @@ class TestInferMatchesForward:
         assert len(built) == 0
         p.forward([snap])
         assert len(built) > 0
+
+
+class TestInferMemo:
+    """`infer` computes the network's command terms once per command row and
+    parameter state: its outputs equal a memo-free pass over the same batch
+    of one (`predict`), bit for bit, across all 7 commands and after any
+    change to the parameters' values."""
+
+    def _snaps(self):
+        rng = np.random.default_rng(21)
+        return [pol.SceneSnapshot(agent_feats=rng.normal(0, 3.0, (2, pol.AGENT_FEATURES)),
+                                  map_feats=rng.normal(0, 3.0, (5, pol.MAP_FEATURES)),
+                                  cmd_onehot=pol.command_onehot(c))
+                for c in sim.COMMANDS]
+
+    def _checked_outputs(self, p, snaps):
+        """infer's distributions per snapshot, each checked against the
+        memo-free pass."""
+        outs = []
+        for snap in snaps:
+            out, ref = p.infer(snap), p.predict([snap])
+            assert np.array_equal(out.d_traj, ref["d_traj"][0])
+            for got, want in zip(out.d_ctrl, ref["d_ctrl"]):
+                assert np.array_equal(got, want[0])
+            outs.append(np.concatenate([out.d_traj, *out.d_ctrl]))
+        return outs
+
+    def test_once_per_command_row(self, monkeypatch):
+        p = tiny_policy()
+        snaps = self._snaps()
+        computed = []
+        real = p._command_terms
+
+        def counting(params, cmd):
+            computed.append(int(cmd.argmax()))
+            return real(params, cmd)
+
+        monkeypatch.setattr(p, "_command_terms", counting)
+        first = [p.infer(snap) for snap in snaps]
+        again = [p.infer(snap) for snap in snaps[::-1]]
+        assert computed == list(range(len(sim.COMMANDS)))
+        for a, b in zip(again, first[::-1]):
+            assert np.array_equal(a.d_traj, b.d_traj)
+        monkeypatch.undo()
+        self._checked_outputs(p, snaps)
+        # The one-hot check still runs on a snapshot whose row is memoized.
+        bad = snaps[0]
+        bad.cmd_onehot = bad.cmd_onehot * 2.0
+        with pytest.raises(ValueError, match="one-hot"):
+            p.infer(bad)
+
+    @pytest.mark.parametrize("change", ["view write", "load_values", "adam step",
+                                        "unpickled copy"])
+    def test_parameter_change_starts_a_new_memo(self, change):
+        p = tiny_policy()
+        snaps = self._snaps()
+        before = self._checked_outputs(p, snaps)
+        if change == "view write":
+            p.params["cmd_mlp.w1"].data[0, 0] += 0.5
+            p.params["traj_attn_agent.wq"].data[1, 2] -= 0.5
+            p.params["ctrl_base"].data[0, 0] += 0.5
+        elif change == "load_values":
+            p.params.load_values(tiny_policy(seed=1).params.copy_values())
+        elif change == "adam step":
+            out = p.forward(snaps)
+            loss = (out["traj_scores"] * np.random.default_rng(0).normal(
+                size=out["traj_scores"].shape)).sum()
+            ad.backward(loss, p.params)
+            ad.Adam(p.params, lr=0.05).step()
+        else:
+            p = pickle.loads(pickle.dumps(p))
+            p.params["pos_mlp.b1"].data[:] += 0.5
+        after = self._checked_outputs(p, snaps)
+        assert all(not np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def random_batch(rng, size):
@@ -307,6 +389,27 @@ class TestPidTracker:
             assert pid.integral == integral
             assert (cmd.throttle, cmd.brake, cmd.steer) == (
                 min(max(u, 0.0), 1.0), min(max(-u, 0.0), 1.0), steer)
+
+    def test_memoized_tracker_matches_fresh_ones(self):
+        """A tracker keeps its last plan's geometry, keyed on the plan's bits
+        and the wheelbase, never on a vocabulary index: along a stub plan
+        sequence (plans repeated and alternating, a new plan every tick as
+        an expert clone sends, a degenerate plan, a second wheelbase) one
+        tracker gives the commands and integrator of a fresh tracker per
+        tick."""
+        rng = np.random.default_rng(5)
+        vocab_plans = [rng.normal(0, 3.0, size=(6, 2)) for _ in range(4)]
+        plans = [vocab_plans[int(i)] for i in rng.integers(0, 4, 200) for _ in range(i % 3 + 1)]
+        plans += [rng.normal(0, 3.0, size=(6, 2)) for _ in range(50)]
+        plans += [np.zeros((6, 2)), vocab_plans[0] * -1.0, vocab_plans[0]]
+        memoized = pol.PidTracker()
+        for t, plan in enumerate(plans):
+            ego = sim.EgoState(speed=float(rng.uniform(0.0, 10.0)),
+                               wheelbase=2.8 if t % 3 else 3.1)
+            fresh = pol.PidTracker()
+            fresh.integral = memoized.integral
+            assert memoized.track(plan.copy(), ego) == fresh.track(plan, ego)
+            assert memoized.integral == fresh.integral
 
     def test_overspeed_brakes(self):
         pid = pol.PidTracker()

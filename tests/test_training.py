@@ -636,28 +636,29 @@ def test_nan_waypoints_rejected_by_both_losses():
 
 class TestMeanMargin:
     def test_floor_and_forward_agreement(self, monkeypatch):
-        # forward, patched, gives every brake winner probability 1e-30: those
-        # pairs must use the floor, the other pairs _log_prob on the rows of
-        # the same batched pass (5 samples in batches of 2: three passes)
+        # The graph-free pass mean_margin runs (predict), patched, gives
+        # every brake winner probability 1e-30: those pairs must use the
+        # floor, the other pairs the graph's _log_prob on the rows of the
+        # same batched pass (5 samples in batches of 2: three passes)
         policy = tiny_policy(seed=3)
         cfg = tr.TrainConfig(batch_size=2)
         rng = np.random.default_rng(6)
         samples = [make_takeover(rng, seg=f"s{i}") for i in range(5)]
         for s in samples:
             s.ctrl_indices = (s.ctrl_indices[0], 0, s.ctrl_indices[2])
-        real_forward = policy.forward
+        real_predict = policy.predict
 
-        def forward(batch):
-            out = real_forward(batch)
+        def predict(batch):
+            out = real_predict(batch)
             throttle, _, steer = out["d_ctrl"]
-            out["d_ctrl"] = (throttle, Tensor(np.tile([1e-30, 1.0], (len(batch), 1))), steer)
+            out["d_ctrl"] = (throttle, np.tile([1e-30, 1.0], (len(batch), 1)), steer)
             return out
 
-        monkeypatch.setattr(policy, "forward", forward)
+        monkeypatch.setattr(policy, "predict", predict)
         expected = []
         for start in range(0, len(samples), cfg.batch_size):
             batch = samples[start:start + cfg.batch_size]
-            out = forward(batch)
+            out = predict(batch)
             for r, s in enumerate(batch):
                 winners = (nearest(policy.traj_vocab, s.traj_waypoints), *s.ctrl_indices)
                 for group, (dist, y_w) in enumerate(zip((out["d_traj"], *out["d_ctrl"]),
@@ -665,7 +666,7 @@ class TestMeanMargin:
                     if group == 2:  # brake: ln pi(y_w) floored, ln pi(y_l) = ln 1 = 0
                         expected.append(cfg.beta * (tr.LOGPROB_FLOOR - 0.0))
                         continue
-                    row = Tensor(dist.data[r])
+                    row = Tensor(dist[r])
                     y_l = int(np.argmax(row.data))
                     expected.append(cfg.beta * (tr._log_prob(row, y_w).data.item()
                                                 - tr._log_prob(row, y_l).data.item()))

@@ -131,6 +131,34 @@ class TestRoute:
             sim.Route([[0, 0], [1, 0]], ["Teleport"])
 
 
+class TestEgoProjection:
+    """`World.ego_projection` is `route.project` of the ego's position,
+    computed once per ego state."""
+
+    @pytest.mark.parametrize("kind", sim.SCENARIO_KINDS)
+    def test_equals_project_after_every_tick(self, kind):
+        from drivelab import expert as xp
+        cfg = xp.ExpertConfig()
+        w = sim.reset(sim.ScenarioSpec(kind, 3))
+        while True:
+            assert w.ego_projection() == w.route.project(w.ego.x, w.ego.y)
+            if w.done or w.tick >= 300:
+                break
+            sim.advance_world(w, xp.expert_command(w, cfg))
+
+    def test_a_new_ego_or_coordinate_is_projected_again(self):
+        w = sim.reset(sim.ScenarioSpec("EmergencyBrake", 0))
+        start = w.ego_projection()
+        w.ego = sim.EgoState(x=30.0, y=1.0, heading=0.1)
+        assert w.ego_projection() == w.route.project(30.0, 1.0) != start
+        w.ego.x = 40.0
+        assert w.ego_projection() == w.route.project(40.0, 1.0)
+        w.ego.y = -1.5
+        assert w.ego_projection() == w.route.project(40.0, -1.5)
+        w.ego = sim.EgoState(x=40.0, y=-1.5)
+        assert w.ego_projection() == w.route.project(40.0, -1.5)
+
+
 def scan_project(route, x, y):
     """Reference projection: the closest point over every segment, the
     first segment winning a tie (numpy's argmin)."""
