@@ -33,10 +33,8 @@ class DemoSample(SceneSnapshot):
 
 @dataclass
 class TakeoverSample(DemoSample):
+    """A takeover tick and the expert's label, no policy output: pairs are rebuilt live."""
     trigger: str = "collision"       # collision | threshold (segment-level, first frame)
-    steer_gap: float = 0.0
-    policy_traj_index: int = -1      # diagnostic only; preference pairs are rebuilt live
-    policy_ctrl_indices: tuple = (-1, -1, -1)
     segment_id: str = ""
     round_index: int = 0
     ego_speed: float = 0.0
@@ -202,8 +200,7 @@ class _ShadowDriver:
     steer (its command's steer), hands control to the expert for
     TAKEOVER_TICKS ticks, after which triggers are suppressed for
     SUPPRESS_TICKS ticks. Each takeover tick is kept as (tick, segment,
-    snapshot, policy output, expert label); a segment is (id, trigger,
-    steer gap)."""
+    snapshot, expert label); a segment is (id, trigger)."""
 
     def __init__(self, policy, expert_cfg, round_index, eps_steer):
         self.neural = NeuralDriver(policy)
@@ -222,11 +219,10 @@ class _ShadowDriver:
             if trigger is not None:
                 self.takeover_left = TAKEOVER_TICKS
                 self.segments.append((f"{scenario_id(w.spec)}/r{self.round_index}"
-                                      f"/s{len(self.segments) + 1}", trigger, gap))
+                                      f"/s{len(self.segments) + 1}", trigger))
         if self.takeover_left > 0:
             label = xp.expert_act(w, self.expert_cfg, self.neural.policy.ctrl_vocab)
-            self.takeovers.append(
-                (w.tick, self.segments[-1], self.neural.snap, self.neural.out, label))
+            self.takeovers.append((w.tick, self.segments[-1], self.neural.snap, label))
             self.takeover_left -= 1
             if self.takeover_left == 0:
                 self.suppress_left = SUPPRESS_TICKS
@@ -244,19 +240,16 @@ def _shadow_episode(spec, policy, expert_cfg, round_index, eps_steer):
     driver = _ShadowDriver(policy, expert_cfg, round_index, eps_steer)
     trace = run_episode(driver, spec).trace
     samples = []
-    for tick, (seg_id, trig, gap), snap, out, label in driver.takeovers:
+    for tick, (seg_id, trig), snap, label in driver.takeovers:
         frame = trace[tick]
         samples.append(TakeoverSample(
             **vars(snap), traj_waypoints=label.waypoints,
             ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
             scenario_id=scenario_id(spec), time=frame.time,
-            trigger=trig, steer_gap=gap,
-            policy_traj_index=out.traj_index,
-            policy_ctrl_indices=out.ctrl_indices,
-            segment_id=seg_id, round_index=round_index,
+            trigger=trig, segment_id=seg_id, round_index=round_index,
             ego_speed=frame.ego[3], infraction_kinds=tuple(frame.infractions),
             truncated=driver.takeover_left > 0 and seg_id == driver.segments[-1][0]))
-    return samples, {k: sum(t == k for _, t, _ in driver.segments) for k in TRIGGERS}
+    return samples, {k: sum(t == k for _, t in driver.segments) for k in TRIGGERS}
 
 
 def run_shadow_collection(policy, suite, expert_cfg, round_index, eps_steer=EPS_STEER,

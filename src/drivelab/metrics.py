@@ -67,24 +67,24 @@ class NeuralDriver:
 
     Shadow-mode takeover collection and closed-loop evaluation both drive
     through this class, so the policy that triggers takeovers is exactly the
-    one that is scored. The last tick's scene snapshot and policy output stay
-    on the driver as `snap` and `out`. A NonFiniteError from the policy
-    names the scenario and tick it happened at."""
+    one that is scored. The last tick's scene snapshot stays on the driver
+    as `snap`. A NonFiniteError from the policy names the scenario and tick
+    it happened at."""
 
     def __init__(self, policy, creep_enabled=True):
         self.policy = policy
         self.pid = PidTracker()
         self.creep = SafetyCreep(enabled=creep_enabled)
-        self.snap = self.out = None
+        self.snap = None
 
     def act(self, world):
         self.snap = encode_scene(world, self.policy.cfg)
         try:
-            self.out = self.policy.infer(self.snap)
+            out = self.policy.infer(self.snap)
         except NonFiniteError as e:
             raise NonFiniteError(f"{scenario_id(world.spec)} tick {world.tick}: {e}")
-        c_traj = self.pid.track(self.out.tau_plan, world.ego)
-        cmd = ensemble(self.out.c_ctrl, c_traj)
+        c_traj = self.pid.track(out.tau_plan, world.ego)
+        cmd = ensemble(out.c_ctrl, c_traj)
         override = self.creep.update(world, cmd.steer)
         return override if override is not None else cmd
 

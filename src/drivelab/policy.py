@@ -19,6 +19,7 @@ from .vocab import ControlVocabulary, WAYPOINT_DT
 AGENT_FEATURES = 7      # rel x, rel y, sin/cos rel heading, speed, length, width
 MAP_FEATURES = 12       # midpoint x/y, sin/cos direction, distance, 7 command one-hot
 POS_FREQS = (0.05, 0.2, 0.8, 3.2)
+SIZE_FIELDS = ("feature_dim", "k", "n_agents", "n_map")   # checked, and stamped in checkpoints
 
 
 @dataclass
@@ -30,7 +31,7 @@ class PolicyConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        for f in ("feature_dim", "k", "n_agents", "n_map"):
+        for f in SIZE_FIELDS:
             v = getattr(self, f)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"PolicyConfig.{f} must be an integer >= 1, got {v!r}")
@@ -320,8 +321,7 @@ class Policy:
 
     def save(self, path, extra_meta=None):
         meta = {"vocab_hash": self.traj_vocab.hash(),
-                "feature_dim": self.cfg.feature_dim, "k": self.cfg.k,
-                "n_agents": self.cfg.n_agents, "n_map": self.cfg.n_map}
+                **{f: getattr(self.cfg, f) for f in SIZE_FIELDS}}
         meta.update(extra_meta or {})
         ad.save_checkpoint(path, self.params, meta=meta)
 
@@ -331,6 +331,10 @@ class Policy:
             raise ValueError(
                 f"{path}: checkpoint vocabulary hash {meta.get('vocab_hash')} does not "
                 f"match the loaded vocabulary {self.traj_vocab.hash()}")
+        for f in SIZE_FIELDS:
+            if meta.get(f) != str(getattr(self.cfg, f)):
+                raise ValueError(f"{path}: checkpoint {f} {meta.get(f)} does not match "
+                                 f"the policy's {getattr(self.cfg, f)}")
         self.params.load_values(values)
         return meta
 

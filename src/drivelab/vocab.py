@@ -100,6 +100,8 @@ class TrajectoryVocabulary:
                     rows.append((rec["index"], rec["waypoints"]))
                 except (json.JSONDecodeError, KeyError) as e:
                     raise ValueError(f"{path}:{lineno}: malformed vocabulary line ({e})")
+        if sorted(i for i, _ in rows if type(i) is int) != list(range(len(rows))):
+            raise ValueError(f"{path}: vocabulary indices are not 0..{len(rows) - 1}, each once")
         rows.sort()
         return cls(np.array([w for _, w in rows]))
 

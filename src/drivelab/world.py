@@ -369,20 +369,20 @@ class RouteFollower:
     """Actor that rides the route profile: cruise, optional brake/stop/resume,
     optional lateral merge from an adjacent lane."""
 
+    MERGE_DURATION = 4.0    # seconds from the merge trigger to the lane centre
+
     def __init__(self, route, s0, cruise, brake_at_s=None, stop_duration=0.0,
                  resume_speed=None, lateral0=0.0, merge_trigger_gap=None,
-                 merge_duration=4.0, slow_speed=None, slow_duration=0.0):
+                 slow_speed=None, slow_duration=0.0):
         self.route = route
         self.s = s0
         self.speed = cruise
-        self.cruise = cruise
         self.brake_at_s = brake_at_s
         self.stop_duration = stop_duration
         self.resume_speed = cruise if resume_speed is None else resume_speed
         self.lateral = lateral0
         self.lateral0 = lateral0
         self.merge_trigger_gap = merge_trigger_gap
-        self.merge_duration = merge_duration
         self.slow_speed = slow_speed
         self.slow_duration = slow_duration
         self._phase = "cruise"
@@ -407,7 +407,7 @@ class RouteFollower:
         elif self._phase == "resuming":
             self.speed = min(self.resume_speed, self.speed + 2.0 * dt)
         elif self._phase == "merging":
-            frac = min(1.0, self._phase_t / self.merge_duration)
+            frac = min(1.0, self._phase_t / self.MERGE_DURATION)
             self.lateral = self.lateral0 * 0.5 * (1.0 + math.cos(math.pi * frac))
             if self.slow_speed is not None:
                 self.speed = self.slow_speed
@@ -693,8 +693,8 @@ def reset(spec):
         trigger = 22.0 + rng.uniform(-3.0, 3.0)
         slow = 4.5 + rng.uniform(-0.5, 0.5)
         script = RouteFollower(route, s0, slow, lateral0=3.5,
-                               merge_trigger_gap=trigger, merge_duration=4.0,
-                               slow_speed=slow, slow_duration=5.0, resume_speed=7.5)
+                               merge_trigger_gap=trigger, slow_speed=slow,
+                               slow_duration=5.0, resume_speed=7.5)
         x, y, h = route.point_at(s0)
         actors.append(ActorState(x - math.sin(h) * 3.5, y + math.cos(h) * 3.5,
                                  h, slow, 4.5, 1.9, "vehicle", script, 1))

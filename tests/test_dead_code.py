@@ -4,6 +4,29 @@ Every top-level function, class, method (dunders excepted) and module
 constant must be referenced somewhere in the package besides its own
 definition: as a loaded name, an attribute, or an imported name.
 
+No state is written that nothing reads, and no parameter has one value:
+
+- every dataclass field declared in the package, and every `self.name`
+  a package class assigns, is read by attribute name (`x.name` loaded, or
+  `getattr(x, "name")`); constructor keywords, assignments and generic
+  `fields()`/`vars()` walks, like `dataset.persist`'s, do not count;
+- every defaulted parameter of a package function or method has a call
+  that passes it a value other than its default (a class call counts for
+  `__init__`, `partial(f, ...)` as a call of `f`).
+
+Readers and callers are searched in `src/drivelab`, `demos/`, `perfbench/`
+and `tests/`. The tests count because some package code exists for them:
+`tests/test_policy.py` compares `infer`'s `PolicyOutput.d_traj` and `d_ctrl`
+bit for bit with the memo-free pass, the only check of the `infer` memo,
+and `cli.main(argv)` and `step_kinematics(c_drag)` are test seams. Only
+tests read `PolicyOutput.traj_index` or pass `collect_demos`'s
+`max_infraction_rate` and `dataset.load`'s `expect_vocab_hash`.
+
+Matching is by bare name, as in the reference check, so a dead field or
+attribute that shares its name with a live one (`PolicyOutput.ctrl_indices`
+and `DemoSample.ctrl_indices`), or a parameter of a method that shares its
+name with another, can pass unseen.
+
 The package also has one episode loop: `metrics.run_episode` is the only
 function that builds or steps a world.
 """
@@ -11,7 +34,9 @@ function that builds or steps a world.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drivelab"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "drivelab"
+READERS = (PACKAGE, REPO / "demos", REPO / "perfbench", REPO / "tests")
 
 
 def _definitions(module, tree):
@@ -64,10 +89,8 @@ def call_sites(name):
     for module, tree in _trees().items():
         for top in tree.body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
-                        sites.append((module, getattr(top, "name", None)))
+                if isinstance(node, ast.Call) and _callee(node.func) == name:
+                    sites.append((module, getattr(top, "name", None)))
     return sites
 
 
@@ -118,20 +141,14 @@ def test_one_ego_projection():
     assert sites == ["world.World.ego_projection"], sites
 
 
-def _data_assignments(node):
-    """Line numbers of the assignments to a `.data` attribute in `node`:
-    plain, augmented or annotated targets (tuples unpacked) and
-    `setattr(x, "data", ...)`."""
+def _assignment_targets(node):
+    """Every plain, augmented or annotated assignment target in `node`,
+    tuples and starred targets unpacked."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Assign):
             targets = list(sub.targets)
         elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
             targets = [sub.target]
-        elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-              and sub.func.id == "setattr" and len(sub.args) > 1
-              and isinstance(sub.args[1], ast.Constant) and sub.args[1].value == "data"):
-            yield sub.lineno
-            continue
         else:
             continue
         while targets:
@@ -140,8 +157,21 @@ def _data_assignments(node):
                 targets.extend(t.elts)
             elif isinstance(t, ast.Starred):
                 targets.append(t.value)
-            elif isinstance(t, ast.Attribute) and t.attr == "data":
-                yield t.lineno
+            else:
+                yield t
+
+
+def _data_assignments(node):
+    """Line numbers of the assignments to a `.data` attribute in `node`:
+    assignment targets and `setattr(x, "data", ...)`."""
+    for t in _assignment_targets(node):
+        if isinstance(t, ast.Attribute) and t.attr == "data":
+            yield t.lineno
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                and sub.func.id == "setattr" and len(sub.args) > 1
+                and isinstance(sub.args[1], ast.Constant) and sub.args[1].value == "data"):
+            yield sub.lineno
 
 
 def test_parameter_values_are_never_rebound():
@@ -159,3 +189,146 @@ def test_parameter_values_are_never_rebound():
                                            != "__init__"], type_ignores=[])
             sites += [f"{module}.py:{line}" for line in _data_assignments(top)]
     assert not sites, f"assignments to .data outside ParameterStore: {sites}"
+
+
+def _reader_trees():
+    return [ast.parse(p.read_text(), filename=str(p))
+            for d in READERS for p in sorted(d.glob("*.py"))]
+
+
+def _attribute_reads(trees):
+    """Every name read as an attribute: `x.name` in a load context, or
+    `getattr(x, "name", ...)` with a constant name."""
+    reads = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                reads.add(node.args[1].value)
+    return reads
+
+
+def _is_dataclass(cls):
+    return any(_callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _classes():
+    return [top for tree in _trees().values() for top in tree.body
+            if isinstance(top, ast.ClassDef)]
+
+
+def _dataclass_fields():
+    """(Class.field, field) of every field a src/drivelab dataclass declares."""
+    for cls in _classes():
+        if _is_dataclass(cls):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{cls.name}.{item.target.id}", item.target.id
+
+
+def _self_attributes():
+    """(Class.attr, attr) of every `self.attr` a src/drivelab class assigns."""
+    for cls in _classes():
+        names = {t.attr for t in _assignment_targets(cls) if isinstance(t, ast.Attribute)
+                 and isinstance(t.value, ast.Name) and t.value.id == "self"}
+        yield from ((f"{cls.name}.{name}", name) for name in names)
+
+
+def unread(definitions):
+    """The qualified names of `definitions` that no reader reads."""
+    reads = _attribute_reads(_reader_trees())
+    return sorted(qual for qual, name in definitions if name not in reads)
+
+
+def _defaulted_parameters():
+    """(label, callee name, call position or None, parameter, default) of
+    every defaulted parameter of a src/drivelab function or method. A class
+    call is a call of its `__init__`; a method's position skips its first
+    parameter."""
+    for tree in _trees().values():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                members = [(top.name, top.name, top, 0)]
+            elif isinstance(top, ast.ClassDef):
+                members = [(f"{top.name}.{f.name}",
+                            top.name if f.name == "__init__" else f.name, f, 1)
+                           for f in top.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            for label, callee, f, skip in members:
+                positional = f.args.posonlyargs + f.args.args
+                first = len(positional) - len(f.args.defaults)
+                for i, (arg, default) in enumerate(zip(positional[first:], f.args.defaults)):
+                    yield label, callee, first + i - skip, arg.arg, default
+                for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+                    if default is not None:
+                        yield label, callee, None, arg.arg, default
+
+
+def _callee(func):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _calls(trees):
+    """callee name -> [(positional args, keywords)] of every call in `trees`;
+    `partial(f, ...)` is a call of `f`."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if _callee(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            calls.setdefault(_callee(func), []).append((args, node.keywords))
+    return calls
+
+
+def _same_value(a, b):
+    try:
+        return ast.literal_eval(a) == ast.literal_eval(b)
+    except ValueError:
+        return ast.dump(a) == ast.dump(b)
+
+
+def _passes_other(args, keywords, position, name, default):
+    """Whether a call gives the parameter a value other than its default;
+    a starred argument or `**` mapping that may reach it counts."""
+    for kw in keywords:
+        if kw.arg is None or (kw.arg == name and not _same_value(kw.value, default)):
+            return True
+    if position is None:
+        return False
+    for i, a in enumerate(args[:position + 1]):
+        if isinstance(a, ast.Starred):
+            return True
+        if i == position:
+            return not _same_value(a, default)
+    return False
+
+
+def defaults_never_overridden():
+    calls = _calls(_reader_trees())
+    return sorted(f"{label}({name})"
+                  for label, callee, position, name, default in _defaulted_parameters()
+                  if not any(_passes_other(args, kws, position, name, default)
+                             for args, kws in calls.get(callee, [])))
+
+
+def test_every_dataclass_field_is_read():
+    dead = unread(_dataclass_fields())
+    assert not dead, f"dataclass fields never read by attribute name: {dead}"
+
+
+def test_every_attribute_is_read():
+    dead = unread(_self_attributes())
+    assert not dead, f"attributes assigned on self but never read: {dead}"
+
+
+def test_every_default_is_overridden():
+    dead = defaults_never_overridden()
+    assert not dead, f"defaulted parameters no call gives another value: {dead}"

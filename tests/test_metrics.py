@@ -240,7 +240,7 @@ def test_closed_loop_tick_golden(tmp_path):
         policy, [sim.ScenarioSpec("Merging", 0, route_length=40.0)])
     digests = [hashlib.sha256((tmp_path / "takeover.jsonl").read_bytes()).hexdigest(),
                hashlib.sha256(report.to_json().encode()).hexdigest()]
-    assert digests == ["0172a0388b076806fffd4a95ef6cd987065dd5d58a19f9245348a634569e6f50",
+    assert digests == ["e1427ec31604743045beaa06d115ed3c395b32b96dbffe7b0ea9bdf89e1ef065",
                        "2a1ebdf6edb623f9bc6d1bcdbbacb2bc94bb7d940f4010764f2468022d689418"]
 
 

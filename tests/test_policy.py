@@ -492,6 +492,20 @@ class TestPersistence:
         with pytest.raises(ValueError, match="hash"):
             other.load(tmp_path / "p.ckpt")
 
+    def test_size_mismatch_rejected(self, tmp_path):
+        """A checkpoint stamped with other token slot counts is refused by
+        name and both values, and the policy keeps its parameters."""
+        p = tiny_policy()
+        p.save(tmp_path / "p.ckpt")
+        other = pol.Policy(pol.PolicyConfig(**{**vars(p.cfg), "n_map": 4}),
+                           p.traj_vocab, p.ctrl_vocab)
+        before = other.params.copy_values()
+        with pytest.raises(ValueError, match=f"n_map {p.cfg.n_map} does not match "
+                                             "the policy's 4"):
+            other.load(tmp_path / "p.ckpt")
+        after = other.params.copy_values()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
     def test_checkpoint_lacking_a_parameter_rejected(self, tmp_path):
         p = tiny_policy()
         path = tmp_path / "p.ckpt"

@@ -162,8 +162,6 @@ class TestPreferenceLosses:
         cfg = tr.TrainConfig()
         rng = np.random.default_rng(1)
         sample = make_takeover(rng)
-        sample.policy_traj_index = -999          # the stored argmax is ignored
-        sample.policy_ctrl_indices = (-999, -999, -999)
         loss = tr._pair_losses(policy, [sample], cfg)
         out = forward_row(policy, sample)
         winners = (nearest(policy.traj_vocab, sample.traj_waypoints),

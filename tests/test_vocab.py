@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,15 @@ class TestTrajectoryVocabulary:
         path = tmp_path / "v.jsonl"
         path.write_text('{"index": 0, "waypoints": [0,0,0,0,0,0,0,0,0,0,0,0]}\nnot json\n')
         with pytest.raises(ValueError, match=":2"):
+            vocab.TrajectoryVocabulary.load(path)
+
+    @pytest.mark.parametrize("indices", [(0, 1, 1), (0, 1, 3), (0, 1, 2.0)],
+                             ids=["duplicate", "gap", "float"])
+    def test_indices_must_be_0_to_n(self, tmp_path, indices):
+        path = tmp_path / "v.jsonl"
+        path.write_text("".join(json.dumps({"index": i, "waypoints": [float(i)] * 12}) + "\n"
+                                for i in indices))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: vocabulary indices are not 0..2")):
             vocab.TrajectoryVocabulary.load(path)
 
     def test_hash_sensitive_to_any_change(self):
