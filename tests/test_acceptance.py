@@ -165,7 +165,6 @@ def _stub_output(tau_plan, c_ctrl):
     return PolicyOutput(d_traj=np.full(4, 0.25),
                         d_ctrl=(np.full(5, 0.2), np.full(2, 0.5),
                                 np.full(9, 1.0 / 9.0)),
-                        traj_index=0, ctrl_indices=(4, 0, 4),
                         tau_plan=tau_plan, c_ctrl=c_ctrl)
 
 

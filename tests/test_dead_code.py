@@ -16,16 +16,16 @@ No state is written that nothing reads, and no parameter has one value:
 
 Readers and callers are searched in `src/drivelab`, `demos/`, `perfbench/`
 and `tests/`. The tests count because some package code exists for them:
-`tests/test_policy.py` compares `infer`'s `PolicyOutput.d_traj` and `d_ctrl`
-bit for bit with the memo-free pass, the only check of the `infer` memo,
-and `cli.main(argv)` and `step_kinematics(c_drag)` are test seams. Only
-tests read `PolicyOutput.traj_index` or pass `collect_demos`'s
-`max_infraction_rate` and `dataset.load`'s `expect_vocab_hash`.
+`tests/test_policy.py` and `tests/test_metrics.py` compare `infer`'s
+`PolicyOutput.d_traj` and `d_ctrl` bit for bit with the memo-free pass,
+the only check of the `infer` memos, and `cli.main(argv)` and
+`step_kinematics(c_drag)` are test seams. Only tests pass
+`collect_demos`'s `max_infraction_rate` and `dataset.load`'s
+`expect_vocab_hash`.
 
 Matching is by bare name, as in the reference check, so a dead field or
-attribute that shares its name with a live one (`PolicyOutput.ctrl_indices`
-and `DemoSample.ctrl_indices`), or a parameter of a method that shares its
-name with another, can pass unseen.
+attribute that shares its name with a live one, or a parameter of a method
+that shares its name with another, can pass unseen.
 
 The package also has one episode loop: `metrics.run_episode` is the only
 function that builds or steps a world.

@@ -244,6 +244,43 @@ def test_closed_loop_tick_golden(tmp_path):
                        "2a1ebdf6edb623f9bc6d1bcdbbacb2bc94bb7d940f4010764f2468022d689418"]
 
 
+class _InferCheckDriver:
+    """The expert drives, except for a full-brake hold of `hold` ticks once
+    the ego is back on LaneFollow after an overtake; every tick checks
+    `infer` on the encoded scene against the memo-free `predict`."""
+
+    def __init__(self, policy, hold):
+        self.policy, self.hold = policy, hold
+        self.cfg = xp.ExpertConfig()
+        self.rows, self.hits, self.last = [], 0, None
+
+    def act(self, w):
+        snap = pol.encode_scene(w, self.policy.cfg)
+        out, ref = self.policy.infer(snap), self.policy.predict([snap])
+        assert np.array_equal(out.d_traj, ref["d_traj"][0])
+        for got, want in zip(out.d_ctrl, ref["d_ctrl"]):
+            assert np.array_equal(got, want[0])
+        self.hits += out is self.last
+        self.last = out
+        self.rows.append(int(snap.cmd_onehot.argmax()))
+        if len(set(self.rows)) >= 3 and self.rows[-1] == 3 and self.hold > 0:
+            self.hold -= 1
+            return sim.ControlCommand(brake=1.0)
+        return xp.expert_command(w, self.cfg)
+
+
+def test_infer_equals_predict_through_command_switches_and_a_standstill():
+    """A 120 m Overtaking episode: the expert's lane changes switch the
+    command row, then a full-brake hold stops the ego behind nothing, where
+    a bit-equal snapshot reuses the last output. `infer` equals `predict`
+    bit for bit on every tick."""
+    driver = _InferCheckDriver(_tiny_policy(), hold=60)
+    result = bench.run_episode(driver, sim.ScenarioSpec("Overtaking", 0, route_length=120.0))
+    assert result.termination == "completed"
+    assert len(set(driver.rows)) >= 3
+    assert driver.hold == 0 and driver.hits >= 1
+
+
 MAP_SUITE = [sim.ScenarioSpec("EmergencyBrake", 0, route_length=40.0),
              sim.ScenarioSpec("Merging", 0, route_length=40.0)]
 

@@ -90,9 +90,8 @@ class TestForward:
     def test_infer_picks_argmax_and_vocab_entry(self):
         p = tiny_policy()
         out = p.infer(snapshot_from())
-        assert out.traj_index == int(np.argmax(out.d_traj))
-        assert np.array_equal(out.tau_plan, p.traj_vocab.centers[out.traj_index])
-        t, b, s = out.ctrl_indices
+        traj_index, (t, b, s) = pol.sample_top1(out.d_traj, out.d_ctrl)
+        assert np.array_equal(out.tau_plan, p.traj_vocab.centers[traj_index])
         assert out.c_ctrl.throttle == p.ctrl_vocab.throttle[t]
         assert out.c_ctrl.brake == p.ctrl_vocab.brake[b]
         assert out.c_ctrl.steer == p.ctrl_vocab.steer[s]
@@ -201,9 +200,10 @@ class TestInferMatchesForward:
 
 class TestInferMemo:
     """`infer` computes the network's command terms once per command row and
-    parameter state: its outputs equal a memo-free pass over the same batch
-    of one (`predict`), bit for bit, across all 7 commands and after any
-    change to the parameters' values."""
+    parameter state, and returns its last output again for a snapshot
+    bit-equal to the last one: its outputs equal a memo-free pass over the
+    same batch of one (`predict`), bit for bit, across all 7 commands and
+    after any change to the parameters' values."""
 
     def _snaps(self):
         rng = np.random.default_rng(21)
@@ -217,12 +217,16 @@ class TestInferMemo:
         memo-free pass."""
         outs = []
         for snap in snaps:
-            out, ref = p.infer(snap), p.predict([snap])
-            assert np.array_equal(out.d_traj, ref["d_traj"][0])
-            for got, want in zip(out.d_ctrl, ref["d_ctrl"]):
-                assert np.array_equal(got, want[0])
+            out = p.infer(snap)
+            self._assert_predicted(p, snap, out)
             outs.append(np.concatenate([out.d_traj, *out.d_ctrl]))
         return outs
+
+    def _assert_predicted(self, p, snap, out):
+        ref = p.predict([snap])
+        assert np.array_equal(out.d_traj, ref["d_traj"][0])
+        for got, want in zip(out.d_ctrl, ref["d_ctrl"]):
+            assert np.array_equal(got, want[0])
 
     def test_once_per_command_row(self, monkeypatch):
         p = tiny_policy()
@@ -269,8 +273,86 @@ class TestInferMemo:
         else:
             p = pickle.loads(pickle.dumps(p))
             p.params["pos_mlp.b1"].data[:] += 0.5
-        after = self._checked_outputs(p, snaps)
+        # The first call after the change repeats the last call before it.
+        after = self._checked_outputs(p, snaps[::-1])[::-1]
         assert all(not np.array_equal(a, b) for a, b in zip(before, after))
+
+    def _count_scene_terms(self, p, monkeypatch):
+        calls = []
+        real = p._scene_terms
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(p, "_scene_terms", counting)
+        return calls
+
+    def test_bit_equal_snapshot_returns_the_last_output(self, monkeypatch):
+        p = tiny_policy()
+        snap = self._snaps()[4]
+        first = p.infer(snap)
+        calls = self._count_scene_terms(p, monkeypatch)
+        same = pol.SceneSnapshot(**{name: v.copy() for name, v in vars(snap).items()})
+        assert p.infer(same) is first
+        assert calls == []
+        monkeypatch.undo()
+        self._assert_predicted(p, same, first)
+
+    @pytest.mark.parametrize("change", ["one ulp", "negative zero", "command row"])
+    def test_any_other_bits_recompute(self, change, monkeypatch):
+        p = tiny_policy()
+        snap = self._snaps()[4]
+        snap.map_feats[2, 1] = 0.0
+        first = p.infer(snap)
+        other = pol.SceneSnapshot(**{name: v.copy() for name, v in vars(snap).items()})
+        if change == "one ulp":
+            other.agent_feats[1, 3] = np.nextafter(other.agent_feats[1, 3], np.inf)
+        elif change == "negative zero":
+            other.map_feats[2, 1] = -0.0
+        else:
+            other.cmd_onehot = pol.command_onehot(sim.COMMANDS[5])
+        calls = self._count_scene_terms(p, monkeypatch)
+        out = p.infer(other)
+        assert calls == [1] and out is not first
+        monkeypatch.undo()
+        self._assert_predicted(p, other, out)
+
+    def test_a_bad_one_hot_after_a_memoized_snapshot_raises(self):
+        p = tiny_policy()
+        snap = self._snaps()[1]
+        first = p.infer(snap)
+        bad = pol.SceneSnapshot(agent_feats=snap.agent_feats, map_feats=snap.map_feats,
+                                cmd_onehot=snap.cmd_onehot * 2.0)
+        with pytest.raises(ValueError, match="one-hot"):
+            p.infer(bad)
+        assert p.infer(snap) is first     # the call that raised stored nothing
+
+    def test_a_valid_call_after_a_non_finite_error_is_correct(self):
+        p = tiny_policy()
+        good, other = self._snaps()[:2]
+        first = p.infer(good)
+        bad = pol.SceneSnapshot(agent_feats=good.agent_feats.copy(), map_feats=good.map_feats,
+                                cmd_onehot=good.cmd_onehot)
+        bad.agent_feats[0, 0] = np.nan
+        with pytest.raises(ad.NonFiniteError):
+            p.infer(bad)
+        assert p.infer(good) is first
+        self._assert_predicted(p, good, first)
+        self._assert_predicted(p, other, p.infer(other))
+
+    def test_outputs_are_read_only(self):
+        """A memo hit hands one output to two ticks, so nothing may write to
+        it; an unpickled copy's outputs are read-only too."""
+        p = tiny_policy()
+        snap = self._snaps()[0]
+        p.infer(snap)
+        for policy in (p, pickle.loads(pickle.dumps(p))):
+            out = policy.infer(snap)
+            for a in (out.d_traj, *out.d_ctrl, out.tau_plan):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.5
+        assert p.traj_vocab.centers.flags.writeable
 
 
 def random_batch(rng, size):

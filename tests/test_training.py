@@ -588,8 +588,8 @@ class TestPoEpoch:
         s = make_takeover(rng)
         out = policy.infer(s)
         # rewrite the labels to the current argmaxes
-        s.traj_waypoints = policy.traj_vocab.centers[out.traj_index].copy()
-        s.ctrl_indices = out.ctrl_indices
+        traj_index, s.ctrl_indices = pol.sample_top1(out.d_traj, out.d_ctrl)
+        s.traj_waypoints = policy.traj_vocab.centers[traj_index].copy()
         before = policy.params.copy_values()
         opt = ad.Adam(policy.params, lr=1e-3)
         mean, _ = tr.po_epoch(policy, [s], cfg, opt)
