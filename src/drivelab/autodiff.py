@@ -24,21 +24,24 @@ nothing and its attention output is exactly zero.
 A plain array or Python scalar is a constant: it joins no graph and gets no
 gradient. `+`, `-`, `*` and `@` (a constant on either side of `@`) accept
 one constant operand and record the op against the Tensor operand alone.
-The module-level ops the policy and the margin call (`relu`, `sigmoid`,
-`softmax`, `log`, `take_rows`, `narrow`, `concat`, `normalize`, `linear`,
-`scaled_dot_attention`) take a Tensor or a plain float64 array: a Tensor
-records the op, an array gets the same value formula and records nothing.
-So a network written once, its inputs constants, runs as a graph when its
-parameters are Tensors and graph-free when they are arrays, bit for bit
-alike; `value` reads the array either one holds.
+Every other op is one module-level function, its only definition (`relu`,
+`sigmoid`, `softmax`, `log`, `take_rows`, `narrow`, `concat`, `normalize`,
+`linear`, `scaled_dot_attention`). It takes a Tensor or a plain float64
+array and computes the value from the array either one holds; an array gets
+that value back, and a Tensor gets a node that records the op. `Tensor`
+itself keeps only the arithmetic operators and the names numpy arrays also
+have (`shape`, `sum`, `reshape`, `mT`). So a network written once, its
+inputs constants, runs as a graph when its parameters are Tensors and
+graph-free when they are arrays, bit for bit alike; `value` reads the array
+either one holds.
 
-Both paths check for non-finite values in the same three places, the value
-formulas they share: the inputs of sigmoid and softmax, where an inf would
-become finite and a nan in a masked slot would vanish, and the output of
-the reciprocal, where a zero sum first becomes inf. Every other op passes an
-inf or nan on to one of them, so both paths raise NonFiniteError on the same
-inputs. `backward` rejects a non-finite loss and `Adam.step` non-finite
-gradients, so what the losses add after the network is checked too.
+Both paths check for non-finite values in the same three places: the inputs
+of sigmoid and softmax, where an inf would become finite and a nan in a
+masked slot would vanish, and the reciprocal of normalize's row sums, where a
+zero sum first becomes inf. Every other op passes an inf or nan on to one of
+them, so both paths raise NonFiniteError on the same inputs. `backward`
+rejects a non-finite loss and `Adam.step` non-finite gradients, so what the
+losses add after the network is checked too.
 """
 
 import math
@@ -63,46 +66,6 @@ def _finite(x):
     if not np.isfinite(x).all():
         raise NonFiniteError("non-finite values")
     return x
-
-
-# -- value formulas, shared by the Tensor ops and the array path ----------
-
-
-def _relu(x):
-    return x * (x > 0.0)
-
-
-def _sigmoid(x):
-    _finite(x)
-    # Numerically stable split over sign.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _softmax(x, mask=None):
-    """Row softmax over the last axis; rows sum to 1 within fp64 rounding.
-
-    Entries where `mask` (broadcast against x) is False get exactly zero,
-    and a row with no unmasked entry is all zeros. With every entry of a row
-    unmasked, the row's floats are those of the unmasked formula."""
-    _finite(x)
-    if mask is None:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
-    top = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
-    e = np.exp(np.where(mask, x - top, -np.inf))
-    total = e.sum(axis=-1, keepdims=True)
-    return e / np.where(total > 0.0, total, 1.0)
-
-
-def _reciprocal(x):
-    return _finite(1.0 / x)
-
-
-def _log(x):
-    if np.any(x <= 0.0):
-        raise NonFiniteError("log: non-positive input")
-    return np.log(x)
 
 
 class Tensor:
@@ -177,47 +140,6 @@ class Tensor:
 
         return Tensor(self.data.mT, parents=(self,), backward=backward)
 
-    # -- nonlinearities ---------------------------------------------------
-
-    def relu(self):
-        def backward(out):
-            self._accum(out.grad * (self.data > 0.0))
-
-        return Tensor(_relu(self.data), parents=(self,), backward=backward)
-
-    def sigmoid(self):
-        out_data = _sigmoid(self.data)
-
-        def backward(out):
-            self._accum(out.grad * out_data * (1.0 - out_data))
-
-        return Tensor(out_data, parents=(self,), backward=backward)
-
-    def log(self):
-        out_data = _log(self.data)
-
-        def backward(out):
-            self._accum(out.grad / self.data)
-
-        return Tensor(out_data, parents=(self,), backward=backward)
-
-    def softmax(self, mask=None):
-        out_data = _softmax(self.data, mask)
-
-        def backward(out):
-            g = out.grad
-            dot = (g * out_data).sum(axis=-1, keepdims=True)
-            self._accum((g - dot) * out_data)
-
-        return Tensor(out_data, parents=(self,), backward=backward)
-
-    def reciprocal(self):
-        """1/x for a positive tensor."""
-        def backward(out):
-            self._accum(-out.grad / (self.data * self.data))
-
-        return Tensor(_reciprocal(self.data), parents=(self,), backward=backward)
-
     # -- reductions / reshaping ------------------------------------------
 
     def sum(self, axis=None):
@@ -235,32 +157,6 @@ class Tensor:
             self._accum(out.grad.reshape(old))
 
         return Tensor(self.data.reshape(*shape), parents=(self,), backward=backward)
-
-    def narrow(self, start, length):
-        """Contiguous slice along the last axis (used for control-group splits)."""
-        if start < 0 or start + length > self.data.shape[-1]:
-            raise ShapeError(
-                f"narrow: [{start}:{start + length}] out of range for last axis of {self.shape}")
-        idx = (..., slice(start, start + length))
-
-        def backward(out):
-            g = np.zeros_like(self.data)
-            g[idx] = out.grad
-            self._accum(g)
-
-        return Tensor(self.data[idx], parents=(self,), backward=backward)
-
-    def take_rows(self, indices):
-        """Select rows by integer index (first axis); a 1-D tensor gathers
-        single entries."""
-        indices = np.asarray(indices, dtype=np.intp)
-
-        def backward(out):
-            g = np.zeros_like(self.data)
-            np.add.at(g, indices, out.grad)
-            self._accum(g)
-
-        return Tensor(self.data[indices], parents=(self,), backward=backward)
 
 
 def value(x):
@@ -317,44 +213,132 @@ def _unbroadcast(grad, shape):
 
 
 # -- ops on a Tensor or a plain array ----------------------------------------
+# Each reads a Tensor's data, or takes an array operand as it is: `value`'s
+# float64 conversion would cost every op of the graph-free pass a call.
 
 
 def relu(x):
-    return x.relu() if isinstance(x, Tensor) else _relu(x)
+    graph = isinstance(x, Tensor)
+    a = x.data if graph else x
+    out_data = a * (a > 0.0)
+    if not graph:
+        return out_data
+
+    def backward(out):
+        x._accum(out.grad * (a > 0.0))
+
+    return Tensor(out_data, parents=(x,), backward=backward)
 
 
 def sigmoid(x):
-    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(x)
+    graph = isinstance(x, Tensor)
+    a = _finite(x.data if graph else x)
+    # Numerically stable split over sign.
+    e = np.exp(-np.abs(a))
+    out_data = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if not graph:
+        return out_data
+
+    def backward(out):
+        x._accum(out.grad * out_data * (1.0 - out_data))
+
+    return Tensor(out_data, parents=(x,), backward=backward)
 
 
 def softmax(x, mask=None):
-    return x.softmax(mask) if isinstance(x, Tensor) else _softmax(x, mask)
+    """Row softmax over the last axis; rows sum to 1 within fp64 rounding.
+
+    Entries where `mask` (broadcast against x) is False get exactly zero,
+    and a row with no unmasked entry is all zeros. With every entry of a row
+    unmasked, the row's floats are those of the unmasked formula."""
+    graph = isinstance(x, Tensor)
+    a = _finite(x.data if graph else x)
+    if mask is None:
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        out_data = e / e.sum(axis=-1, keepdims=True)
+    else:
+        top = np.where(mask, a, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(mask, a - top, -np.inf))
+        total = e.sum(axis=-1, keepdims=True)
+        out_data = e / np.where(total > 0.0, total, 1.0)
+    if not graph:
+        return out_data
+
+    def backward(out):
+        g = out.grad
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        x._accum((g - dot) * out_data)
+
+    return Tensor(out_data, parents=(x,), backward=backward)
 
 
 def log(x):
-    return x.log() if isinstance(x, Tensor) else _log(x)
+    graph = isinstance(x, Tensor)
+    a = x.data if graph else x
+    if np.any(a <= 0.0):
+        raise NonFiniteError("log: non-positive input")
+    out_data = np.log(a)
+    if not graph:
+        return out_data
+
+    def backward(out):
+        x._accum(out.grad / a)
+
+    return Tensor(out_data, parents=(x,), backward=backward)
 
 
 def take_rows(x, indices):
     """Rows by integer index (first axis); a 1-D operand gathers entries."""
-    if isinstance(x, Tensor):
-        return x.take_rows(indices)
-    return x[np.asarray(indices, dtype=np.intp)]
+    graph = isinstance(x, Tensor)
+    a = x.data if graph else x
+    indices = np.asarray(indices, dtype=np.intp)
+    out_data = a[indices]
+    if not graph:
+        return out_data
+
+    def backward(out):
+        g = np.zeros_like(a)
+        np.add.at(g, indices, out.grad)
+        x._accum(g)
+
+    return Tensor(out_data, parents=(x,), backward=backward)
 
 
 def narrow(x, start, length):
-    """Contiguous slice along the last axis."""
-    if isinstance(x, Tensor):
-        return x.narrow(start, length)
-    return x[..., start:start + length]
+    """Contiguous slice along the last axis (used for control-group splits)."""
+    graph = isinstance(x, Tensor)
+    a = x.data if graph else x
+    if start < 0 or start + length > a.shape[-1]:
+        raise ShapeError(
+            f"narrow: [{start}:{start + length}] out of range for last axis of {a.shape}")
+    idx = (..., slice(start, start + length))
+    out_data = a[idx]
+    if not graph:
+        return out_data
+
+    def backward(out):
+        g = np.zeros_like(a)
+        g[idx] = out.grad
+        x._accum(g)
+
+    return Tensor(out_data, parents=(x,), backward=backward)
+
+
+def _reciprocal(x):
+    return _finite(1.0 / x)
 
 
 def normalize(x):
-    """x / sum(x) along the last axis of a positive array, as x times the
+    """x / sum(x) along the last axis of a positive operand, as x times the
     reciprocal of the row sums."""
-    if isinstance(x, Tensor):
-        return x * x.sum(axis=-1).reciprocal()
-    return x * _reciprocal(x.sum(axis=-1, keepdims=True))
+    if not isinstance(x, Tensor):
+        return x * _reciprocal(x.sum(axis=-1, keepdims=True))
+    total = x.sum(axis=-1)
+
+    def backward(out):
+        total._accum(-out.grad / (total.data * total.data))
+
+    return x * Tensor(_reciprocal(total.data), parents=(total,), backward=backward)
 
 
 def concat(tensors):
@@ -593,14 +577,14 @@ CHECKPOINT_MAGIC = "DRIVELAB-CKPT/1"
 
 
 def save_checkpoint(path, params, meta=None):
-    """Write parameters as a text header (name, shape, offset) + LE float64 blob."""
-    values = params.copy_values() if isinstance(params, ParameterStore) else dict(params)
+    """Write a ParameterStore's values as a text header (name, shape, offset)
+    + LE float64 blob."""
     lines = [CHECKPOINT_MAGIC]
     for key, val in sorted((meta or {}).items()):
         lines.append(f"#{key}={val}")
     offset = 0
     blobs = []
-    for name, arr in values.items():
+    for name, arr in params.arrays.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
         shape = ",".join(str(s) for s in arr.shape) or "1"
         lines.append(f"{name}\t{shape}\t{offset}")

@@ -14,6 +14,7 @@ from .autodiff import NonFiniteError
 # dataset.MAX_EPISODE_TICKS, so it stays importable from this module.
 from .metrics import MAX_EPISODE_TICKS, NeuralDriver, map_episodes, run_episode, scenario_id
 from .policy import AGENT_FEATURES, MAP_FEATURES, SceneSnapshot, encode_scene
+from .world import STILL_SPEED
 
 EPS_STEER = 0.2                  # threshold-trigger steering gap
 TAKEOVER_TICKS = 40              # 2 s at dt = 0.05
@@ -280,7 +281,8 @@ def filter_takeovers(dataset):
 
     Discards segments containing an expert-attributed collision/off-road
     event, segments with route deviation, and stuck segments (mean expert
-    speed < 0.1 m/s). Idempotent; discard statistics land in the manifest.
+    speed below `world.STILL_SPEED`). Idempotent; discard statistics land
+    in the manifest.
     """
     segments = {}
     for s in dataset.samples:
@@ -295,7 +297,7 @@ def filter_takeovers(dataset):
             stats["discard_infraction"] += 1
         elif "route_deviation" in kinds:
             stats["discard_deviation"] += 1
-        elif np.mean([s.ego_speed for s in seg]) < 0.1:
+        elif np.mean([s.ego_speed for s in seg]) < STILL_SPEED:
             stats["discard_stuck"] += 1
         else:
             kept.extend(seg)

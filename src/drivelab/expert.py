@@ -129,8 +129,8 @@ def leading_obstacle(route, ego, ego_s, forecast, step, stop_served):
     for a, (x, y, heading, speed, length, width) in enumerate(forecast.actors(step)):
         half = sim.LANE_HALF_WIDTH + width / 2.0
         s_a, lat_a = route.project(x, y)
-        if s_a >= route.length - 0.1:
-            continue    # at or past the route end: treat as exited
+        if route.exited(s_a):
+            continue
         tangent_heading = route.point_at(s_a)[2]
         v_along = max(0.0, speed * math.cos(heading - tangent_heading))
         if abs(lat_a) <= half and s_a > ego_s:
@@ -145,7 +145,7 @@ def leading_obstacle(route, ego, ego_s, forecast, step, stop_served):
             consider(s_f[hits[0]] - ego_s - (ego.length + length) / 2.0, v_along)
 
     stop_line_s = route.stop_line_s
-    if stop_line_s is not None and not stop_served and stop_line_s > ego_s - 2.0:
+    if stop_line_s is not None and not stop_served and stop_line_s > ego_s - sim.STOP_LATCH_RANGE:
         # +1 m bias makes the IDM standstill settle ~1 m before the line,
         # inside the 2 m latch window.
         consider(stop_line_s - ego_s + 1.0, 0.0)
@@ -214,10 +214,10 @@ def expert_act(w, cfg, control_vocab=None):
                 cmd = vcmd
             virt = sim.step_kinematics(virt, vcmd, dt=ROLLOUT_DT)
             ego_s = None
-            if stop_line_s is not None and not served and virt.speed < 0.1:
+            if stop_line_s is not None and not served:
                 # The served check's projection is also the next step's.
                 ego_s = route.project(virt.x, virt.y)[0]
-                served = abs(ego_s - stop_line_s) < 2.0
+                served = route.serves_stop_line(ego_s, virt.speed)
         dx, dy = virt.x - ox, virt.y - oy
         waypoints[i] = (cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy)
 

@@ -114,7 +114,7 @@ def efficiency(trace, speed_limit=sim.SPEED_LIMIT):
     for f in trace:
         ex, ey, _, ev = f.ego
         near = [a[3] for a in f.actors
-                if a[3] > 0.1 and math.hypot(a[0] - ex, a[1] - ey) <= 50.0]
+                if a[3] > sim.STILL_SPEED and math.hypot(a[0] - ex, a[1] - ey) <= 50.0]
         v_ref = float(np.mean(near)) if near else speed_limit
         vals.append(min(1.0, ev / max(v_ref, 1e-6)))
     return 100.0 * float(np.mean(vals))

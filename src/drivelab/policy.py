@@ -435,9 +435,10 @@ def ensemble(c_ctrl, c_traj):
 class SafetyCreep:
     """Fixed throttle pulse when the ego is stuck on a clear road.
 
-    After 2.5 s continuously below 0.1 m/s with no leading actor within 20 m
-    in the forward half-lane corridor, applies throttle 0.7 (brake 0, steer
-    from the policy) for exactly 1.0 s, then restarts the stillness timer.
+    After 2.5 s continuously below `world.STILL_SPEED` with no leading actor
+    within 20 m in the forward half-lane corridor, applies throttle 0.7
+    (brake 0, steer from the policy) for exactly 1.0 s, then restarts the
+    stillness timer.
     """
 
     STILL_SECONDS = 2.5
@@ -457,7 +458,7 @@ class SafetyCreep:
             self.pulse_ticks_left -= 1
             return sim.ControlCommand(throttle=self.PULSE_THROTTLE, brake=0.0,
                                       steer=policy_steer)
-        if world.ego.speed < 0.1:
+        if world.ego.speed < sim.STILL_SPEED:
             self.still_ticks += 1
         else:
             self.still_ticks = 0

@@ -78,11 +78,11 @@ def kl_loss(target, predicted):
         raise ValueError("target is not a distribution")
     idx = np.flatnonzero(target > 0.0)
     t = target.ravel()[idx]
-    p = predicted.reshape(-1).take_rows(idx)
+    p = ad.take_rows(predicted.reshape(-1), idx)
     if np.any(p.data <= 0.0):
         raise ValueError("support mismatch: predicted has zero mass where target > 0")
     entropy_term = float((t * np.log(t)).sum())
-    cross = (p.log() * t).sum()
+    cross = (ad.log(p) * t).sum()
     return (cross * -1.0 + entropy_term) * (1.0 / target.shape[0])
 
 
@@ -123,7 +123,7 @@ def simpo_from_dist(dist, y_w, y_l, beta, gamma, flags=None):
     """Reference-free preference loss -ln sigma(margin - gamma) per row (see
     `_margin`), as a (B,) Tensor."""
     z = _margin(dist, y_w, y_l, beta, flags) - gamma
-    return z.sigmoid().log() * -1.0
+    return ad.log(ad.sigmoid(z)) * -1.0
 
 
 def po_from_dist(dist, y_w, y_l, beta, gamma, flags=None):

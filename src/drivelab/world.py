@@ -20,6 +20,8 @@ C_DRAG = 0.002            # quadratic drag coefficient
 BLOCKED_SECONDS = 90.0
 LEADING_GAP_RANGE = 20.0  # m; a leading actor farther ahead leaves the road clear
 LANE_HALF_WIDTH = 2.0     # m
+STILL_SPEED = 0.1         # m/s; slower counts as standing still
+STOP_LATCH_RANGE = 2.0    # m; standing still this close to a stop line serves it
 ROUTE_LENGTH = 120.0      # m, the default scenario route
 SPEED_LIMIT = 8.0         # m/s, the default route speed limit
 # Route.project_many evaluates a window of this many segments around each
@@ -362,6 +364,16 @@ class Route:
     def command_at(self, s):
         return self.commands[self.segment_index(s)]
 
+    def serves_stop_line(self, s, speed):
+        """Whether an ego at arc length s moving at `speed` serves this
+        route's stop line: it stands still within STOP_LATCH_RANGE of it."""
+        return abs(s - self.stop_line_s) < STOP_LATCH_RANGE and speed < STILL_SPEED
+
+    def exited(self, s):
+        """Whether arc length s is at or past the route end, where an actor
+        has left the scene."""
+        return s >= self.length - 0.1
+
 
 # -- scripted actors ---------------------------------------------------------
 
@@ -516,8 +528,8 @@ class World:
         best = None
         for a in self.actors:
             s_a, lat_a = self.route.project(a.x, a.y)
-            if s_a >= self.route.length - 0.1:
-                continue    # past the route end: exited the scene
+            if self.route.exited(s_a):
+                continue
             if abs(lat_a) > LANE_HALF_WIDTH + a.width / 2.0:
                 continue
             gap = s_a - ego_s - (self.ego.length + a.length) / 2.0
@@ -585,17 +597,17 @@ def advance_world(world, cmd):
 
     stop_s = world.route.stop_line_s
     if stop_s is not None and not world.stop_line_scored:
-        if not world.stop_line_served and abs(s - stop_s) < 2.0 and world.ego.speed < 0.1:
+        if not world.stop_line_served and world.route.serves_stop_line(s, world.ego.speed):
             world.stop_line_served = True
         if s > stop_s and world._prev_s <= stop_s:
             if world.stop_line_served:
                 world.stop_line_scored = True
-            elif world.ego.speed > 0.1:
+            elif world.ego.speed > STILL_SPEED:
                 world._log("stop_sign_violation", tick_kinds)
                 world.stop_line_scored = True
     world._prev_s = s
 
-    if world.ego.speed < 0.1:
+    if world.ego.speed < STILL_SPEED:
         world._blocked_ticks += 1
     else:
         world._blocked_ticks = 0

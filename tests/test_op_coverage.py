@@ -1,11 +1,12 @@
-"""The autodiff engine holds only the ops the pipeline calls.
+"""The autodiff engine holds only the ops the pipeline calls, each defined once.
 
 Every method of the classes in `drivelab.autodiff` (`__init__` excepted,
 dunders included) and every function defined there is wrapped at each
 module that looks it up. A tiny pretrain, DAgger epoch, margin pass,
 preference epoch, inference, checkpoint round trip and the pickle round
 trip that sends the policy to `--jobs` workers then run, and any op none of
-them called fails the test.
+them called fails the test. A Tensor method with the name of a module-level
+function would be a second definition of that op, and fails the second test.
 """
 
 import functools
@@ -91,3 +92,10 @@ def test_every_autodiff_op_is_used(monkeypatch, tmp_path):
 
     unused = sorted(ops - called)
     assert not unused, f"autodiff ops the pipeline never calls: {unused}"
+
+
+def test_no_tensor_method_repeats_a_module_op():
+    functions = {name for name, fn in vars(ad).items()
+                 if inspect.isfunction(fn) and fn.__module__ == ad.__name__}
+    both = sorted(functions & set(dir(ad.Tensor)))
+    assert not both, f"Tensor attributes named like autodiff functions: {both}"

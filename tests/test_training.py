@@ -226,10 +226,10 @@ def reference_imitation_loss(policy, samples, cfg):
         out = forward_row(policy, s)
         t = tr.soft_trajectory_target(policy.traj_vocab, s.traj_waypoints[None], cfg.tau_label)[0]
         idx = np.flatnonzero(t > 0.0)
-        loss = (out["d_traj"].take_rows(idx).log() * Tensor(t[idx])).sum() * -1.0 \
+        loss = (ad.log(ad.take_rows(out["d_traj"], idx)) * Tensor(t[idx])).sum() * -1.0 \
             + float((t[idx] * np.log(t[idx])).sum())
         for dist, y in zip(out["d_ctrl"], s.ctrl_indices):
-            loss = loss - dist.narrow(y, 1).log()
+            loss = loss - ad.log(ad.narrow(dist, y, 1))
         total = loss if total is None else total + loss
     return total * (1.0 / len(samples))
 
@@ -248,14 +248,14 @@ def reference_preference_loss(policy, samples, cfg, flags):
         for dist, y_w in zip((out["d_traj"], *out["d_ctrl"]), winners):
             lps = []
             for y in (y_w, int(np.argmax(dist.data))):
-                p = dist.narrow(y, 1)
+                p = ad.narrow(dist, y, 1)
                 if p.data.item() < math.exp(tr.LOGPROB_FLOOR):
                     flags.append(y)
                     lps.append(Tensor(np.array([tr.LOGPROB_FLOOR])))
                 else:
-                    lps.append(p.log())
+                    lps.append(ad.log(p))
             z = (lps[0] - lps[1]) * cfg.beta - cfg.gamma
-            term = z.sigmoid().log() * -1.0 + shift
+            term = ad.log(ad.sigmoid(z)) * -1.0 + shift
             loss = term if loss is None else loss + term
         loss = loss * 0.25
         total = loss if total is None else total + loss
@@ -339,8 +339,8 @@ def _fan_out_graph(store):
     on, and a, b and s receive more gradient later in backward's order."""
     x = Tensor(np.linspace(-2.0, 2.0, 12).reshape(4, 3))
     h = x @ store["w"]
-    a = h.relu()
-    b = h.sigmoid()
+    a = ad.relu(h)
+    b = ad.sigmoid(h)
     s = a + b
     c = s.mT.reshape(4, 3)
     n = ad.concat([a, b, s, c, a])
