@@ -74,6 +74,11 @@ class _Forecast:
     for that step and every later one, as one windowed pass over all their
     points (`Route.project_window`). A step with a point the window does not
     cover projects its points with `project_many`, as a lone step would.
+
+    Every point of an actor's table lies on the segment from its first
+    point to its last. An actor gets no table when `Route.clear_of` proves
+    that segment out of the corridor by |lateral| >= cos(theta) * dist(p, P*)
+    (see `Route`): it is farther than half / cos(theta) from the route.
     """
 
     def __init__(self, w, cfg, n_steps):
@@ -82,7 +87,8 @@ class _Forecast:
         self.snaps = [(a.x, a.y, a.heading, a.speed, a.length, a.width) for a in w.actors]
         self.velocities = [(v * math.cos(h), v * math.sin(h))
                            for (_, _, h, v, _, _) in self.snaps]
-        self.tables = {}    # actor index -> (first step, points, s, lateral, covered)
+        # actor index -> (first step, points, s, lateral, covered), or None
+        self.tables = {}
 
     def actors(self, step):
         """(x, y, heading, speed, length, width) of each actor at `step`."""
@@ -90,23 +96,38 @@ class _Forecast:
         return [(x + vx * t, y + vy * t, h, v, ln, wd)
                 for (x, y, h, v, ln, wd), (vx, vy) in zip(self.snaps, self.velocities)]
 
-    def corridor_entry(self, a, step):
-        """(s, lateral) arrays of actor a's corridor-entry points at `step`."""
+    def corridor_entry(self, a, step, half):
+        """(s, lateral) arrays of actor a's corridor-entry points at `step`,
+        or None if no point of its table can come within `half` of the
+        route."""
         if a not in self.tables:
-            x, y = self.snaps[a][:2]
-            vx, vy = self.velocities[a]
-            t = np.arange(step, self.n_steps) * ROLLOUT_DT
-            points = np.stack([(x + vx * t)[:, None] + vx * self.times,
-                               (y + vy * t)[:, None] + vy * self.times], axis=2)
-            s, lateral, covered = self.route.project_window(points.reshape(-1, 2))
-            rows = (len(t), len(self.times))
-            self.tables[a] = (step, points, s.reshape(rows), lateral.reshape(rows),
-                              covered.reshape(rows).all(axis=1))
+            self.tables[a] = self._table(a, step, half)
+        if self.tables[a] is None:
+            return None
         first, points, s, lateral, covered = self.tables[a]
         row = step - first
         if covered[row]:
             return s[row], lateral[row]
         return self.route.project_many(points[row])
+
+    def _table(self, a, step, half):
+        """Actor a's table from `step` on, or None if the route is clear of it."""
+        x, y = self.snaps[a][:2]
+        vx, vy = self.velocities[a]
+        times = self.times
+        # The table's first and last points, as the table computes them.
+        t0, t1 = step * ROLLOUT_DT, (self.n_steps - 1) * ROLLOUT_DT
+        p0 = (x + vx * t0 + vx * times[0], y + vy * t0 + vy * times[0])
+        p1 = (x + vx * t1 + vx * times[-1], y + vy * t1 + vy * times[-1])
+        if self.route.clear_of(p0, p1, half):
+            return None
+        t = np.arange(step, self.n_steps) * ROLLOUT_DT
+        points = np.stack([(x + vx * t)[:, None] + vx * times,
+                           (y + vy * t)[:, None] + vy * times], axis=2)
+        s, lateral, covered = self.route.project_window(points.reshape(-1, 2))
+        rows = (len(t), len(times))
+        return (step, points, s.reshape(rows), lateral.reshape(rows),
+                covered.reshape(rows).all(axis=1))
 
 
 def leading_obstacle(route, ego, ego_s, forecast, step, stop_served):
@@ -139,7 +160,10 @@ def leading_obstacle(route, ego, ego_s, forecast, step, stop_served):
         # Not in the corridor yet: will its straight-line motion enter it ahead?
         if speed < 1e-3 or s_a - ego_s > 80.0 or s_a - ego_s < -10.0:
             continue
-        s_f, lat_f = forecast.corridor_entry(a, step)
+        entry = forecast.corridor_entry(a, step, half)
+        if entry is None:
+            continue
+        s_f, lat_f = entry
         hits = np.flatnonzero((np.abs(lat_f) <= half) & (s_f > ego_s))
         if len(hits):
             consider(s_f[hits[0]] - ego_s - (ego.length + length) / 2.0, v_along)
@@ -199,7 +223,8 @@ def expert_act(w, cfg, control_vocab=None):
     """
     route, stop_line_s, served = w.route, w.route.stop_line_s, w.stop_line_served
     steps_per_wp = int(round(WAYPOINT_DT / ROLLOUT_DT))
-    forecast = _Forecast(w, cfg, WAYPOINTS_PER_TRAJ * steps_per_wp)
+    n_steps = WAYPOINTS_PER_TRAJ * steps_per_wp
+    forecast = _Forecast(w, cfg, n_steps)
     cos_h, sin_h = math.cos(w.ego.heading), math.sin(w.ego.heading)
     ox, oy = w.ego.x, w.ego.y
     waypoints = np.zeros((WAYPOINTS_PER_TRAJ, 2))
@@ -214,8 +239,9 @@ def expert_act(w, cfg, control_vocab=None):
                 cmd = vcmd
             virt = sim.step_kinematics(virt, vcmd, dt=ROLLOUT_DT)
             ego_s = None
-            if stop_line_s is not None and not served:
-                # The served check's projection is also the next step's.
+            if stop_line_s is not None and not served and step + 1 < n_steps:
+                # The served check's projection is also the next step's; after
+                # the last step nothing reads either.
                 ego_s = route.project(virt.x, virt.y)[0]
                 served = route.serves_stop_line(ego_s, virt.speed)
         dx, dy = virt.x - ox, virt.y - oy

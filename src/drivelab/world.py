@@ -29,6 +29,9 @@ SPEED_LIMIT = 8.0         # m/s, the default route speed limit
 # a shorter route it scans every segment.
 _WINDOW = 9
 _WINDOW_OFFSETS = np.arange(_WINDOW)
+# Route.clear_of widens `half` by this many metres per metre of the largest
+# coordinate, and by this many metres, to cover rounding in the projection.
+_CLEAR_MARGIN = 1e-6
 
 COMMANDS = ("Straight", "Left", "Right", "LaneFollow",
             "ChangeLaneLeft", "ChangeLaneRight", "Void")
@@ -218,6 +221,11 @@ class Route:
     first segment whose gap exceeds the best distance so far, with a margin
     for rounding. A route whose breakpoints do not rise, and a point whose
     best distance is not finite, take the full scan.
+
+    `clear_of` certifies that a straight segment keeps out of a lane: every
+    point p gets |lateral(p)| >= cos(theta) * dist(p, P*) from any of the
+    three, with theta the largest turn between consecutive segments and P*
+    the polyline with its first and last segments extended outward as rays.
     """
 
     def __init__(self, waypoints, commands, speed_limit=SPEED_LIMIT, stop_line_s=None):
@@ -252,6 +260,7 @@ class Route:
         # Waypoints and segment headings as Python floats.
         self.points = self.waypoints.tolist()
         self.headings = [math.atan2(dy, dx) for dx, dy in seg.tolist()]
+        self._clearance = None    # see clear_of
         self._u = None
         chord = self.waypoints[-1] - self.waypoints[0]
         norm = math.hypot(chord[0], chord[1])
@@ -327,6 +336,56 @@ class Route:
         s, lateral, best = self._nearest(p, lo[:, None] + _WINDOW_OFFSETS)
         gap = np.minimum(up - self._q_bounds[lo], self._q_bounds[lo + _WINDOW] - up)
         return s, lateral, gap > _reach(best)
+
+    def clear_of(self, p0, p1, half):
+        """Whether no point of the segment p0-p1 gets |lateral| <= half from
+        project, project_window or _full_scan. False certifies nothing.
+
+        The closest route point to p is a perpendicular foot inside a
+        segment, a route end, or an inner vertex. A foot gives |lateral| =
+        distance. At a route end, |lateral| is the distance to the ray that
+        extends the end segment outward. At an inner vertex, p lies in the
+        vertex's outer wedge, where p - vertex is within theta of
+        perpendicular to both tangents, theta the route's largest turn. So
+        |lateral(p)| >= cos(theta) * dist(p, P*), P* the route with both end
+        segments extended as unbounded rays, and the segment is clear when
+        its distance to P* exceeds `half` / cos(theta). A route that turns
+        by 90 degrees or more is never clear.
+        """
+        if self._clearance is None:
+            n = len(self._lens)
+            lo, hi = np.zeros(n), np.ones(n)
+            lo[0], hi[-1] = -np.inf, np.inf
+            t = self._tangent
+            cos_turn = float(np.min((t[:-1] * t[1:]).sum(axis=1), initial=1.0))
+            self._clearance = cos_turn, lo, hi, float(np.abs(self.waypoints).max())
+        cos_turn, lo, hi, extent = self._clearance
+        if cos_turn <= 0.0:
+            return False
+        (x0, y0), (x1, y1) = p0, p1
+        scale = max(extent, abs(x0), abs(y0), abs(x1), abs(y1))
+        reach = (half + _CLEAR_MARGIN * (1.0 + scale)) / cos_turn
+        # Pieces of P*: w + r s for r in [lo, hi]; the segment: p0 + u e.
+        wx, wy, sx, sy, len2 = self._geometry
+        ex, ey = x1 - x0, y1 - y0
+        fx, fy = x0 - wx, y0 - wy
+        den = sx * ey - sy * ex
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # Parallel pieces get infinite or nan parameters: no crossing.
+            r = (fx * ey - fy * ex) / den
+            u = (fx * sy - fy * sx) / den
+        if ((lo <= r) & (r <= hi) & (0.0 <= u) & (u <= 1.0)).any():
+            return False
+        # Two pieces that do not cross are closest at an endpoint of one.
+        qx, qy = np.array([[x0], [x1]]), np.array([[y0], [y1]])
+        r = np.clip(((qx - wx) * sx + (qy - wy) * sy) / len2, lo, hi)
+        gap2 = [((qx - wx - r * sx) ** 2 + (qy - wy - r * sy) ** 2).min()]
+        e2 = ex * ex + ey * ey
+        if e2 > 0.0:
+            px, py = self.waypoints.T
+            u = np.clip(((px - x0) * ex + (py - y0) * ey) / e2, 0.0, 1.0)
+            gap2.append(((px - x0 - u * ex) ** 2 + (py - y0 - u * ey) ** 2).min())
+        return bool(np.min(gap2) > reach * reach)
 
     def _full_scan(self, p):
         """(s, lateral) for (m, 2) points over every segment."""

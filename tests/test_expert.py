@@ -310,6 +310,17 @@ class TestPlanMatchesReference:
         assert counter.tables == 1 and 0 < counter.many < 30
         self.assert_plan_matches(w)
 
+    def test_an_actor_the_route_is_clear_of(self, monkeypatch):
+        # A car in the next lane, moving parallel: its forecast points stay
+        # 3.5 m off the lane centre, so Route.clear_of certifies the actor
+        # and no table or fallback projection is made for it.
+        w = world_on(STRAIGHT, [actor(10.0, 3.5, 0.0, 6.0)],
+                     sim.EgoState(x=0.0, y=0.0, speed=8.0))
+        counter = WindowCounter(monkeypatch)
+        xp.expert_act(w, CFG)
+        assert counter.tables == 0 and counter.windows == 0
+        self.assert_plan_matches(w)
+
     def test_u_turn_route_has_no_window(self, monkeypatch):
         pts = [[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [23.0, 3.0], [20.0, 6.0],
                [10.0, 6.0], [0.0, 6.0]]

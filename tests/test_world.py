@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st, target
 
 from drivelab import world as sim
 
@@ -238,6 +238,90 @@ class TestProjectionExactness:
         bad = [math.nan, math.inf, -math.inf]
         pts = [(b, 1.0) for b in bad] + [(1.0, b) for b in bad] + [(1e200, -1e200)]
         assert_projects_like_scan(route, pts)
+
+
+def _polyline(headings_deg, length=20.0):
+    pts = [[0.0, 0.0]]
+    for h in np.radians(headings_deg):
+        pts.append([pts[-1][0] + length * math.cos(h), pts[-1][1] + length * math.sin(h)])
+    return sim.Route(pts, ["LaneFollow"] * len(headings_deg))
+
+
+# Turns of 70, -80 and 70 degrees: sharp, but each under 90 degrees, so
+# clear_of still certifies segments far enough away.
+SHARP = _polyline([0.0, 70.0, -10.0, 60.0])
+
+
+@st.composite
+def segments_near(draw, route):
+    """A segment from a point beside the route, or beside an end segment's
+    line beyond it, mostly running along the route; or a short one from a
+    point near a waypoint, running any way."""
+    if draw(st.booleans()):
+        s = draw(st.floats(-30.0, route.length + 30.0))
+        offset = draw(st.floats(-25.0, 25.0))
+        x, y, h = route.point_at(s)
+        along = s - min(max(s, 0.0), route.length)
+        x0 = x + along * math.cos(h) - offset * math.sin(h)
+        y0 = y + along * math.sin(h) + offset * math.cos(h)
+        h += draw(st.one_of(st.floats(-0.3, 0.3), st.floats(-math.pi, math.pi)))
+        length = draw(st.floats(0.0, 120.0))
+    else:
+        x, y = draw(st.sampled_from(route.points))
+        r, phi = draw(st.floats(0.0, 15.0)), draw(st.floats(-math.pi, math.pi))
+        x0, y0 = x + r * math.cos(phi), y + r * math.sin(phi)
+        h, length = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.0, 10.0))
+    return (x0, y0), (x0 + length * math.cos(h), y0 + length * math.sin(h))
+
+
+def assert_clear_of_is_sound(route, p0, p1, half):
+    """Where clear_of certifies p0-p1, 201 points along it, both endpoints
+    included, all project farther than `half` from the route."""
+    if route.clear_of(p0, p1, half):
+        p0, p1 = np.array(p0), np.array(p1)
+        u = np.linspace(0.0, 1.0, 201)[1:-1, None]
+        _, lateral = route.project_many(np.vstack([p0, p0 + u * (p1 - p0), p1]))
+        slack = float(np.abs(lateral).min()) - half
+        target(-slack)      # steer the search toward the bound
+        assert slack > 0.0
+
+
+halves = st.floats(0.5, 4.0)
+anywhere = st.tuples(st.tuples(coord, coord), st.tuples(coord, coord))
+
+
+class TestClearOf:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sim.SCENARIO_KINDS), st.integers(0, 19), halves, st.data())
+    def test_scenario_routes(self, kind, seed, half, data):
+        route = sim.reset(sim.ScenarioSpec(kind, seed)).route
+        p0, p1 = data.draw(st.one_of(segments_near(route), anywhere))
+        assert_clear_of_is_sound(route, p0, p1, half)
+
+    # A point about 5 m from the route, in the outer wedge of the 70-degree
+    # vertex at (20, 0): its |lateral| is 2.1 m, so the bound would fail
+    # here without cos(theta).
+    @example(3.0, ((24.5, -2.1), (24.5, -2.1)))
+    @settings(max_examples=500, deadline=None)
+    @given(halves, segments_near(SHARP))
+    def test_sharp_turns(self, half, segment):
+        assert_clear_of_is_sound(SHARP, *segment, half)
+
+    def test_what_it_must_not_certify(self):
+        route = sim.reset(sim.ScenarioSpec("Overtaking", 0)).route
+        (x, y), (dx, dy) = route.waypoints[-1], route.waypoints[-1] - route.waypoints[-2]
+        # On the last segment's line beyond the route end, lateral is zero.
+        beyond = [(x + k * dx, y + k * dy) for k in (2.0, 10.0)]
+        assert abs(route.project(*beyond[1])[1]) < 1e-9
+        assert not route.clear_of(*beyond, 2.95)
+        # Across the route.
+        x, y, h = route.point_at(50.0)
+        n = np.array([-math.sin(h), math.cos(h)])
+        assert not route.clear_of((x, y) + 30.0 * n, (x, y) - 30.0 * n, 2.95)
+        # A route turning by 90 degrees is never clear, however far the segment.
+        assert not U_TURN.clear_of((500.0, 500.0), (600.0, 500.0), 2.95)
+        # The next lane of a straight road is.
+        assert straight_route().clear_of((10.0, 3.5), (90.0, 3.5), 2.95)
 
 
 def test_expert_episodes_never_take_the_full_scan(monkeypatch):
