@@ -24,7 +24,7 @@ class InertiaDriver:
 
     def act(self, w):
         s, _ = w.route.project(w.ego.x, w.ego.y)
-        steer = pure_pursuit_steer(w.route, w.ego, 6.0, s)
+        steer = pure_pursuit_steer(w.route, w.ego.state, w.ego.wheelbase, 6.0, s)
         stop = w.route.stop_line_s
         if w.ego.speed > 1.0:
             self.moved, self.stuck = True, False

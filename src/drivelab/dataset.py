@@ -213,8 +213,8 @@ class _ShadowDriver:
         final = self.neural.act(w)
         if self.takeover_left == 0 and self.suppress_left == 0:
             ego_s = w.ego_projection()[0]
-            gap = abs(final.steer - xp.pure_pursuit_steer(w.route, w.ego,
-                                                          self.expert_cfg.lookahead, ego_s))
+            gap = abs(final.steer - xp.pure_pursuit_steer(
+                w.route, w.ego.state, w.ego.wheelbase, self.expert_cfg.lookahead, ego_s))
             collides = xp.forecast_collision(w, self.expert_cfg.forecast_horizon) is not None
             trigger = "collision" if collides else "threshold" if gap > self.eps_steer else None
             if trigger is not None:

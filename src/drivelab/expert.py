@@ -25,10 +25,11 @@ class ExpertConfig:
     yield_horizon: float = 4.0      # corridor-entry prediction for IDM yielding
 
     def __post_init__(self):
+        # Stated as what must hold, so a nan or an infinity fails too.
         for f in ("desired_speed", "time_headway", "min_gap", "max_accel",
                   "comfort_decel", "lookahead", "forecast_horizon", "yield_horizon"):
-            if getattr(self, f) <= 0:
-                raise ValueError(f"ExpertConfig.{f} must be positive")
+            if not 0.0 < getattr(self, f) < math.inf:
+                raise ValueError(f"ExpertConfig.{f} must be positive and finite")
 
 
 @dataclass
@@ -66,14 +67,19 @@ def _yield_times(horizon):
 
 class _Forecast:
     """The actors of one frame moved at constant velocity to each rollout
-    step m (m * ROLLOUT_DT s ahead), and the route projections of their
-    corridor-entry points: an actor's position at step m plus its velocity
-    times each yield-horizon instant.
+    step m (m * ROLLOUT_DT s ahead): where each lies on the route, and the
+    route projections of its corridor-entry points, its position at step m
+    plus its velocity times each yield-horizon instant.
 
-    An actor's projections are made the first time a step asks for them,
-    for that step and every later one, as one windowed pass over all their
-    points (`Route.project_window`). A step with a point the window does not
-    cover projects its points with `project_many`, as a lone step would.
+    An actor whose velocity is exactly (+-0, +-0) stands: x + vx * t has the
+    same bits for every t >= 0, so its place is computed once. A moving
+    actor is projected at every step.
+
+    An actor's corridor-entry projections are made the first time a step
+    asks for them, for that step and every later one, as one windowed pass
+    over all their points (`Route.project_window`). A step with a point the
+    window does not cover projects its points with `project_many`, as a lone
+    step would.
 
     Every point of an actor's table lies on the segment from its first
     point to its last. An actor gets no table when `Route.clear_of` proves
@@ -84,24 +90,35 @@ class _Forecast:
     def __init__(self, w, cfg, n_steps):
         self.route, self.n_steps = w.route, n_steps
         self.times = _yield_times(cfg.yield_horizon)
-        self.snaps = [(a.x, a.y, a.heading, a.speed, a.length, a.width) for a in w.actors]
-        self.velocities = [(v * math.cos(h), v * math.sin(h))
-                           for (_, _, h, v, _, _) in self.snaps]
+        # (x, y, vx, vy, heading, speed, length, corridor half-width) per actor
+        self.actors = [(a.x, a.y, a.speed * math.cos(a.heading), a.speed * math.sin(a.heading),
+                        a.heading, a.speed, a.length, sim.LANE_HALF_WIDTH + a.width / 2.0)
+                       for a in w.actors]
+        # actor index -> place of a standing actor
+        self.standing = {}
         # actor index -> (first step, points, s, lateral, covered), or None
         self.tables = {}
 
-    def actors(self, step):
-        """(x, y, heading, speed, length, width) of each actor at `step`."""
+    def place(self, a, step):
+        """(s, lateral, route tangent heading) of actor a at `step`, or None
+        if it has exited the route."""
+        x, y, vx, vy = self.actors[a][:4]
+        stands = vx == 0.0 and vy == 0.0
+        if stands and a in self.standing:
+            return self.standing[a]
         t = step * ROLLOUT_DT
-        return [(x + vx * t, y + vy * t, h, v, ln, wd)
-                for (x, y, h, v, ln, wd), (vx, vy) in zip(self.snaps, self.velocities)]
+        s, lateral = self.route.project(x + vx * t, y + vy * t)
+        place = None if self.route.exited(s) else (s, lateral, self.route.point_at(s)[2])
+        if stands:
+            self.standing[a] = place
+        return place
 
-    def corridor_entry(self, a, step, half):
+    def corridor_entry(self, a, step):
         """(s, lateral) arrays of actor a's corridor-entry points at `step`,
-        or None if no point of its table can come within `half` of the
-        route."""
+        or None if no point of its table can come within its corridor
+        half-width of the route."""
         if a not in self.tables:
-            self.tables[a] = self._table(a, step, half)
+            self.tables[a] = self._table(a, step)
         if self.tables[a] is None:
             return None
         first, points, s, lateral, covered = self.tables[a]
@@ -110,10 +127,9 @@ class _Forecast:
             return s[row], lateral[row]
         return self.route.project_many(points[row])
 
-    def _table(self, a, step, half):
+    def _table(self, a, step):
         """Actor a's table from `step` on, or None if the route is clear of it."""
-        x, y = self.snaps[a][:2]
-        vx, vy = self.velocities[a]
+        x, y, vx, vy, _, _, _, half = self.actors[a]
         times = self.times
         # The table's first and last points, as the table computes them.
         t0, t1 = step * ROLLOUT_DT, (self.n_steps - 1) * ROLLOUT_DT
@@ -130,10 +146,11 @@ class _Forecast:
                 covered.reshape(rows).all(axis=1))
 
 
-def leading_obstacle(route, ego, ego_s, forecast, step, stop_served):
-    """Nearest obstacle ahead in the lane corridor at rollout step `step` of
-    `forecast`: a current occupant, a predicted entrant (constant-velocity
-    forecast), or an unserved stop line.
+def leading_obstacle(route, ego_length, ego_s, forecast, step, stop_served):
+    """Nearest obstacle ahead in the lane corridor of an ego `ego_length` m
+    long at arc length `ego_s`, at rollout step `step` of `forecast`: a
+    current occupant, a predicted entrant (constant-velocity forecast), or
+    an unserved stop line.
 
     Returns (gap from ego center along the route, leader speed along route)
     or None.
@@ -147,26 +164,25 @@ def leading_obstacle(route, ego, ego_s, forecast, step, stop_served):
         if gap > -3.0 and (best is None or gap < best[0]):
             best = (max(gap, 0.05), v_lead)
 
-    for a, (x, y, heading, speed, length, width) in enumerate(forecast.actors(step)):
-        half = sim.LANE_HALF_WIDTH + width / 2.0
-        s_a, lat_a = route.project(x, y)
-        if route.exited(s_a):
+    for a, (_, _, _, _, heading, speed, length, half) in enumerate(forecast.actors):
+        place = forecast.place(a, step)
+        if place is None:
             continue
-        tangent_heading = route.point_at(s_a)[2]
+        s_a, lat_a, tangent_heading = place
         v_along = max(0.0, speed * math.cos(heading - tangent_heading))
         if abs(lat_a) <= half and s_a > ego_s:
-            consider(s_a - ego_s - (ego.length + length) / 2.0, v_along)
+            consider(s_a - ego_s - (ego_length + length) / 2.0, v_along)
             continue
         # Not in the corridor yet: will its straight-line motion enter it ahead?
         if speed < 1e-3 or s_a - ego_s > 80.0 or s_a - ego_s < -10.0:
             continue
-        entry = forecast.corridor_entry(a, step, half)
+        entry = forecast.corridor_entry(a, step)
         if entry is None:
             continue
         s_f, lat_f = entry
         hits = np.flatnonzero((np.abs(lat_f) <= half) & (s_f > ego_s))
         if len(hits):
-            consider(s_f[hits[0]] - ego_s - (ego.length + length) / 2.0, v_along)
+            consider(s_f[hits[0]] - ego_s - (ego_length + length) / 2.0, v_along)
 
     stop_line_s = route.stop_line_s
     if stop_line_s is not None and not stop_served and stop_line_s > ego_s - sim.STOP_LATCH_RANGE:
@@ -176,42 +192,49 @@ def leading_obstacle(route, ego, ego_s, forecast, step, stop_served):
     return best
 
 
-def pure_pursuit_steer(route, ego, lookahead, ego_s):
-    """Normalized steering command toward the route point `lookahead` m ahead
-    of the ego's arc length `ego_s`."""
+def pure_pursuit_steer(route, state, wheelbase, lookahead, ego_s):
+    """Normalized steering command that bends an ego at `state` (x, y,
+    heading, speed) toward the route point `lookahead` m ahead of its arc
+    length `ego_s`."""
+    x, y, heading, _ = state
     tx, ty, _ = route.point_at(ego_s + lookahead)
-    dx, dy = tx - ego.x, ty - ego.y
-    cos_h, sin_h = math.cos(ego.heading), math.sin(ego.heading)
+    dx, dy = tx - x, ty - y
+    cos_h, sin_h = math.cos(heading), math.sin(heading)
     local_x = cos_h * dx + sin_h * dy
     local_y = -sin_h * dx + cos_h * dy
-    return sim.steer_toward(local_x, local_y, max(math.hypot(dx, dy), 1e-6), ego.wheelbase)
+    return sim.steer_toward(local_x, local_y, max(math.hypot(dx, dy), 1e-6), wheelbase)
 
 
 def accel_to_command(accel, speed, steer):
-    """Map a desired acceleration to throttle/brake (drag feedforward)."""
+    """Map a desired acceleration to (throttle, brake, steer) with drag
+    feedforward; the three pass ControlCommand's range rule."""
     if accel >= 0.0:
-        throttle = min(1.0, (accel + sim.C_DRAG * speed * speed) / sim.A_MAX)
-        return sim.ControlCommand(throttle=throttle, brake=0.0, steer=steer)
-    brake = min(1.0, -accel / sim.B_MAX)
-    return sim.ControlCommand(throttle=0.0, brake=brake, steer=steer)
-
-
-def _control_for(route, ego, ego_s, forecast, step, stop_served, cfg):
-    v0 = min(cfg.desired_speed, route.speed_limit)
-    lead = leading_obstacle(route, ego, ego_s, forecast, step, stop_served)
-    if lead is None:
-        accel = idm_free_accel(ego.speed, v0, cfg)
+        control = min(1.0, (accel + sim.C_DRAG * speed * speed) / sim.A_MAX), 0.0, steer
     else:
-        accel = idm_accel(ego.speed, v0, lead[0], lead[1], cfg)
-    steer = pure_pursuit_steer(route, ego, cfg.lookahead, ego_s)
-    return accel_to_command(accel, ego.speed, steer)
+        control = 0.0, min(1.0, -accel / sim.B_MAX), steer
+    sim.check_control(*control)
+    return control
+
+
+def _control_for(route, ego, state, ego_s, forecast, step, stop_served, cfg):
+    """(throttle, brake, steer) of the expert driving an ego of `ego`'s size
+    at `state` (x, y, heading, speed) and arc length `ego_s`."""
+    speed = state[3]
+    v0 = min(cfg.desired_speed, route.speed_limit)
+    lead = leading_obstacle(route, ego.length, ego_s, forecast, step, stop_served)
+    if lead is None:
+        accel = idm_free_accel(speed, v0, cfg)
+    else:
+        accel = idm_accel(speed, v0, lead[0], lead[1], cfg)
+    steer = pure_pursuit_steer(route, state, ego.wheelbase, cfg.lookahead, ego_s)
+    return accel_to_command(accel, speed, steer)
 
 
 def expert_command(w, cfg):
     """The expert's control for the current frame (no trajectory rollout):
     the command of expert_act's first rollout step."""
-    return _control_for(w.route, w.ego, w.ego_projection()[0], _Forecast(w, cfg, 1), 0,
-                        w.stop_line_served, cfg)
+    return sim.ControlCommand(*_control_for(w.route, w.ego, w.ego.state, w.ego_projection()[0],
+                                            _Forecast(w, cfg, 1), 0, w.stop_line_served, cfg))
 
 
 def expert_act(w, cfg, control_vocab=None):
@@ -225,26 +248,29 @@ def expert_act(w, cfg, control_vocab=None):
     steps_per_wp = int(round(WAYPOINT_DT / ROLLOUT_DT))
     n_steps = WAYPOINTS_PER_TRAJ * steps_per_wp
     forecast = _Forecast(w, cfg, n_steps)
-    cos_h, sin_h = math.cos(w.ego.heading), math.sin(w.ego.heading)
-    ox, oy = w.ego.x, w.ego.y
+    ego = w.ego
+    cos_h, sin_h = math.cos(ego.heading), math.sin(ego.heading)
+    ox, oy = ego.x, ego.y
     waypoints = np.zeros((WAYPOINTS_PER_TRAJ, 2))
-    virt, ego_s = w.ego, w.ego_projection()[0]
+    # The virtual ego is (x, y, heading, speed) and its control (throttle,
+    # brake, steer); only step 0's control becomes a ControlCommand.
+    state, ego_s = ego.state, w.ego_projection()[0]
     for i in range(WAYPOINTS_PER_TRAJ):
         for j in range(steps_per_wp):
             step = i * steps_per_wp + j
             if ego_s is None:
-                ego_s = route.project(virt.x, virt.y)[0]
-            vcmd = _control_for(route, virt, ego_s, forecast, step, served, cfg)
+                ego_s = route.project(state[0], state[1])[0]
+            control = _control_for(route, ego, state, ego_s, forecast, step, served, cfg)
             if step == 0:
-                cmd = vcmd
-            virt = sim.step_kinematics(virt, vcmd, dt=ROLLOUT_DT)
+                cmd = sim.ControlCommand(*control)
+            state = sim.step_kinematics(state, control, ego.wheelbase, dt=ROLLOUT_DT)
             ego_s = None
             if stop_line_s is not None and not served and step + 1 < n_steps:
                 # The served check's projection is also the next step's; after
                 # the last step nothing reads either.
-                ego_s = route.project(virt.x, virt.y)[0]
-                served = route.serves_stop_line(ego_s, virt.speed)
-        dx, dy = virt.x - ox, virt.y - oy
+                ego_s = route.project(state[0], state[1])[0]
+                served = route.serves_stop_line(ego_s, state[3])
+        dx, dy = state[0] - ox, state[1] - oy
         waypoints[i] = (cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy)
 
     label = ExpertLabel(waypoints=waypoints, command=cmd)

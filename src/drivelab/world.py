@@ -66,6 +66,22 @@ class EgoState:
     length: float = 4.5
     width: float = 1.9
 
+    @property
+    def state(self):
+        """(x, y, heading, speed), the floats step_kinematics integrates."""
+        return self.x, self.y, self.heading, self.speed
+
+
+def check_control(throttle, brake, steer):
+    """The range rule of a control: throttle and brake in [0, 1], steer in
+    [-1, 1]; a nan is outside every range."""
+    if not (0.0 <= throttle <= 1.0):
+        raise ValueError(f"throttle {throttle} outside [0, 1]")
+    if not (0.0 <= brake <= 1.0):
+        raise ValueError(f"brake {brake} outside [0, 1]")
+    if not (-1.0 <= steer <= 1.0):
+        raise ValueError(f"steer {steer} outside [-1, 1]")
+
 
 @dataclass
 class ControlCommand:
@@ -74,12 +90,7 @@ class ControlCommand:
     steer: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.throttle <= 1.0):
-            raise ValueError(f"throttle {self.throttle} outside [0, 1]")
-        if not (0.0 <= self.brake <= 1.0):
-            raise ValueError(f"brake {self.brake} outside [0, 1]")
-        if not (-1.0 <= self.steer <= 1.0):
-            raise ValueError(f"steer {self.steer} outside [-1, 1]")
+        check_control(self.throttle, self.brake, self.steer)
 
 
 @dataclass
@@ -112,10 +123,11 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"scenario kind {self.kind!r} not one of {SCENARIO_KINDS}")
-        if self.route_length <= 20.0:
-            raise ValueError(f"route_length {self.route_length} too short (> 20 m required)")
-        if self.speed_limit <= 0.0:
-            raise ValueError(f"speed_limit {self.speed_limit} must be positive")
+        # Stated as what must hold, so a nan or an infinity fails too.
+        if not 20.0 < self.route_length < math.inf:
+            raise ValueError(f"route_length {self.route_length} must be finite and > 20 m")
+        if not 0.0 < self.speed_limit < math.inf:
+            raise ValueError(f"speed_limit {self.speed_limit} must be finite and positive")
 
 
 def steer_toward(x, y, ld, wheelbase):
@@ -126,36 +138,40 @@ def steer_toward(x, y, ld, wheelbase):
     return min(max(math.atan(wheelbase * curvature) / DELTA_MAX, -1.0), 1.0)
 
 
-def step_kinematics(ego, cmd, dt=DT, c_drag=C_DRAG):
-    """Advance the bicycle model one tick with RK4 (control held over the tick).
+def step_kinematics(state, control, wheelbase, dt=DT, c_drag=C_DRAG):
+    """Advance the bicycle model one tick with RK4 (control held over the
+    tick): `state` (x, y, heading, speed) under `control` (throttle, brake,
+    steer) gives the next (x, y, heading, speed).
 
     Brake dominates: any brake input forces the executed throttle to zero.
     Speed never goes negative.
     """
-    throttle = 0.0 if cmd.brake > 0.0 else cmd.throttle
-    tan_delta = math.tan(DELTA_MAX * cmd.steer)
-    L = ego.wheelbase
-    accel = A_MAX * throttle - B_MAX * cmd.brake
+    x0, y0, h0, v0 = state
+    throttle, brake, steer = control
+    if brake > 0.0:
+        throttle = 0.0
+    tan_delta = math.tan(DELTA_MAX * steer)
+    L = wheelbase
+    accel = A_MAX * throttle - B_MAX * brake
 
     # The rates depend on heading and speed only. Stage i is
     # (v cos h, v sin h, v / L tan(delta), accel - c_drag v^2) at the clamped
     # speed v = max(v_i, 0), with (h_i, v_i) the state the stage samples.
     half = 0.5 * dt
-    h, v = ego.heading, max(ego.speed, 0.0)
+    h, v = h0, max(v0, 0.0)
     x1, y1, h1, v1 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
-    h, v = ego.heading + half * h1, max(ego.speed + half * v1, 0.0)
+    h, v = h0 + half * h1, max(v0 + half * v1, 0.0)
     x2, y2, h2, v2 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
-    h, v = ego.heading + half * h2, max(ego.speed + half * v2, 0.0)
+    h, v = h0 + half * h2, max(v0 + half * v2, 0.0)
     x3, y3, h3, v3 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
-    h, v = ego.heading + dt * h3, max(ego.speed + dt * v3, 0.0)
+    h, v = h0 + dt * h3, max(v0 + dt * v3, 0.0)
     x4, y4, h4, v4 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
     w = dt / 6.0
-    x = ego.x + w * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
-    y = ego.y + w * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
-    psi = ego.heading + w * (h1 + 2.0 * h2 + 2.0 * h3 + h4)
-    v = ego.speed + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    return EgoState(x=x, y=y, heading=wrap_angle(psi), speed=max(v, 0.0),
-                    wheelbase=ego.wheelbase, length=ego.length, width=ego.width)
+    x = x0 + w * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+    y = y0 + w * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
+    psi = h0 + w * (h1 + 2.0 * h2 + 2.0 * h3 + h4)
+    v = v0 + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+    return x, y, wrap_angle(psi), max(v, 0.0)
 
 
 # -- oriented-rectangle collision (separating axis) -------------------------
@@ -630,7 +646,10 @@ def advance_world(world, cmd):
     tick's Frame to the trace. A finished world is left as it is."""
     if world.done:
         return
-    world.ego = step_kinematics(world.ego, cmd)
+    e = world.ego
+    world.ego = EgoState(*step_kinematics(e.state, (cmd.throttle, cmd.brake, cmd.steer),
+                                          e.wheelbase),
+                         wheelbase=e.wheelbase, length=e.length, width=e.width)
     for a in world.actors:
         if a.script is not None:
             a.script.step(world, a, DT)

@@ -154,6 +154,11 @@ class TestDispatch:
         ("policy.n_agents=0", "PolicyConfig.n_agents must be an integer >= 1, got 0"),
         ("policy.n_map=0", "PolicyConfig.n_map must be an integer >= 1, got 0"),
         ("expert.lookahead=0", "ExpertConfig.lookahead must be positive"),
+        ("expert.time_headway=NaN", "ExpertConfig.time_headway must be positive and finite"),
+        ("expert.lookahead=NaN", "ExpertConfig.lookahead must be positive and finite"),
+        ("expert.yield_horizon=Infinity", "ExpertConfig.yield_horizon must be positive and finite"),
+        ("scenario.speed_limit=Infinity", "speed_limit inf must be finite and positive"),
+        ("scenario.route_length=NaN", "route_length nan must be finite and > 20 m"),
     ])
     @pytest.mark.parametrize("command", ["collect-demos", "build-vocab", "eval", "report"])
     def test_bad_section_value_exits_1_under_every_command(

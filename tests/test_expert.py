@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,17 +34,24 @@ class TestIdm:
         with pytest.raises(ValueError):
             xp.ExpertConfig(time_headway=0.0)
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(xp.ExpertConfig)])
+    def test_config_rejects_negative_and_non_finite(self, field, value):
+        # min(1.0, nan) is 1.0: a nan headway would brake fully at every step
+        with pytest.raises(ValueError, match=f"ExpertConfig.{field} must be positive and finite"):
+            xp.ExpertConfig(**{field: value})
+
 
 class TestPurePursuit:
     def test_straight_route_zero_steer(self):
         route = sim.Route(np.array([[0.0, 0.0], [50.0, 0.0]]), ["LaneFollow"])
         ego = sim.EgoState(x=5.0, y=0.0, heading=0.0, speed=5.0)
-        assert xp.pure_pursuit_steer(route, ego, 6.0, 5.0) == pytest.approx(0.0, abs=1e-9)
+        assert xp.pure_pursuit_steer(route, ego.state, ego.wheelbase, 6.0, 5.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_lateral_offset_steers_back(self):
         route = sim.Route(np.array([[0.0, 0.0], [50.0, 0.0]]), ["LaneFollow"])
         ego = sim.EgoState(x=5.0, y=2.0, heading=0.0, speed=5.0)
-        assert xp.pure_pursuit_steer(route, ego, 6.0, 5.0) < -0.05
+        assert xp.pure_pursuit_steer(route, ego.state, ego.wheelbase, 6.0, 5.0) < -0.05
 
     def test_matches_curvature_formula(self):
         route = sim.Route(np.array([[0.0, 0.0], [50.0, 0.0]]), ["LaneFollow"])
@@ -51,24 +60,25 @@ class TestPurePursuit:
         alpha = math.atan2(ty - ego.y, tx - ego.x)
         ld = math.hypot(tx - ego.x, ty - ego.y)
         expect = math.atan(ego.wheelbase * 2 * math.sin(alpha) / ld) / sim.DELTA_MAX
-        assert xp.pure_pursuit_steer(route, ego, 6.0, 0.0) == pytest.approx(expect, abs=1e-9)
+        assert xp.pure_pursuit_steer(route, ego.state, ego.wheelbase, 6.0, 0.0) == pytest.approx(expect, abs=1e-9)
 
 
 class TestAccelToCommand:
+    # accel_to_command returns (throttle, brake, steer)
     def test_drag_feedforward_holds_speed(self):
         # throttle that exactly cancels drag at 8 m/s
-        cmd = xp.accel_to_command(0.0, 8.0, 0.0)
-        assert cmd.throttle == pytest.approx(sim.C_DRAG * 64.0 / sim.A_MAX)
-        assert cmd.brake == 0.0
+        throttle, brake, _ = xp.accel_to_command(0.0, 8.0, 0.0)
+        assert throttle == pytest.approx(sim.C_DRAG * 64.0 / sim.A_MAX)
+        assert brake == 0.0
 
     def test_negative_accel_maps_to_brake(self):
-        cmd = xp.accel_to_command(-4.0, 8.0, 0.1)
-        assert cmd.throttle == 0.0
-        assert cmd.brake == pytest.approx(0.5)
+        throttle, brake, _ = xp.accel_to_command(-4.0, 8.0, 0.1)
+        assert throttle == 0.0
+        assert brake == pytest.approx(0.5)
 
     def test_saturation(self):
-        assert xp.accel_to_command(99.0, 0.0, 0.0).throttle == 1.0
-        assert xp.accel_to_command(-99.0, 8.0, 0.0).brake == 1.0
+        assert xp.accel_to_command(99.0, 0.0, 0.0)[0] == 1.0
+        assert xp.accel_to_command(-99.0, 8.0, 0.0)[1] == 1.0
 
 
 class TestForecast:
@@ -202,8 +212,8 @@ def reference_control(route, ego, actor_snaps, stop_served, cfg):
     lead = reference_leading_obstacle(route, ego, ego_s, actor_snaps, stop_served, cfg)
     accel = xp.idm_free_accel(ego.speed, v0, cfg) if lead is None else \
         xp.idm_accel(ego.speed, v0, lead[0], lead[1], cfg)
-    return xp.accel_to_command(accel, ego.speed,
-                               xp.pure_pursuit_steer(route, ego, cfg.lookahead, ego_s))
+    steer = xp.pure_pursuit_steer(route, ego.state, ego.wheelbase, cfg.lookahead, ego_s)
+    return sim.ControlCommand(*xp.accel_to_command(accel, ego.speed, steer))
 
 
 def reference_act(w, cfg):
@@ -340,6 +350,48 @@ class TestPlanMatchesReference:
         assert not w.stop_line_served
         # the rollout stops at the line and latches it
         assert self.assert_plan_matches(w)
+
+    def test_a_standing_actor_is_projected_once(self, monkeypatch):
+        # Velocity (+-0, +-0) gives an actor the same position at every
+        # step, so each forecast projects it once; a moving actor, however
+        # slow, is projected at every step. The car parked at heading pi has
+        # vx = -0.0.
+        actors = [actor(60.0, 0.0, 0.0, 0.0, "static", ident=1),
+                  actor(30.0, 4.0, math.pi, 0.0, ident=2),
+                  actor(10.0, 3.5, 0.0, 6.0, ident=3),
+                  actor(40.0, -6.0, 0.0, 1e-4, ident=4)]
+        w = world_on(STRAIGHT, actors, sim.EgoState(x=0.0, y=0.0, speed=8.0))
+        assert w.actors[1].speed * math.cos(w.actors[1].heading) == 0.0
+        points = []
+        project = sim.Route.project
+
+        def counted(route, x, y):
+            points.append((x, y))
+            return project(route, x, y)
+
+        monkeypatch.setattr(sim.Route, "project", counted)
+        label = xp.expert_act(w, CFG)
+        assert points.count((60.0, 0.0)) == 1
+        assert points.count((30.0, 4.0)) == 1
+        assert sum(y == 3.5 for _, y in points) == 30
+        assert sum(y == -6.0 for _, y in points) == 30
+        monkeypatch.undo()
+        self.assert_plan_matches(w, label)
+
+    def test_a_later_step_out_of_range_raises(self, monkeypatch):
+        # Only step 0's control becomes a ControlCommand; every later step's
+        # (throttle, brake, steer) passes the same range rule.
+        steer_toward, calls = sim.steer_toward, []
+
+        def steer(*args):
+            calls.append(args)
+            return steer_toward(*args) if len(calls) == 1 else 1.5
+
+        monkeypatch.setattr(sim, "steer_toward", steer)
+        w = sim.reset(sim.ScenarioSpec("EmergencyBrake", 0))
+        with pytest.raises(ValueError, match=re.escape("steer 1.5 outside [-1, 1]")):
+            xp.expert_act(w, CFG)
+        assert len(calls) == 2
 
     def test_actor_at_negative_zero(self):
         # At step 0 an actor moves by v t = +-0.0, so x = -0.0 may become

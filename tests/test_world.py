@@ -14,44 +14,45 @@ def straight_route(length=120.0, spacing=3.0, **kw):
 
 
 class TestKinematics:
+    # step_kinematics integrates (x, y, heading, speed) under (throttle,
+    # brake, steer) for a given wheelbase.
+    WHEELBASE = sim.EgoState().wheelbase
+
     def test_straight_full_throttle_accelerates(self):
-        ego = sim.EgoState()
-        cmd = sim.ControlCommand(throttle=1.0)
+        state = sim.EgoState().state
         for _ in range(20):
-            ego = sim.step_kinematics(ego, cmd)
+            state = sim.step_kinematics(state, (1.0, 0.0, 0.0), self.WHEELBASE)
+        _, y, _, speed = state
         # ~A_MAX * t minus a little drag
-        assert 2.8 < ego.speed <= 3.0
-        assert ego.y == pytest.approx(0.0)
+        assert 2.8 < speed <= 3.0
+        assert y == pytest.approx(0.0)
 
     def test_drag_free_matches_analytic(self):
-        ego = sim.EgoState(speed=0.0)
-        cmd = sim.ControlCommand(throttle=1.0)
+        state = sim.EgoState(speed=0.0).state
         for _ in range(40):
-            ego = sim.step_kinematics(ego, cmd, c_drag=0.0)
+            state = sim.step_kinematics(state, (1.0, 0.0, 0.0), self.WHEELBASE, c_drag=0.0)
+        x, _, _, speed = state
         t = 40 * sim.DT
-        assert ego.speed == pytest.approx(sim.A_MAX * t, abs=1e-9)
-        assert ego.x == pytest.approx(0.5 * sim.A_MAX * t * t, abs=1e-6)
+        assert speed == pytest.approx(sim.A_MAX * t, abs=1e-9)
+        assert x == pytest.approx(0.5 * sim.A_MAX * t * t, abs=1e-6)
 
     def test_brake_dominates_throttle(self):
-        ego = sim.EgoState(speed=8.0)
-        cmd = sim.ControlCommand(throttle=1.0, brake=1.0)
-        nxt = sim.step_kinematics(ego, cmd)
-        assert nxt.speed == pytest.approx(8.0 - sim.B_MAX * sim.DT, rel=1e-3)
+        state = sim.EgoState(speed=8.0).state
+        speed = sim.step_kinematics(state, (1.0, 1.0, 0.0), self.WHEELBASE)[3]
+        assert speed == pytest.approx(8.0 - sim.B_MAX * sim.DT, rel=1e-3)
 
     def test_speed_never_negative(self):
-        ego = sim.EgoState(speed=0.1)
-        cmd = sim.ControlCommand(brake=1.0)
+        state = sim.EgoState(speed=0.1).state
         for _ in range(10):
-            ego = sim.step_kinematics(ego, cmd)
-        assert ego.speed == 0.0
+            state = sim.step_kinematics(state, (0.0, 1.0, 0.0), self.WHEELBASE)
+        assert state[3] == 0.0
 
     def test_steady_turn_matches_bicycle_yaw_rate(self):
-        ego = sim.EgoState(speed=5.0)
-        cmd = sim.ControlCommand(steer=0.5)
-        nxt = sim.step_kinematics(ego, cmd, c_drag=0.0)
+        state = sim.EgoState(speed=5.0).state
+        heading = sim.step_kinematics(state, (0.0, 0.0, 0.5), self.WHEELBASE, c_drag=0.0)[2]
         # v slightly constant; yaw rate = v/L tan(delta_max * steer)
-        expect = 5.0 / ego.wheelbase * math.tan(sim.DELTA_MAX * 0.5) * sim.DT
-        assert nxt.heading == pytest.approx(expect, rel=1e-3)
+        expect = 5.0 / self.WHEELBASE * math.tan(sim.DELTA_MAX * 0.5) * sim.DT
+        assert heading == pytest.approx(expect, rel=1e-3)
 
     def test_command_validation(self):
         with pytest.raises(ValueError):
@@ -385,7 +386,7 @@ def track_route(w, throttle=0.5, brake_before=None, max_ticks=3000):
     from drivelab.expert import pure_pursuit_steer
     while not w.done and w.tick < max_ticks:
         s, _ = w.route.project(w.ego.x, w.ego.y)
-        steer = pure_pursuit_steer(w.route, w.ego, 6.0, s)
+        steer = pure_pursuit_steer(w.route, w.ego.state, w.ego.wheelbase, 6.0, s)
         stopping_dist = w.ego.speed ** 2 / (2.0 * sim.B_MAX)
         if brake_before is not None and not w.stop_line_served \
                 and stopping_dist >= (brake_before - s) - 1.0:
@@ -479,3 +480,10 @@ class TestEpisodeLogic:
             sim.ScenarioSpec("StopSign", 0, route_length=10.0)
         with pytest.raises(ValueError):
             sim.ScenarioSpec("StopSign", 0, speed_limit=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError, match=f"route_length {value} must be finite and > 20 m"):
+            sim.ScenarioSpec("StopSign", 0, route_length=value)
+        with pytest.raises(ValueError, match=f"speed_limit {value} must be finite and positive"):
+            sim.ScenarioSpec("StopSign", 0, speed_limit=value)
