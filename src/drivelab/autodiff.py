@@ -42,11 +42,30 @@ zero sum first becomes inf. Every other op passes an inf or nan on to one of
 them, so both paths raise NonFiniteError on the same inputs. `backward`
 rejects a non-finite loss and `Adam.step` non-finite gradients, so what the
 losses add after the network is checked too.
+
+Importing the module sets two of glibc's malloc thresholds, where the
+process runs on glibc, so that a training step reuses the heap the previous
+step's graph freed (see the `mallopt` calls below).
 """
 
+import ctypes
 import math
+import platform
 
 import numpy as np
+
+# A training step's graph frees a few MB at once. With glibc's defaults that
+# heap top goes back to the kernel (M_TRIM_THRESHOLD is 128 KiB) and the next
+# step faults every page in again, so freed heap is kept. Setting a threshold
+# turns off glibc's dynamic mmap threshold, which would leave every array of
+# 128 KiB or more mmapped, and faulted in, on each allocation; so arrays under
+# 32 MiB come from the heap as well. No float changes, and forked `--jobs`
+# workers inherit the setting.
+if platform.libc_ver()[0] == "glibc":
+    _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's malloc.h
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 class ShapeError(ValueError):

@@ -68,8 +68,7 @@ class NeuralDriver:
     Shadow-mode takeover collection and closed-loop evaluation both drive
     through this class, so the policy that triggers takeovers is exactly the
     one that is scored. The last tick's scene snapshot stays on the driver
-    as `snap`. A NonFiniteError from the policy names the scenario and tick
-    it happened at."""
+    as `snap`."""
 
     def __init__(self, policy, creep_enabled=True):
         self.policy = policy
@@ -79,10 +78,7 @@ class NeuralDriver:
 
     def act(self, world):
         self.snap = encode_scene(world, self.policy.cfg)
-        try:
-            out = self.policy.infer(self.snap)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"{scenario_id(world.spec)} tick {world.tick}: {e}")
+        out = self.policy.infer(self.snap)
         c_traj = self.pid.track(out.tau_plan, world.ego)
         cmd = ensemble(out.c_ctrl, c_traj)
         override = self.creep.update(world, cmd.steer)
@@ -93,10 +89,22 @@ def run_episode(driver, spec):
     """Run any driver (object with act(world) -> ControlCommand) closed-loop
     from the spec's first tick until the world is done or MAX_EPISODE_TICKS
     have passed. This is the one episode loop: demo collection, shadow
-    collection and evaluation are each a driver run here."""
+    collection and evaluation are each a driver run here, so it is where a
+    failure gets its place: an exception raised by a tick is raised again
+    as "<scenario id> tick <n>: <message>", of the nearest type in its
+    class's MRO that a message alone builds (its own type, as a rule)."""
     w = sim.reset(spec)
-    while not w.done and w.tick < MAX_EPISODE_TICKS:
-        sim.advance_world(w, driver.act(w))
+    try:
+        while not w.done and w.tick < MAX_EPISODE_TICKS:
+            sim.advance_world(w, driver.act(w))
+    except Exception as e:
+        msg = f"{scenario_id(spec)} tick {w.tick}: {e}"
+        for cls in type(e).__mro__:
+            try:
+                located = cls(msg)
+            except TypeError:
+                continue
+            raise located from e
     return score_episode(w)
 
 

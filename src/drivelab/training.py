@@ -33,18 +33,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Stated as what must hold, so a nan fails too.
+        # Stated as what must hold, so a nan or an infinity fails too.
         for f in ("beta", "gamma", "tau_label", "pretrain_lr", "dagger_lr", "po_lr"):
-            if not getattr(self, f) > 0:
-                raise ValueError(f"TrainConfig.{f} must be positive")
+            if not 0.0 < getattr(self, f) < math.inf:
+                raise ValueError(f"TrainConfig.{f} must be positive and finite")
         for f in ("pretrain_epochs", "batch_size"):
             if not getattr(self, f) >= 1:
                 raise ValueError(f"TrainConfig.{f} must be >= 1")
         # 0 epochs ablates a stage, 0 rounds keeps the pretrained policy and
         # a takeover weight of 0 leaves takeovers out of the DAgger data.
-        for f in ("dagger_epochs", "po_epochs", "rounds", "takeover_weight"):
+        for f in ("dagger_epochs", "po_epochs", "rounds"):
             if not getattr(self, f) >= 0:
                 raise ValueError(f"TrainConfig.{f} must be >= 0")
+        if not 0.0 <= self.takeover_weight < math.inf:
+            raise ValueError("TrainConfig.takeover_weight must be >= 0 and finite")
 
 
 def soft_trajectory_target(traj_vocab, waypoints, tau=1.0):
@@ -185,6 +187,7 @@ def _run_epoch(policy, samples, order, cfg, opt, batch_loss, trainable=None, tag
         except ad.NonFiniteError as e:
             raise ad.NonFiniteError(f"{tag} batch {b}: {e}")
         losses.append(loss.data.item())
+        del loss    # frees this batch's graph before the next batch builds its own
     return float(np.mean(losses))
 
 

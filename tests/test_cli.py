@@ -138,6 +138,11 @@ class TestDispatch:
         ("train.dagger_lr=-5e-5", "TrainConfig.dagger_lr must be positive"),
         ("train.po_lr=0", "TrainConfig.po_lr must be positive"),
         ("train.takeover_weight=-1.0", "TrainConfig.takeover_weight must be >= 0"),
+        ("train.po_lr=Infinity", "TrainConfig.po_lr must be positive and finite"),
+        ("train.beta=Infinity", "TrainConfig.beta must be positive and finite"),
+        ("train.tau_label=Infinity", "TrainConfig.tau_label must be positive and finite"),
+        ("train.takeover_weight=Infinity",
+         "TrainConfig.takeover_weight must be >= 0 and finite"),
     ])
     @pytest.mark.parametrize("command", ["pretrain", "postopt"])
     def test_bad_train_value_exits_1_before_reading_artifacts(

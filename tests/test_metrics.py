@@ -328,3 +328,46 @@ def test_nonfinite_policy_names_scenario_and_tick(path, jobs):
             bench.evaluate_suite(policy, suite, jobs=jobs)
     prefix = "shadow round 2 " if path == "shadow" else "eval "
     assert str(err.value) == f"{prefix}StopSign:3 tick 0: non-finite values"
+
+
+def test_episode_failure_names_scenario_and_tick(monkeypatch):
+    """Any exception a tick raises leaves the episode loop naming the
+    scenario and the tick, with its type kept and the original as its cause:
+    here a nan steer that shadow collection hands the world."""
+    real_act = ds._ShadowDriver.act
+
+    def act(self, w):
+        cmd = real_act(self, w)
+        return sim.ControlCommand(cmd.throttle, cmd.brake, math.nan) if w.tick == 5 else cmd
+
+    monkeypatch.setattr(ds._ShadowDriver, "act", act)
+    rng = np.random.default_rng(0)
+    policy = pol.Policy(pol.PolicyConfig(feature_dim=8, k=4),
+                        TrajectoryVocabulary(rng.normal(0, 3.0, size=(4, 6, 2))),
+                        ControlVocabulary())
+    suite = [sim.ScenarioSpec("Merging", 3, route_length=40.0)]
+    with pytest.raises(ValueError) as err:
+        ds.run_shadow_collection(policy, suite, xp.ExpertConfig(), round_index=1)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "Merging:3 tick 5: steer nan outside [-1, 1]"
+    assert str(err.value.__cause__) == "steer nan outside [-1, 1]"
+
+
+def test_episode_failure_keeps_the_nearest_rebuildable_type():
+    """A type whose constructor takes more than a message gives way to the
+    nearest base class that takes one."""
+    class Fault(KeyError):
+        def __init__(self, code, detail):
+            super().__init__(f"{code}: {detail}")
+
+    class FaultyDriver:
+        def act(self, w):
+            if w.tick == 2:
+                raise Fault(7, "broken")
+            return sim.ControlCommand()
+
+    with pytest.raises(KeyError) as err:
+        bench.run_episode(FaultyDriver(), sim.ScenarioSpec("StopSign", 0))
+    assert type(err.value) is KeyError
+    assert err.value.args == ("StopSign:0 tick 2: '7: broken'",)
+    assert isinstance(err.value.__cause__, Fault)
