@@ -9,7 +9,6 @@ from functools import partial
 import numpy as np
 
 from . import expert as xp
-from .autodiff import NonFiniteError
 # MAX_EPISODE_TICKS is not used here; perfbench/workloads.py reads it as
 # dataset.MAX_EPISODE_TICKS, so it stays importable from this module.
 from .metrics import MAX_EPISODE_TICKS, NeuralDriver, map_episodes, run_episode, scenario_id
@@ -264,12 +263,9 @@ def run_shadow_collection(policy, suite, expert_cfg, round_index, eps_steer=EPS_
     TakeoverSample per tick. Re-triggering is suppressed for 1 s after
     handback. Returns the raw (unfiltered) takeover dataset.
     """
-    try:
-        episodes = map_episodes(partial(_shadow_episode, policy=policy, expert_cfg=expert_cfg,
-                                        round_index=round_index, eps_steer=eps_steer),
-                                suite, jobs)
-    except NonFiniteError as e:
-        raise NonFiniteError(f"shadow round {round_index} {e}")
+    episodes = map_episodes(partial(_shadow_episode, policy=policy, expert_cfg=expert_cfg,
+                                    round_index=round_index, eps_steer=eps_steer),
+                            suite, jobs)
     trigger_counts = {k: sum(counts[k] for _, counts in episodes) for k in TRIGGERS}
     return Dataset([s for samples, _ in episodes for s in samples], kind="takeover",
                    vocab_hash=policy.traj_vocab.hash(),

@@ -10,7 +10,6 @@ from functools import partial
 import numpy as np
 
 from . import world as sim
-from .autodiff import NonFiniteError
 from .policy import PidTracker, SafetyCreep, encode_scene, ensemble
 
 MAX_EPISODE_TICKS = 4000
@@ -85,26 +84,29 @@ class NeuralDriver:
         return override if override is not None else cmd
 
 
+def located(e, place):
+    """`e` again as "<place>: <message>", of the nearest type in its class's
+    MRO that a message alone builds (its own type, as a rule): the one rule
+    for naming where a failure happened, raised `from e` at each place."""
+    for cls in type(e).__mro__:
+        try:
+            return cls(f"{place}: {e}")
+        except TypeError:
+            continue
+
+
 def run_episode(driver, spec):
     """Run any driver (object with act(world) -> ControlCommand) closed-loop
     from the spec's first tick until the world is done or MAX_EPISODE_TICKS
     have passed. This is the one episode loop: demo collection, shadow
     collection and evaluation are each a driver run here, so it is where a
-    failure gets its place: an exception raised by a tick is raised again
-    as "<scenario id> tick <n>: <message>", of the nearest type in its
-    class's MRO that a message alone builds (its own type, as a rule)."""
+    failure gets its scenario and tick ("<scenario id> tick <n>: ...")."""
     w = sim.reset(spec)
     try:
         while not w.done and w.tick < MAX_EPISODE_TICKS:
             sim.advance_world(w, driver.act(w))
     except Exception as e:
-        msg = f"{scenario_id(spec)} tick {w.tick}: {e}"
-        for cls in type(e).__mro__:
-            try:
-                located = cls(msg)
-            except TypeError:
-                continue
-            raise located from e
+        raise located(e, f"{scenario_id(spec)} tick {w.tick}") from e
     return score_episode(w)
 
 
@@ -209,11 +211,8 @@ def map_episodes(fn, suite, jobs=1):
 
 
 def evaluate_suite(policy, suite, creep_enabled=True, jobs=1):
-    try:
-        results = map_episodes(partial(run_closed_loop, policy, creep_enabled=creep_enabled),
-                               suite, jobs)
-    except NonFiniteError as e:
-        raise NonFiniteError(f"eval {e}")
+    results = map_episodes(partial(run_closed_loop, policy, creep_enabled=creep_enabled),
+                           suite, jobs)
     return summarize(results), results
 
 

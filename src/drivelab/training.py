@@ -11,6 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataset as ds
+from .metrics import located
 
 LOGPROB_FLOOR = -50.0   # ln pi clamp on underflow
 
@@ -47,6 +48,9 @@ class TrainConfig:
                 raise ValueError(f"TrainConfig.{f} must be >= 0")
         if not 0.0 <= self.takeover_weight < math.inf:
             raise ValueError("TrainConfig.takeover_weight must be >= 0 and finite")
+        if self.takeover_weight != int(self.takeover_weight):
+            raise ValueError("TrainConfig.takeover_weight is a repeat count and must be "
+                             f"a whole number, got {self.takeover_weight}")
 
 
 def soft_trajectory_target(traj_vocab, waypoints, tau=1.0):
@@ -173,10 +177,10 @@ def _batch_loss(policy, samples, cfg, want_traj=True, want_ctrl=True):
     return _sum(terms)
 
 
-def _run_epoch(policy, samples, order, cfg, opt, batch_loss, trainable=None, tag=""):
+def _run_epoch(policy, samples, order, cfg, opt, batch_loss, trainable=None):
     """One pass over `samples` in `order`: per batch, batch_loss(batch) ->
     backward -> Adam step on `trainable` (all parameters if None). Returns
-    the mean batch loss."""
+    the mean batch loss. A failure names its batch ("batch <b>: ...")."""
     losses = []
     for b, start in enumerate(range(0, len(order), cfg.batch_size)):
         batch = [samples[i] for i in order[start:start + cfg.batch_size]]
@@ -184,8 +188,8 @@ def _run_epoch(policy, samples, order, cfg, opt, batch_loss, trainable=None, tag
             loss = batch_loss(batch)
             ad.backward(loss, policy.params)
             opt.step(trainable=trainable)
-        except ad.NonFiniteError as e:
-            raise ad.NonFiniteError(f"{tag} batch {b}: {e}")
+        except Exception as e:
+            raise located(e, f"batch {b}") from e
         losses.append(loss.data.item())
         del loss    # frees this batch's graph before the next batch builds its own
     return float(np.mean(losses))
@@ -215,15 +219,18 @@ def pretrain(policy, demo, cfg, progress=None):
         opt = ad.Adam(policy.params, lr=cfg.pretrain_lr,
                       schedule="cosine", total_steps=steps)
         history[stage] = []
-        for epoch in range(cfg.pretrain_epochs):
-            order = rng.permutation(len(samples))
-            mean = _run_epoch(
-                policy, samples, order, cfg, opt,
-                lambda batch: _batch_loss(policy, batch, cfg, want_traj, want_ctrl),
-                trainable, tag=f"pretrain/{stage}")
-            history[stage].append(mean)
-            if progress:
-                progress(f"pretrain {stage} epoch {epoch}: loss {mean:.4f}")
+        try:
+            for epoch in range(cfg.pretrain_epochs):
+                order = rng.permutation(len(samples))
+                mean = _run_epoch(
+                    policy, samples, order, cfg, opt,
+                    lambda batch: _batch_loss(policy, batch, cfg, want_traj, want_ctrl),
+                    trainable)
+                history[stage].append(mean)
+                if progress:
+                    progress(f"pretrain {stage} epoch {epoch}: loss {mean:.4f}")
+        except Exception as e:
+            raise located(e, f"pretrain/{stage}") from e
     return history
 
 
@@ -232,7 +239,7 @@ def dagger_epoch(policy, merged, cfg, rng):
     order = merged.epoch_indices(rng)
     opt = ad.Adam(policy.params, lr=cfg.dagger_lr)
     return _run_epoch(policy, merged.samples, order, cfg, opt,
-                      lambda batch: _batch_loss(policy, batch, cfg), tag="dagger")
+                      lambda batch: _batch_loss(policy, batch, cfg))
 
 
 # -- preference optimization --------------------------------------------------
@@ -284,8 +291,7 @@ def po_epoch(policy, samples, cfg, opt):
     flags = []
     mean = _run_epoch(
         policy, samples, rng.permutation(len(samples)), cfg, opt,
-        lambda batch: _pair_losses(policy, batch, cfg, flags),
-        tag="po")
+        lambda batch: _pair_losses(policy, batch, cfg, flags))
     return mean, len(flags)
 
 
@@ -300,56 +306,65 @@ def post_optimize(policy, demo, suite, expert_cfg, cfg, out_dir,
     merge with the demonstrations and all previous rounds, run the DAgger
     epochs, then the preference epochs on this round's data only. Checkpoints
     land under round_<i>/; returns (policy, reports). Shadow collection
-    drives its episodes across `jobs` processes."""
+    drives its episodes across `jobs` processes. A failure names its round
+    and stage: "round <i> shadow|dagger|preference|eval|save: ..."."""
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(cfg.seed + 1)
     rounds_kept = []
     reports = []
     for i in range(1, cfg.rounds + 1):
-        rdir = os.path.join(out_dir, f"round_{i}")
-        os.makedirs(rdir, exist_ok=True)
-        raw = ds.run_shadow_collection(policy, suite, expert_cfg, round_index=i,
-                                       eps_steer=cfg.eps_steer, jobs=jobs)
-        kept = ds.filter_takeovers(raw)
-        ds.persist(kept, os.path.join(rdir, "takeover.jsonl"))
-        rounds_kept.append(kept)
+        stage = "shadow"
+        try:
+            rdir = os.path.join(out_dir, f"round_{i}")
+            os.makedirs(rdir, exist_ok=True)
+            raw = ds.run_shadow_collection(policy, suite, expert_cfg, round_index=i,
+                                           eps_steer=cfg.eps_steer, jobs=jobs)
+            kept = ds.filter_takeovers(raw)
+            ds.persist(kept, os.path.join(rdir, "takeover.jsonl"))
+            rounds_kept.append(kept)
 
-        merged = ds.MergedDataset(demo, rounds_kept,
-                                  takeover_weight=cfg.takeover_weight)
-        dagger_losses = [dagger_epoch(policy, merged, cfg, rng)
-                         for _ in range(cfg.dagger_epochs)]
+            stage = "dagger"
+            merged = ds.MergedDataset(demo, rounds_kept,
+                                      takeover_weight=cfg.takeover_weight)
+            dagger_losses = [dagger_epoch(policy, merged, cfg, rng)
+                             for _ in range(cfg.dagger_epochs)]
 
-        report = {
-            "round": i,
-            "takeover_raw": len(raw),
-            "takeover_kept": len(kept),
-            "triggers": raw.manifest["triggers"],
-            "filter_stats": kept.manifest["filter_stats"],
-            "dagger_losses": dagger_losses,
-        }
-        if len(kept) == 0:
-            report["po_skipped"] = "no takeover data this round"
-            if progress:
-                progress(f"round {i}: empty takeover set, preference epochs skipped")
-        else:
-            margin_before = mean_margin(policy, kept.samples, cfg)
-            opt = ad.Adam(policy.params, lr=cfg.po_lr)
-            po_losses = []
-            underflows = 0
-            for _ in range(cfg.po_epochs):
-                mean, n_flag = po_epoch(policy, kept.samples, cfg, opt)
-                po_losses.append(mean)
-                underflows += n_flag
-            report["po_losses"] = po_losses
-            report["po_underflow_clamps"] = underflows
-            report["margin_before"] = margin_before
-            report["margin_after"] = mean_margin(policy, kept.samples, cfg)
+            report = {
+                "round": i,
+                "takeover_raw": len(raw),
+                "takeover_kept": len(kept),
+                "triggers": raw.manifest["triggers"],
+                "filter_stats": kept.manifest["filter_stats"],
+                "dagger_losses": dagger_losses,
+            }
+            if len(kept) == 0:
+                report["po_skipped"] = "no takeover data this round"
+                if progress:
+                    progress(f"round {i}: empty takeover set, preference epochs skipped")
+            else:
+                stage = "preference"
+                margin_before = mean_margin(policy, kept.samples, cfg)
+                opt = ad.Adam(policy.params, lr=cfg.po_lr)
+                po_losses = []
+                underflows = 0
+                for _ in range(cfg.po_epochs):
+                    mean, n_flag = po_epoch(policy, kept.samples, cfg, opt)
+                    po_losses.append(mean)
+                    underflows += n_flag
+                report["po_losses"] = po_losses
+                report["po_underflow_clamps"] = underflows
+                report["margin_before"] = margin_before
+                report["margin_after"] = mean_margin(policy, kept.samples, cfg)
 
-        if evaluate is not None:
-            report["validation"] = evaluate(policy)
-        policy.save(os.path.join(rdir, "policy.ckpt"), extra_meta={"round": i})
-        with open(os.path.join(rdir, "report.json"), "w") as f:
-            json.dump(report, f, indent=2)
+            if evaluate is not None:
+                stage = "eval"
+                report["validation"] = evaluate(policy)
+            stage = "save"
+            policy.save(os.path.join(rdir, "policy.ckpt"), extra_meta={"round": i})
+            with open(os.path.join(rdir, "report.json"), "w") as f:
+                json.dump(report, f, indent=2)
+        except Exception as e:
+            raise located(e, f"round {i} {stage}") from e
         reports.append(report)
         if progress:
             progress(f"round {i}: kept {len(kept)} takeover samples"

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -143,6 +144,10 @@ class TestDispatch:
         ("train.tau_label=Infinity", "TrainConfig.tau_label must be positive and finite"),
         ("train.takeover_weight=Infinity",
          "TrainConfig.takeover_weight must be >= 0 and finite"),
+        ("train.takeover_weight=2.5", "TrainConfig.takeover_weight is a repeat count and "
+                                      "must be a whole number, got 2.5"),
+        ("train.takeover_weight=0.4", "TrainConfig.takeover_weight is a repeat count and "
+                                      "must be a whole number, got 0.4"),
     ])
     @pytest.mark.parametrize("command", ["pretrain", "postopt"])
     def test_bad_train_value_exits_1_before_reading_artifacts(
@@ -227,6 +232,33 @@ class TestDispatch:
         assert cli.main(["--config", cfg_path, "postopt", "--rounds", "-1"]) == 1
         assert "error: TrainConfig.rounds must be >= 0" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("fault, code, printed", [
+        (ZeroDivisionError, 2, "runtime failure: ZeroDivisionError: "),
+        (ValueError, 1, "error: "),
+    ])
+    def test_postopt_failure_prints_its_place(self, pipeline, tmp_path, capsys, monkeypatch,
+                                              fault, code, printed):
+        """A failure mid-`postopt` keeps its exit code (1 for a ValueError, 2
+        for any other) and prints the whole located message."""
+        _, out, cfg_path = pipeline
+        real = sim.advance_world
+
+        def advance(w, cmd):
+            if w.tick == 3:
+                raise fault("world fault")
+            real(w, cmd)
+
+        monkeypatch.setattr(sim, "advance_world", advance)
+        run = tmp_path / "run"     # postopt's inputs only, whatever ran before
+        run.mkdir()
+        for name in ("demos.jsonl", "vocab.jsonl", "pretrained.ckpt"):
+            shutil.copy(out / name, run / name)
+        assert cli.main(["--config", cfg_path, "--out-dir", str(run), "--jobs", "1",
+                         "postopt"]) == code
+        assert capsys.readouterr().err == \
+            f"{printed}round 1 shadow: EmergencyBrake:0 tick 3: world fault\n"
+        assert not (run / "postopt" / "policy.ckpt").exists()
 
     def test_eval_and_report(self, pipeline, capsys):
         tmp, out, cfg_path = pipeline

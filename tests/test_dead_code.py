@@ -28,7 +28,8 @@ attribute that shares its name with a live one, or a parameter of a method
 that shares its name with another, can pass unseen.
 
 The package also has one episode loop: `metrics.run_episode` is the only
-function that builds or steps a world.
+function that builds or steps a world, and one rule for a failure's place:
+no `except` clause singles out `NonFiniteError`.
 """
 
 import ast
@@ -110,6 +111,20 @@ def test_tensors_are_built_only_in_autodiff():
     graph: only the engine's own ops build a Tensor."""
     sites = call_sites("Tensor")
     assert sites and all(module == "autodiff" for module, _ in sites), sites
+
+
+def test_no_handler_singles_out_nonfinite_errors():
+    """A failure's place is added by `metrics.located` for every exception
+    alike, so no `except` clause in the package names `NonFiniteError`."""
+    handlers = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute))}
+                if "NonFiniteError" in names:
+                    handlers.append(f"{module}:{node.lineno}")
+    assert not handlers, f"except clauses naming NonFiniteError: {handlers}"
 
 
 def _projects_the_ego(call):

@@ -311,9 +311,10 @@ def test_evaluate_suite_across_processes_equals_serial():
     pytest.param("shadow", 1, id="shadow"), pytest.param("eval", 1, id="eval"),
     pytest.param("shadow", 2, id="shadow-jobs2"), pytest.param("eval", 2, id="eval-jobs2")])
 def test_nonfinite_policy_names_scenario_and_tick(path, jobs):
-    """A NonFiniteError raised by `infer` mid-episode names the stage, the
-    scenario and the tick, like `_run_epoch` names its batch, also when the
-    episode ran in a worker process."""
+    """A NonFiniteError raised by `infer` mid-episode names the scenario and
+    the tick, also when the episode ran in a worker process. Neither phase
+    adds a place of its own: `post_optimize` names the round and the stage
+    (tests/test_training.py, `TestFailureLocation`)."""
     from drivelab.autodiff import NonFiniteError
     rng = np.random.default_rng(0)
     policy = pol.Policy(pol.PolicyConfig(feature_dim=8, k=4),
@@ -326,8 +327,7 @@ def test_nonfinite_policy_names_scenario_and_tick(path, jobs):
             ds.run_shadow_collection(policy, suite, xp.ExpertConfig(), round_index=2, jobs=jobs)
         else:
             bench.evaluate_suite(policy, suite, jobs=jobs)
-    prefix = "shadow round 2 " if path == "shadow" else "eval "
-    assert str(err.value) == f"{prefix}StopSign:3 tick 0: non-finite values"
+    assert str(err.value) == "StopSign:3 tick 0: non-finite values"
 
 
 def test_episode_failure_names_scenario_and_tick(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from drivelab import autodiff as ad
 from drivelab import dataset as ds
 from drivelab import expert as xp
+from drivelab import metrics as bench
 from drivelab import policy as pol
 from drivelab import training as tr
 from drivelab import vocab
@@ -475,13 +476,14 @@ class TestPretrain:
         snapshots = {}
         orig = tr._run_epoch
 
-        def spy(p, samples, order, c, opt, batch_loss, trainable=None, tag=""):
-            if tag == "pretrain/control" and not snapshots:
+        def spy(p, samples, order, c, opt, batch_loss, trainable=None):
+            if trainable == policy.param_names(policy.CTRL_PREFIXES) and not snapshots:
                 snapshots.update({n: p.params[n].data.copy() for n in frozen_names})
-            return orig(p, samples, order, c, opt, batch_loss, trainable, tag)
+            return orig(p, samples, order, c, opt, batch_loss, trainable)
 
         monkeypatch.setattr(tr, "_run_epoch", spy)
         tr.pretrain(policy, demo, cfg)
+        assert snapshots, "no epoch trained the control branch alone"
         # after the control stage ran, stage-1 parameters must be bit-unchanged
         # relative to their values when that stage started... but stage 3 then
         # updates them, so compare against a rerun stopped after stage 2
@@ -627,11 +629,14 @@ def test_training_steps_fault_no_freed_memory_back_in(batch, steps):
     assert faults < 50, f"{faults:.0f} minor page faults per step at B = {batch}"
 
 
-@pytest.mark.parametrize("stage, tag", [("pretrain", "pretrain/trajectory"),
-                                        ("dagger", "dagger"), ("po", "po")])
-def test_nan_parameter_raises_naming_stage_and_batch(stage, tag):
+@pytest.mark.parametrize("stage, place", [
+    pytest.param("pretrain", "pretrain/trajectory: batch 0", id="pretrain-pretrain/trajectory"),
+    pytest.param("dagger", "batch 0", id="dagger-dagger"),
+    pytest.param("po", "batch 0", id="po-po")])
+def test_nan_parameter_raises_naming_stage_and_batch(stage, place):
     """The network's own checks catch a nan parameter in the first batch of
-    every training stage, and the error names the stage and the batch."""
+    every training stage, and the error names the batch; `pretrain` adds its
+    stage (`post_optimize` adds its own: `TestFailureLocation`)."""
     policy = tiny_policy()
     policy.params["traj_head.b2"].data[0] = np.nan
     rng = np.random.default_rng(6)
@@ -644,7 +649,7 @@ def test_nan_parameter_raises_naming_stage_and_batch(stage, tag):
         "po": lambda: tr.po_epoch(policy, takeovers.samples, cfg,
                                   ad.Adam(policy.params, lr=cfg.po_lr)),
     }[stage]
-    with pytest.raises(ad.NonFiniteError, match=f"^{tag} batch 0: "):
+    with pytest.raises(ad.NonFiniteError, match=f"^{place}: "):
         run()
 
 
@@ -775,6 +780,90 @@ class TestPostOptimize:
             assert report["margin_after"] == report["margin_before"]
 
 
+def _overflowing_predict(policy, snapshots):
+    """`Policy.predict` on a copy of the parameters whose last trajectory
+    layer overflows: a margin pass that the network's checks stop."""
+    arrays = dict(policy.params.arrays)
+    arrays["traj_head.w2"] = arrays["traj_head.w2"] * 1e300
+    return policy._network(arrays, snapshots)
+
+
+class TestFailureLocation:
+    """A failure anywhere in a post-optimization round names the round and
+    the stage, then every place below it (an episode's scenario and tick, a
+    training batch), and keeps its type; run in process, each place's
+    exception is the `__cause__` of the one above it."""
+
+    SUITE = [sim.ScenarioSpec(kind, 0, route_length=40.0)
+             for kind in ("EmergencyBrake", "StopSign")]
+
+    def _inject(self, fault, monkeypatch, policy, demo, out_dir):
+        """Set up `fault`; returns the demo set to train on, the evaluation
+        callback and the TrainConfig overrides."""
+        evaluate, overrides = None, {"dagger_epochs": 0}
+        if fault == "world":
+            real = sim.advance_world
+
+            def advance(w, cmd):
+                if w.tick == 5:
+                    raise ArithmeticError("world fault")
+                real(w, cmd)
+            monkeypatch.setattr(sim, "advance_world", advance)
+        elif fault == "expert":
+            def expert_act(w, cfg, control_vocab=None):
+                raise LookupError("expert fault")
+            monkeypatch.setattr(ds.xp, "expert_act", expert_act)
+        elif fault == "infer":
+            policy.params["traj_head.w2"].data *= 1e300
+        elif fault == "dagger":
+            # every demo label nan, and no takeover repeated into the epoch
+            demo = ds.Dataset([copy.copy(s) for s in demo.samples], kind="demo")
+            for s in demo.samples:
+                s.traj_waypoints = np.full((6, 2), np.nan)
+            overrides = {"takeover_weight": 0.0}
+        elif fault == "margin":
+            monkeypatch.setattr(pol.Policy, "predict", _overflowing_predict)
+        elif fault == "eval":
+            evaluate = lambda p: bench.evaluate_suite(p, [])    # noqa: E731
+        elif fault == "save":
+            (out_dir / "round_2" / "policy.ckpt").mkdir(parents=True)
+        return demo, evaluate, overrides
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fault, places, kind, message", [
+        ("world", ["round 1 shadow", "EmergencyBrake:0 tick 5"], ArithmeticError,
+         "world fault"),
+        ("expert", ["round 1 shadow", "EmergencyBrake:0 tick 0"], LookupError,
+         "expert fault"),
+        ("infer", ["round 1 shadow", "EmergencyBrake:0 tick 0"], ad.NonFiniteError,
+         "non-finite values"),
+        ("dagger", ["round 1 dagger", "batch 0"], ValueError, "target is not a distribution"),
+        ("margin", ["round 1 preference"], ad.NonFiniteError, "non-finite values"),
+        ("eval", ["round 1 eval"], ValueError, "summarize requires at least one episode"),
+        ("save", ["round 2 save"], IsADirectoryError, "[Errno 21] Is a directory: '{ckpt}'"),
+    ])
+    def test_names_round_stage_and_place(self, small_world_data, tmp_path, monkeypatch,
+                                         jobs, fault, places, kind, message):
+        demo, tv = small_world_data
+        policy = pol.Policy(pol.PolicyConfig(feature_dim=8, k=4), tv, CVOCAB)
+        demo, evaluate, overrides = self._inject(fault, monkeypatch, policy, demo, tmp_path)
+        cfg = tr.TrainConfig(**{"rounds": 2, "po_epochs": 1, "seed": 0, **overrides})
+        message = message.format(ckpt=tmp_path / "round_2" / "policy.ckpt")
+        with pytest.raises(kind) as err:
+            tr.post_optimize(policy, demo, self.SUITE, xp.ExpertConfig(), cfg, tmp_path,
+                             evaluate=evaluate, jobs=jobs)
+        assert type(err.value) is kind
+        assert str(err.value) == ": ".join([*places, message])
+        if jobs == 1:
+            chain, e = [], err.value
+            while e is not None:
+                assert type(e) is kind
+                chain.append(str(e))
+                e = e.__cause__
+            assert chain == [": ".join([*places[i:], message])
+                             for i in range(len(places) + 1)]
+
+
 def test_config_validation():
     for field in ("pretrain_epochs", "batch_size"):
         with pytest.raises(ValueError, match=field):
@@ -792,5 +881,9 @@ def test_config_validation():
     assert tr.TrainConfig(takeover_weight=0.0).takeover_weight == 0.0
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="takeover_weight must be >= 0 and finite"):
+            tr.TrainConfig(takeover_weight=bad)
+    assert tr.TrainConfig(takeover_weight=3.0).takeover_weight == 3.0
+    for bad in (0.4, 2.5):
+        with pytest.raises(ValueError, match=f"a repeat count .* whole number, got {bad}"):
             tr.TrainConfig(takeover_weight=bad)
 
