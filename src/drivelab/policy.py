@@ -177,12 +177,6 @@ class Policy:
         self.ctrl_vocab = ctrl_vocab or ControlVocabulary()
         self._posenc = positional_encoding(traj_vocab.flat())
         self.params = ad.ParameterStore(self._init_params())
-        self._memo_bits, self._memo, self._last = None, {}, (None, None)   # see infer
-
-    def __getstate__(self):
-        # An unpickled array is writeable again, so a copy starts with no
-        # memos rather than hand out writeable shared outputs.
-        return {**vars(self), "_memo_bits": None, "_memo": {}, "_last": (None, None)}
 
     def _init_params(self):
         """(name, initial value) pairs, in the store's order."""
@@ -291,49 +285,27 @@ class Policy:
         for a pass that never calls `backward`."""
         return self._network(self.params.arrays, snapshots)
 
-    def _memoized_command_terms(self, cmd):
-        """`_command_terms` of the parameters' values and one (1, 1, 7)
-        command row, computed once per row while the parameters keep their
-        bits (see `infer`)."""
-        row = int(cmd.argmax())
-        if row not in self._memo:
-            terms = self._command_terms(self.params.arrays, cmd)
-            for t in terms:
-                t.flags.writeable = False
-            self._memo[row] = terms
-        return self._memo[row]
-
-    def infer(self, snapshot):
+    def infer(self, snapshot, terms):
         """One closed-loop tick: the network on plain arrays over a batch of
-        one, its command terms memoized, then the top-1 picks.
+        one, then the top-1 picks.
 
-        The last output is kept with its snapshot's bytes, and a snapshot
-        bit-equal to it (a standing ego in an unchanged scene) gets the same
-        object back. Both memos are keyed on the bits of the flat parameter
-        buffer, so any write to it (through a view, `load_values` or an Adam
-        step) starts new ones. The output's arrays are read-only, since a
-        hit shares them between ticks; callers read `tau_plan` and `c_ctrl`."""
-        # dtype too: equal bytes of another dtype are another input.
-        key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in
-                    (snapshot.agent_feats, snapshot.map_feats, snapshot.cmd_onehot))
-        bits = self.params.values.view(np.int64)
-        if not np.array_equal(bits, self._memo_bits):
-            self._memo_bits, self._memo, self._last = bits.copy(), {}, (None, None)
-        if self._last[0] == key:
-            return self._last[1]
+        `terms` maps a command row to its `_command_terms`, and a row not in
+        it is computed and added: the caller keeps the dict only while the
+        parameters keep their values (see `metrics.NeuralDriver`).
+        `tau_plan` is a read-only view of the vocabulary entry."""
         cmd, *scene = _batch_inputs([snapshot])
-        out = self._scene_terms(self.params.arrays, self._memoized_command_terms(cmd), *scene)
+        row = int(cmd.argmax())
+        if row not in terms:
+            terms[row] = self._command_terms(self.params.arrays, cmd)
+        out = self._scene_terms(self.params.arrays, terms[row], *scene)
         d_traj, d_ctrl = out["d_traj"][0], tuple(d[0] for d in out["d_ctrl"])
         traj_idx, ctrl_idx = sample_top1(d_traj, d_ctrl)
         tau_plan = self.traj_vocab.centers[traj_idx]
-        for a in (d_traj, *d_ctrl, tau_plan):
-            a.flags.writeable = False
+        tau_plan.flags.writeable = False
         throttle, brake, steer = self.ctrl_vocab.values(*ctrl_idx)
-        result = PolicyOutput(
+        return PolicyOutput(
             d_traj=d_traj, d_ctrl=d_ctrl, tau_plan=tau_plan,
             c_ctrl=sim.ControlCommand(throttle=throttle, brake=brake, steer=steer))
-        self._last = (key, result)
-        return result
 
     # -- persistence --------------------------------------------------------
 

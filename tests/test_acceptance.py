@@ -174,7 +174,7 @@ class CollideStraight:
     traj_vocab = TV_SHADOW
     ctrl_vocab = CVOCAB
 
-    def infer(self, snap):
+    def infer(self, snap, terms):
         return _stub_output(STRAIGHT, sim.ControlCommand(throttle=1.0))
 
 
@@ -183,7 +183,9 @@ class ExpertClone:
 
     Keeps a private replay of the (deterministic) episode so it can run the
     controller; valid as long as no takeover alters the real episode, which
-    is exactly what the test asserts.
+    is exactly what the test asserts, and as long as no tick's snapshot
+    repeats the last one's, since the driver then reuses its output without
+    calling `infer` (no tick of this episode repeats one).
     """
     cfg = PCFG_SHADOW
     traj_vocab = TV_SHADOW
@@ -193,7 +195,7 @@ class ExpertClone:
         self.w = sim.reset(spec)
         self.pid = PidTracker()
 
-    def infer(self, snap):
+    def infer(self, snap, terms):
         label = xp.expert_act(self.w, ECFG, CVOCAB)
         c_traj = self.pid.track(label.waypoints, self.w.ego)
         e = label.command
@@ -218,7 +220,7 @@ def test_criterion_4_takeover_pipeline():
     drv = CollideStraight()
     pid = PidTracker()
     while not w.done and w.tick < 2000:
-        out = drv.infer(None)
+        out = drv.infer(None, {})
         sim.advance_world(w, ensemble(out.c_ctrl, pid.track(out.tau_plan, w.ego)))
     impacts = [e.time for e in w.infractions if e.kind.startswith("collision")]
     if not impacts:

@@ -17,8 +17,8 @@ No state is written that nothing reads, and no parameter has one value:
 Readers and callers are searched in `src/drivelab`, `demos/`, `perfbench/`
 and `tests/`. The tests count because some package code exists for them:
 `tests/test_policy.py` and `tests/test_metrics.py` compare `infer`'s
-`PolicyOutput.d_traj` and `d_ctrl` bit for bit with the memo-free pass,
-the only check of the `infer` memos, and `cli.main(argv)` and
+`PolicyOutput.d_traj` and `d_ctrl` bit for bit with `predict`, the only
+check of `NeuralDriver`'s caches, and `cli.main(argv)` and
 `step_kinematics(c_drag)` are test seams. Only tests pass
 `collect_demos`'s `max_infraction_rate` and `dataset.load`'s
 `expect_vocab_hash`.
@@ -29,11 +29,14 @@ that shares its name with another, can pass unseen.
 
 The package also has one episode loop: `metrics.run_episode` is the only
 function that builds or steps a world, and one rule for a failure's place:
-no `except` clause singles out `NonFiniteError`.
+no `except` clause singles out `NonFiniteError`. A `Policy` holds its
+parameters and its network, and nothing a call changes.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "drivelab"
@@ -104,6 +107,21 @@ def test_one_inference_site():
     """Only the closed-loop driver runs `infer`: stored samples go to the
     network in batches, through `forward`."""
     assert call_sites("infer") == [("metrics", "NeuralDriver")]
+
+
+def test_policy_keeps_no_per_call_state():
+    """After `forward`, `predict` and `infer`, a Policy has exactly the
+    attributes its `__init__` set: the closed-loop caches belong to the
+    `metrics.NeuralDriver` that runs the episode."""
+    from drivelab import policy as pol, world as sim
+    from drivelab.vocab import TrajectoryVocabulary
+    p = pol.Policy(pol.PolicyConfig(feature_dim=8, k=4), TrajectoryVocabulary(
+        np.random.default_rng(0).normal(0, 3.0, size=(4, 6, 2))))
+    snap = pol.encode_scene(sim.reset(sim.ScenarioSpec("EmergencyBrake", 0)), p.cfg)
+    p.forward([snap])
+    p.predict([snap])
+    p.infer(snap, {})
+    assert sorted(vars(p)) == ["_posenc", "cfg", "ctrl_vocab", "params", "traj_vocab"]
 
 
 def test_tensors_are_built_only_in_autodiff():

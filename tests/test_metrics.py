@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -244,40 +245,153 @@ def test_closed_loop_tick_golden(tmp_path):
                        "2a1ebdf6edb623f9bc6d1bcdbbacb2bc94bb7d940f4010764f2468022d689418"]
 
 
-class _InferCheckDriver:
+def _command_snaps():
+    """One snapshot per command, each with 2 agents and 5 map rows."""
+    rng = np.random.default_rng(21)
+    return [pol.SceneSnapshot(agent_feats=rng.normal(0, 3.0, (2, pol.AGENT_FEATURES)),
+                              map_feats=rng.normal(0, 3.0, (5, pol.MAP_FEATURES)),
+                              cmd_onehot=pol.command_onehot(c))
+            for c in sim.COMMANDS]
+
+
+def _copy(snap):
+    return pol.SceneSnapshot(**{name: v.copy() for name, v in vars(snap).items()})
+
+
+def _assert_predicted(policy, snap, out):
+    ref = policy.predict([snap])
+    assert np.array_equal(out.d_traj, ref["d_traj"][0])
+    for got, want in zip(out.d_ctrl, ref["d_ctrl"]):
+        assert np.array_equal(got, want[0])
+
+
+def _recorded(monkeypatch, policy, method):
+    """The argument tuples of the calls to one of `policy`'s network parts."""
+    calls = []
+    real = getattr(policy, method)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(policy, method, recording)
+    return calls
+
+
+class TestDriverCaches:
+    """`NeuralDriver` keeps the episode's caches of the policy's pass: each
+    command row's terms, computed once per driver, and the last output,
+    which a snapshot bit-equal to the last one gets again with no pass. The
+    output a tick uses equals `predict` bit for bit."""
+
+    def _tick(self, monkeypatch, driver, snap):
+        """One `act` whose encoded scene is `snap`; returns the policy
+        output the tick used."""
+        monkeypatch.setattr(bench, "encode_scene", lambda world, cfg: snap)
+        driver.act(sim.reset(sim.ScenarioSpec("StopSign", 0)))
+        return driver.last[1]
+
+    def test_bit_equal_snapshot_returns_the_last_output(self, monkeypatch):
+        driver = bench.NeuralDriver(_tiny_policy())
+        snap = _command_snaps()[4]
+        first = self._tick(monkeypatch, driver, snap)
+        calls = _recorded(monkeypatch, driver.policy, "_scene_terms")
+        same = _copy(snap)
+        assert self._tick(monkeypatch, driver, same) is first
+        assert calls == []
+        _assert_predicted(driver.policy, same, first)
+
+    @pytest.mark.parametrize("change", ["one ulp", "negative zero", "command row"])
+    def test_any_other_bits_recompute(self, change, monkeypatch):
+        driver = bench.NeuralDriver(_tiny_policy())
+        snap = _command_snaps()[4]
+        snap.map_feats[2, 1] = 0.0
+        first = self._tick(monkeypatch, driver, snap)
+        other = _copy(snap)
+        if change == "one ulp":
+            other.agent_feats[1, 3] = np.nextafter(other.agent_feats[1, 3], np.inf)
+        elif change == "negative zero":
+            other.map_feats[2, 1] = -0.0
+        else:
+            other.cmd_onehot = pol.command_onehot(sim.COMMANDS[5])
+        calls = _recorded(monkeypatch, driver.policy, "_scene_terms")
+        out = self._tick(monkeypatch, driver, other)
+        assert len(calls) == 1 and out is not first
+        _assert_predicted(driver.policy, other, out)
+
+    def test_once_per_command_row_and_driver(self, monkeypatch):
+        policy = _tiny_policy()
+        snaps = _command_snaps()
+        calls = _recorded(monkeypatch, policy, "_command_terms")
+        driver = bench.NeuralDriver(policy)
+        outs = [self._tick(monkeypatch, driver, snap) for snap in snaps + snaps[::-1]]
+        # A new driver is a new episode, whose caches start empty.
+        self._tick(monkeypatch, bench.NeuralDriver(policy), snaps[2])
+        rows = list(range(len(sim.COMMANDS)))
+        assert [int(cmd.argmax()) for _, cmd in calls] == rows + [2]
+        monkeypatch.undo()
+        for snap, out in zip(snaps + snaps[::-1], outs):
+            _assert_predicted(policy, snap, out)
+        # The one-hot check still runs on a snapshot whose row is cached.
+        bad = _copy(snaps[0])
+        bad.cmd_onehot = bad.cmd_onehot * 2.0
+        with pytest.raises(ValueError, match="one-hot"):
+            self._tick(monkeypatch, driver, bad)
+
+    @pytest.mark.parametrize("fault", ["bad one-hot", "non-finite"])
+    def test_a_call_that_raises_stores_nothing(self, fault, monkeypatch):
+        from drivelab.autodiff import NonFiniteError
+        driver = bench.NeuralDriver(_tiny_policy())
+        good, other = _command_snaps()[1:3]
+        first = self._tick(monkeypatch, driver, good)
+        terms = dict(driver.terms)
+        bad = _copy(good)
+        if fault == "bad one-hot":
+            bad.cmd_onehot = bad.cmd_onehot * 2.0
+        else:
+            bad.agent_feats[0, 0] = np.nan
+        with pytest.raises(ValueError if fault == "bad one-hot" else NonFiniteError):
+            self._tick(monkeypatch, driver, bad)
+        assert driver.terms.keys() == terms.keys()
+        assert all(driver.terms[row] is terms[row] for row in terms)
+        assert self._tick(monkeypatch, driver, good) is first
+        _assert_predicted(driver.policy, good, first)
+        _assert_predicted(driver.policy, other, self._tick(monkeypatch, driver, other))
+
+
+class _InferCheckDriver(bench.NeuralDriver):
     """The expert drives, except for a full-brake hold of `hold` ticks once
-    the ego is back on LaneFollow after an overtake; every tick checks
-    `infer` on the encoded scene against the memo-free `predict`."""
+    the ego is back on LaneFollow after an overtake; every tick runs the
+    driver's own tick and checks the output it used, cached or fresh,
+    against `predict`."""
 
     def __init__(self, policy, hold):
-        self.policy, self.hold = policy, hold
-        self.cfg = xp.ExpertConfig()
-        self.rows, self.hits, self.last = [], 0, None
+        super().__init__(policy)
+        self.hold, self.expert_cfg = hold, xp.ExpertConfig()
+        self.rows, self.hits, self.seen = [], 0, None
 
     def act(self, w):
-        snap = pol.encode_scene(w, self.policy.cfg)
-        out, ref = self.policy.infer(snap), self.policy.predict([snap])
-        assert np.array_equal(out.d_traj, ref["d_traj"][0])
-        for got, want in zip(out.d_ctrl, ref["d_ctrl"]):
-            assert np.array_equal(got, want[0])
-        self.hits += out is self.last
-        self.last = out
-        self.rows.append(int(snap.cmd_onehot.argmax()))
+        super().act(w)
+        out = self.last[1]
+        _assert_predicted(self.policy, self.snap, out)
+        self.hits += out is self.seen
+        self.seen = out
+        self.rows.append(int(self.snap.cmd_onehot.argmax()))
         if len(set(self.rows)) >= 3 and self.rows[-1] == 3 and self.hold > 0:
             self.hold -= 1
             return sim.ControlCommand(brake=1.0)
-        return xp.expert_command(w, self.cfg)
+        return xp.expert_command(w, self.expert_cfg)
 
 
 def test_infer_equals_predict_through_command_switches_and_a_standstill():
     """A 120 m Overtaking episode: the expert's lane changes switch the
     command row, then a full-brake hold stops the ego behind nothing, where
-    a bit-equal snapshot reuses the last output. `infer` equals `predict`
-    bit for bit on every tick."""
+    a bit-equal snapshot reuses the last output. The output each tick of
+    the driver uses equals `predict` bit for bit."""
     driver = _InferCheckDriver(_tiny_policy(), hold=60)
     result = bench.run_episode(driver, sim.ScenarioSpec("Overtaking", 0, route_length=120.0))
     assert result.termination == "completed"
-    assert len(set(driver.rows)) >= 3
+    assert len(set(driver.rows)) >= 3 and driver.terms.keys() == set(driver.rows)
     assert driver.hold == 0 and driver.hits >= 1
 
 
@@ -305,6 +419,35 @@ def test_evaluate_suite_across_processes_equals_serial():
     assert [(r.kind, r.seed, r.ds, r.elapsed, r.termination) for r in res1] == \
         [(r.kind, r.seed, r.ds, r.elapsed, r.termination) for r in res2]
     assert [[f.ego for f in r.trace] for r in res1] == [[f.ego for f in r.trace] for r in res2]
+
+
+class _FaultyDriver:
+    def act(self, w):
+        raise LookupError("injected fault")
+
+
+def _marked_episode(spec, marks):
+    """Leave a marker file named after the episode, then drive it: the
+    expert drives every seed but 0, which fails at tick 0."""
+    (marks / bench.scenario_id(spec)).touch()
+    return bench.run_episode(_FaultyDriver() if spec.seed == 0 else ExpertDriver(), spec).ds
+
+
+def test_map_episodes_submits_no_episode_after_a_failure(tmp_path):
+    """At jobs=2, a 7-episode suite whose first episode fails at tick 0
+    starts no episode past the first 2 and raises exactly what jobs=1
+    raises: the failure of the lowest suite index."""
+    suite = [sim.ScenarioSpec("EmergencyBrake", seed, route_length=40.0) for seed in range(7)]
+    raised, started = [], []
+    for jobs in (1, 2):
+        marks = tmp_path / f"jobs{jobs}"
+        marks.mkdir()
+        with pytest.raises(LookupError) as err:
+            bench.map_episodes(partial(_marked_episode, marks=marks), suite, jobs)
+        raised.append((type(err.value), str(err.value)))
+        started.append(sorted(m.name for m in marks.iterdir()))
+    assert raised == [(LookupError, "EmergencyBrake:0 tick 0: injected fault")] * 2
+    assert started == [["EmergencyBrake:0"], ["EmergencyBrake:0", "EmergencyBrake:1"]]
 
 
 @pytest.mark.parametrize("path, jobs", [

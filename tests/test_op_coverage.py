@@ -85,7 +85,7 @@ def test_every_autodiff_op_is_used(monkeypatch, tmp_path):
                     np.random.default_rng(1))
     tr.mean_margin(policy, takeover.samples, cfg)
     tr.po_epoch(policy, takeover.samples, cfg, ad.Adam(policy.params, lr=cfg.po_lr))
-    policy.infer(takeover.samples[0])
+    policy.infer(takeover.samples[0], {})
     policy.save(tmp_path / "p.ckpt")
     policy.load(tmp_path / "p.ckpt")
     pickle.loads(pickle.dumps(policy))

@@ -89,7 +89,7 @@ class TestForward:
 
     def test_infer_picks_argmax_and_vocab_entry(self):
         p = tiny_policy()
-        out = p.infer(snapshot_from())
+        out = p.infer(snapshot_from(), {})
         traj_index, (t, b, s) = pol.sample_top1(out.d_traj, out.d_ctrl)
         assert np.array_equal(out.tau_plan, p.traj_vocab.centers[traj_index])
         assert out.c_ctrl.throttle == p.ctrl_vocab.throttle[t]
@@ -143,7 +143,7 @@ class TestInferMatchesForward:
             map_feats=rng.normal(0, scale, (n_map, pol.MAP_FEATURES)),
             cmd_onehot=pol.command_onehot(command))
         p = tiny_policy(seed=init_seed)
-        out, fwd = p.infer(snap), p.forward([snap])
+        out, fwd = p.infer(snap, {}), p.forward([snap])
         assert np.array_equal(_graph_free_scores(p, snap), fwd["traj_scores"].data[0])
         assert np.array_equal(out.d_traj, fwd["d_traj"].data[0])
         assert len(out.d_ctrl) == len(fwd["d_ctrl"])
@@ -157,7 +157,7 @@ class TestInferMatchesForward:
             with pytest.raises(ad.NonFiniteError):
                 p.forward([snap])
             with pytest.raises(ad.NonFiniteError):
-                p.infer(snap)
+                p.infer(snap, {})
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("where", ["agent", "map", "parameter"])
@@ -192,18 +192,16 @@ class TestInferMatchesForward:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
-        p.infer(snap)
+        p.infer(snap, {})
         assert len(built) == 0
         p.forward([snap])
         assert len(built) > 0
 
 
-class TestInferMemo:
-    """`infer` computes the network's command terms once per command row and
-    parameter state, and returns its last output again for a snapshot
-    bit-equal to the last one: its outputs equal a memo-free pass over the
-    same batch of one (`predict`), bit for bit, across all 7 commands and
-    after any change to the parameters' values."""
+class TestInferKeepsNothing:
+    """`infer` keeps nothing between calls (the closed-loop caches belong to
+    `metrics.NeuralDriver`): after any write to the parameters' values, its
+    outputs equal `predict`'s bit for bit, across all 7 commands."""
 
     def _snaps(self):
         rng = np.random.default_rng(21)
@@ -213,48 +211,20 @@ class TestInferMemo:
                 for c in sim.COMMANDS]
 
     def _checked_outputs(self, p, snaps):
-        """infer's distributions per snapshot, each checked against the
-        memo-free pass."""
-        outs = []
+        """infer's distributions per snapshot, each checked against
+        `predict`; one terms dict serves the calls of one parameter state."""
+        outs, terms = [], {}
         for snap in snaps:
-            out = p.infer(snap)
-            self._assert_predicted(p, snap, out)
+            out, ref = p.infer(snap, terms), p.predict([snap])
+            assert np.array_equal(out.d_traj, ref["d_traj"][0])
+            for got, want in zip(out.d_ctrl, ref["d_ctrl"]):
+                assert np.array_equal(got, want[0])
             outs.append(np.concatenate([out.d_traj, *out.d_ctrl]))
         return outs
 
-    def _assert_predicted(self, p, snap, out):
-        ref = p.predict([snap])
-        assert np.array_equal(out.d_traj, ref["d_traj"][0])
-        for got, want in zip(out.d_ctrl, ref["d_ctrl"]):
-            assert np.array_equal(got, want[0])
-
-    def test_once_per_command_row(self, monkeypatch):
-        p = tiny_policy()
-        snaps = self._snaps()
-        computed = []
-        real = p._command_terms
-
-        def counting(params, cmd):
-            computed.append(int(cmd.argmax()))
-            return real(params, cmd)
-
-        monkeypatch.setattr(p, "_command_terms", counting)
-        first = [p.infer(snap) for snap in snaps]
-        again = [p.infer(snap) for snap in snaps[::-1]]
-        assert computed == list(range(len(sim.COMMANDS)))
-        for a, b in zip(again, first[::-1]):
-            assert np.array_equal(a.d_traj, b.d_traj)
-        monkeypatch.undo()
-        self._checked_outputs(p, snaps)
-        # The one-hot check still runs on a snapshot whose row is memoized.
-        bad = snaps[0]
-        bad.cmd_onehot = bad.cmd_onehot * 2.0
-        with pytest.raises(ValueError, match="one-hot"):
-            p.infer(bad)
-
     @pytest.mark.parametrize("change", ["view write", "load_values", "adam step",
                                         "unpickled copy"])
-    def test_parameter_change_starts_a_new_memo(self, change):
+    def test_infer_after_a_parameter_write_equals_predict(self, change):
         p = tiny_policy()
         snaps = self._snaps()
         before = self._checked_outputs(p, snaps)
@@ -273,86 +243,19 @@ class TestInferMemo:
         else:
             p = pickle.loads(pickle.dumps(p))
             p.params["pos_mlp.b1"].data[:] += 0.5
-        # The first call after the change repeats the last call before it.
         after = self._checked_outputs(p, snaps[::-1])[::-1]
         assert all(not np.array_equal(a, b) for a, b in zip(before, after))
 
-    def _count_scene_terms(self, p, monkeypatch):
-        calls = []
-        real = p._scene_terms
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(p, "_scene_terms", counting)
-        return calls
-
-    def test_bit_equal_snapshot_returns_the_last_output(self, monkeypatch):
-        p = tiny_policy()
-        snap = self._snaps()[4]
-        first = p.infer(snap)
-        calls = self._count_scene_terms(p, monkeypatch)
-        same = pol.SceneSnapshot(**{name: v.copy() for name, v in vars(snap).items()})
-        assert p.infer(same) is first
-        assert calls == []
-        monkeypatch.undo()
-        self._assert_predicted(p, same, first)
-
-    @pytest.mark.parametrize("change", ["one ulp", "negative zero", "command row"])
-    def test_any_other_bits_recompute(self, change, monkeypatch):
-        p = tiny_policy()
-        snap = self._snaps()[4]
-        snap.map_feats[2, 1] = 0.0
-        first = p.infer(snap)
-        other = pol.SceneSnapshot(**{name: v.copy() for name, v in vars(snap).items()})
-        if change == "one ulp":
-            other.agent_feats[1, 3] = np.nextafter(other.agent_feats[1, 3], np.inf)
-        elif change == "negative zero":
-            other.map_feats[2, 1] = -0.0
-        else:
-            other.cmd_onehot = pol.command_onehot(sim.COMMANDS[5])
-        calls = self._count_scene_terms(p, monkeypatch)
-        out = p.infer(other)
-        assert calls == [1] and out is not first
-        monkeypatch.undo()
-        self._assert_predicted(p, other, out)
-
-    def test_a_bad_one_hot_after_a_memoized_snapshot_raises(self):
-        p = tiny_policy()
-        snap = self._snaps()[1]
-        first = p.infer(snap)
-        bad = pol.SceneSnapshot(agent_feats=snap.agent_feats, map_feats=snap.map_feats,
-                                cmd_onehot=snap.cmd_onehot * 2.0)
-        with pytest.raises(ValueError, match="one-hot"):
-            p.infer(bad)
-        assert p.infer(snap) is first     # the call that raised stored nothing
-
-    def test_a_valid_call_after_a_non_finite_error_is_correct(self):
-        p = tiny_policy()
-        good, other = self._snaps()[:2]
-        first = p.infer(good)
-        bad = pol.SceneSnapshot(agent_feats=good.agent_feats.copy(), map_feats=good.map_feats,
-                                cmd_onehot=good.cmd_onehot)
-        bad.agent_feats[0, 0] = np.nan
-        with pytest.raises(ad.NonFiniteError):
-            p.infer(bad)
-        assert p.infer(good) is first
-        self._assert_predicted(p, good, first)
-        self._assert_predicted(p, other, p.infer(other))
-
     def test_outputs_are_read_only(self):
-        """A memo hit hands one output to two ticks, so nothing may write to
-        it; an unpickled copy's outputs are read-only too."""
+        """`tau_plan` is a view of the vocabulary entry, so it is read-only;
+        the vocabulary itself stays writeable."""
         p = tiny_policy()
-        snap = self._snaps()[0]
-        p.infer(snap)
         for policy in (p, pickle.loads(pickle.dumps(p))):
-            out = policy.infer(snap)
-            for a in (out.d_traj, *out.d_ctrl, out.tau_plan):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = 0.5
-        assert p.traj_vocab.centers.flags.writeable
+            out = policy.infer(self._snaps()[0], {})
+            assert np.shares_memory(out.tau_plan, policy.traj_vocab.centers)
+            with pytest.raises(ValueError, match="read-only"):
+                out.tau_plan[0] = 0.5
+            assert policy.traj_vocab.centers.flags.writeable
 
 
 def random_batch(rng, size):
@@ -418,7 +321,7 @@ class TestBatchedForward:
         snaps = random_batch(rng, size)
         batched = _outputs(p.forward(snaps))
         for i, snap in enumerate(snaps):
-            out = p.infer(snap)
+            out = p.infer(snap, {})
             want_all = [_graph_free_scores(p, snap), out.d_traj, *out.d_ctrl]
             for got, want in zip(batched, want_all):
                 np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-15)
@@ -558,12 +461,12 @@ class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         p = tiny_policy()
         snap = snapshot_from()
-        before = p.infer(snap).d_traj
+        before = p.infer(snap, {}).d_traj
         p.save(tmp_path / "p.ckpt")
         q = tiny_policy(seed=1)
         q.traj_vocab = p.traj_vocab
         q.load(tmp_path / "p.ckpt")
-        after = q.infer(snap).d_traj
+        after = q.infer(snap, {}).d_traj
         assert np.array_equal(before, after)
 
     def test_vocab_hash_mismatch_rejected(self, tmp_path):

@@ -590,7 +590,7 @@ class TestPoEpoch:
         cfg = tr.TrainConfig(batch_size=4, seed=0)
         rng = np.random.default_rng(5)
         s = make_takeover(rng)
-        out = policy.infer(s)
+        out = policy.infer(s, {})
         # rewrite the labels to the current argmaxes
         traj_index, s.ctrl_indices = pol.sample_top1(out.d_traj, out.d_ctrl)
         s.traj_waypoints = policy.traj_vocab.centers[traj_index].copy()
