@@ -7,7 +7,6 @@ producing command's name when one is missing.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import shutil
@@ -82,8 +81,6 @@ def cmd_pretrain(cfg, args):
 
 def cmd_postopt(cfg, args):
     tcfg = train_config(cfg)
-    if args.rounds is not None:
-        tcfg = dataclasses.replace(tcfg, rounds=args.rounds)
     ckpt = _require(_path(cfg, "pretrained"), "pretrain")
     final = _path(cfg, "final")
     os.makedirs(os.path.dirname(final), exist_ok=True)
@@ -172,9 +169,6 @@ def build_parser():
             ("report", cmd_report, "summarize artifacts and their hashes")):
         p = sub.add_parser(name, help=doc)
         p.set_defaults(func=fn)
-        if name == "postopt":
-            p.add_argument("--rounds", type=int, default=None,
-                           help="override the number of post-optimization rounds")
         if name == "eval":
             p.add_argument("--checkpoint", default=None,
                            help="checkpoint to evaluate (default: the post-optimized one)")

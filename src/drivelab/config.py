@@ -104,18 +104,22 @@ def apply_overrides(cfg, overrides):
 
 def expand_suite(cfg, name):
     """A suite entry is either {kinds, seeds} (full product) or an explicit
-    list of {kind, seed} records."""
+    list of {kind, seed} records; each seed is an integer."""
     entry = cfg["suites"].get(name)
     if entry is None:
         raise ConfigError(f"no suite named {name!r}")
     sc = cfg["scenario"]
     if isinstance(entry, list):
-        items = [(e["kind"], int(e["seed"])) for e in entry]
+        if not all(isinstance(e, dict) and "kind" in e and "seed" in e for e in entry):
+            raise ConfigError(f"suite {name!r}: each list entry needs a kind and a seed")
+        items = [(e["kind"], e["seed"]) for e in entry]
     else:
-        items = [(k, int(s)) for k in entry["kinds"] for s in entry["seeds"]]
-    for kind, _ in items:
+        items = [(k, s) for k in entry["kinds"] for s in entry["seeds"]]
+    for kind, seed in items:
         if kind not in sim.SCENARIO_KINDS:
             raise ConfigError(f"suite {name!r}: unknown scenario kind {kind!r}")
+        if type(seed) is not int:
+            raise ConfigError(f"suite {name!r}: seed must be an integer, got {seed!r}")
     return [sim.ScenarioSpec(kind=k, seed=s, route_length=sc["route_length"],
                              speed_limit=sc["speed_limit"]) for k, s in items]
 
@@ -137,6 +141,7 @@ def validate(cfg):
     section that builds a config class (which checks its own values), so
     each command rejects what any command would."""
     train_seeds = {s.seed for s in expand_suite(cfg, "train")}
+    expand_suite(cfg, "validation")
     test_seeds = {s.seed for s in expand_suite(cfg, "test")}
     overlap = train_seeds & test_seeds
     if overlap:

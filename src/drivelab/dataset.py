@@ -171,13 +171,12 @@ def _demo_episode(spec, expert_cfg, policy_cfg, control_vocab, subsample):
     return driver.samples, bool(run_episode(driver, spec).infractions)
 
 
-def collect_demos(suite, expert_cfg, policy_cfg, control_vocab,
-                  max_infraction_rate=MAX_INFRACTION_RATE, subsample=1, jobs=1):
+def collect_demos(suite, expert_cfg, policy_cfg, control_vocab, subsample=1, jobs=1):
     """Drive every route with the expert and keep every `subsample`-th tick
     of each episode as a DemoSample.
 
     Episodes with any infraction are discarded whole. If more than
-    max_infraction_rate of them are, the expert is considered misconfigured
+    MAX_INFRACTION_RATE of them are, the expert is considered misconfigured
     and collection aborts.
     """
     episodes = map_episodes(partial(_demo_episode, expert_cfg=expert_cfg, policy_cfg=policy_cfg,
@@ -185,10 +184,10 @@ def collect_demos(suite, expert_cfg, policy_cfg, control_vocab,
                             suite, jobs)
     kept = [s for episode, bad in episodes if not bad for s in episode]
     discarded = sum(bad for _, bad in episodes)
-    if discarded > max_infraction_rate * len(suite):
+    if discarded > MAX_INFRACTION_RATE * len(suite):
         raise RuntimeError(
             f"expert misconfigured: {discarded}/{len(suite)} episodes had infractions "
-            f"(limit {max_infraction_rate:.0%})")
+            f"(limit {MAX_INFRACTION_RATE:.0%})")
     return Dataset(kept, kind="demo",
                    manifest={"episodes": len(suite), "episodes_discarded": discarded,
                              "subsample": subsample})
@@ -305,28 +304,29 @@ def filter_takeovers(dataset):
 
 class MergedDataset:
     """Demonstrations plus takeover rounds, with takeover samples oversampled
-    in the sampling distribution."""
+    in the sampling distribution: each repeats `takeover_weight` times, a
+    whole number."""
 
-    def __init__(self, demo, takeover_rounds, takeover_weight=4.0):
+    def __init__(self, demo, takeover_rounds, takeover_weight):
         hashes = {d.vocab_hash for d in takeover_rounds if d.vocab_hash is not None}
         if demo.vocab_hash is not None:
             hashes.add(demo.vocab_hash)
         if len(hashes) > 1:
             raise ValueError(f"vocabulary hash mismatch across datasets: {sorted(hashes)}")
         self.samples = list(demo.samples)
-        self.weights = [1.0] * len(demo.samples)
+        self.n_demo = len(demo.samples)
         for d in takeover_rounds:
             self.samples.extend(d.samples)
-            self.weights.extend([takeover_weight] * len(d.samples))
-        self.weights = np.asarray(self.weights)
+        self.takeover_weight = int(takeover_weight)
 
     def __len__(self):
         return len(self.samples)
 
     def epoch_indices(self, rng):
         """One deterministic epoch: each demo sample once, each takeover
-        sample round(weight) times, shuffled."""
-        reps = np.rint(self.weights).astype(int)
-        idx = np.repeat(np.arange(len(self.samples)), reps)
+        sample `takeover_weight` times, shuffled."""
+        takeovers = np.arange(self.n_demo, len(self.samples))
+        idx = np.concatenate([np.arange(self.n_demo),
+                              np.repeat(takeovers, self.takeover_weight)])
         rng.shuffle(idx)
         return idx

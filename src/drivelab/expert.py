@@ -76,10 +76,8 @@ class _Forecast:
     actor is projected at every step.
 
     An actor's corridor-entry projections are made the first time a step
-    asks for them, for that step and every later one, as one windowed pass
-    over all their points (`Route.project_window`). A step with a point the
-    window does not cover projects its points with `project_many`, as a lone
-    step would.
+    asks for them, for that step and every later one, as one
+    `Route.project_many` pass over all their points.
 
     Every point of an actor's table lies on the segment from its first
     point to its last. An actor gets no table when `Route.clear_of` proves
@@ -96,7 +94,7 @@ class _Forecast:
                        for a in w.actors]
         # actor index -> place of a standing actor
         self.standing = {}
-        # actor index -> (first step, points, s, lateral, covered), or None
+        # actor index -> (first step, s, lateral), or None
         self.tables = {}
 
     def place(self, a, step):
@@ -121,11 +119,8 @@ class _Forecast:
             self.tables[a] = self._table(a, step)
         if self.tables[a] is None:
             return None
-        first, points, s, lateral, covered = self.tables[a]
-        row = step - first
-        if covered[row]:
-            return s[row], lateral[row]
-        return self.route.project_many(points[row])
+        first, s, lateral = self.tables[a]
+        return s[step - first], lateral[step - first]
 
     def _table(self, a, step):
         """Actor a's table from `step` on, or None if the route is clear of it."""
@@ -140,10 +135,9 @@ class _Forecast:
         t = np.arange(step, self.n_steps) * ROLLOUT_DT
         points = np.stack([(x + vx * t)[:, None] + vx * times,
                            (y + vy * t)[:, None] + vy * times], axis=2)
-        s, lateral, covered = self.route.project_window(points.reshape(-1, 2))
+        s, lateral = self.route.project_many(points.reshape(-1, 2))
         rows = (len(t), len(times))
-        return (step, points, s.reshape(rows), lateral.reshape(rows),
-                covered.reshape(rows).all(axis=1))
+        return step, s.reshape(rows), lateral.reshape(rows)
 
 
 def leading_obstacle(route, ego_length, ego_s, forecast, step, stop_served):

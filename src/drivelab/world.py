@@ -138,7 +138,7 @@ def steer_toward(x, y, ld, wheelbase):
     return min(max(math.atan(wheelbase * curvature) / DELTA_MAX, -1.0), 1.0)
 
 
-def step_kinematics(state, control, wheelbase, dt=DT, c_drag=C_DRAG):
+def step_kinematics(state, control, wheelbase, dt=DT):
     """Advance the bicycle model one tick with RK4 (control held over the
     tick): `state` (x, y, heading, speed) under `control` (throttle, brake,
     steer) gives the next (x, y, heading, speed).
@@ -155,17 +155,17 @@ def step_kinematics(state, control, wheelbase, dt=DT, c_drag=C_DRAG):
     accel = A_MAX * throttle - B_MAX * brake
 
     # The rates depend on heading and speed only. Stage i is
-    # (v cos h, v sin h, v / L tan(delta), accel - c_drag v^2) at the clamped
+    # (v cos h, v sin h, v / L tan(delta), accel - C_DRAG v^2) at the clamped
     # speed v = max(v_i, 0), with (h_i, v_i) the state the stage samples.
     half = 0.5 * dt
     h, v = h0, max(v0, 0.0)
-    x1, y1, h1, v1 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
+    x1, y1, h1, v1 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - C_DRAG * v * v
     h, v = h0 + half * h1, max(v0 + half * v1, 0.0)
-    x2, y2, h2, v2 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
+    x2, y2, h2, v2 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - C_DRAG * v * v
     h, v = h0 + half * h2, max(v0 + half * v2, 0.0)
-    x3, y3, h3, v3 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
+    x3, y3, h3, v3 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - C_DRAG * v * v
     h, v = h0 + dt * h3, max(v0 + dt * v3, 0.0)
-    x4, y4, h4, v4 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - c_drag * v * v
+    x4, y4, h4, v4 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - C_DRAG * v * v
     w = dt / 6.0
     x = x0 + w * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
     y = y0 + w * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
@@ -325,37 +325,26 @@ class Route:
         return float(s[0]), float(lateral[0])
 
     def project_many(self, points):
-        """Vectorized project() over an (m, 2) array of points.
-
-        Returns (s, lateral) arrays of length m.
-        """
-        p = np.asarray(points, dtype=np.float64)
-        s, lateral, covered = self.project_window(p)
-        if not covered.all():
-            rest = ~covered
-            s[rest], lateral[rest] = self._full_scan(p[rest])
-        return s, lateral
-
-    def project_window(self, points):
-        """project() over an (m, 2) array of points, searching only each
-        point's window of segments: (s, lateral, covered) arrays of length m.
-        Where `covered` holds, the window certifiably contains the closest
-        segment and (s, lateral) equal project(); elsewhere they are not
-        defined. A route without windows (one whose breakpoints do not rise,
-        or with fewer segments than a window) covers no point."""
+        """project() over an (m, 2) array of points: (s, lateral) arrays of
+        length m. Each point searches its window of segments; a point whose
+        window does not certifiably contain the closest segment takes the
+        full scan, as does every point on a route without windows (one whose
+        breakpoints do not rise, or with fewer segments than a window)."""
         p = np.asarray(points, dtype=np.float64)
         if self._u is None or len(self._seg_len) < _WINDOW:
-            nan = np.full(len(p), np.nan)
-            return nan, nan.copy(), np.zeros(len(p), dtype=bool)
+            return self._full_scan(p)
         up = p @ self._u
         lo = np.searchsorted(self._q_window, up, side="right")
         s, lateral, best = self._nearest(p, lo[:, None] + _WINDOW_OFFSETS)
         gap = np.minimum(up - self._q_bounds[lo], self._q_bounds[lo + _WINDOW] - up)
-        return s, lateral, gap > _reach(best)
+        rest = ~(gap > _reach(best))
+        if rest.any():
+            s[rest], lateral[rest] = self._full_scan(p[rest])
+        return s, lateral
 
     def clear_of(self, p0, p1, half):
         """Whether no point of the segment p0-p1 gets |lateral| <= half from
-        project, project_window or _full_scan. False certifies nothing.
+        project, project_many or _full_scan. False certifies nothing.
 
         The closest route point to p is a perpendicular foot inside a
         segment, a route end, or an inner vertex. A foot gives |lateral| =

@@ -190,6 +190,20 @@ class TestDispatch:
         assert f"unknown key '{section}.{key}'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("suites.train.seeds=[0.5, 1.9]",
+         "suite 'train': seed must be an integer, got 0.5"),
+        ("suites.train.seeds=[true]", "suite 'train': seed must be an integer, got True"),
+        ('suites.train=[{"seed": 3}]', "suite 'train': each list entry needs a kind and a seed"),
+        ("suites.validation.seeds=[100.0]",
+         "suite 'validation': seed must be an integer, got 100.0"),
+    ])
+    def test_bad_suite_entry_exits_1(self, tmp_path, capsys, override, message):
+        out = tmp_path / "x"
+        assert cli.main(["--set", override, "--out-dir", str(out), "report"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_overlap_exits_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tmp_path / "x",
                                 extra={"suites": {"test": {"seeds": [0]}}})
@@ -222,14 +236,14 @@ class TestDispatch:
 
     def test_postopt_zero_rounds_copies_checkpoint(self, pipeline):
         tmp, out, cfg_path = pipeline
-        assert cli.main(["--config", cfg_path, "postopt", "--rounds", "0"]) == 0
+        assert cli.main(["--config", cfg_path, "--set", "train.rounds=0", "postopt"]) == 0
         assert (out / "postopt" / "policy.ckpt").read_bytes() == \
             (out / "pretrained.ckpt").read_bytes()
 
     def test_postopt_negative_rounds_exits_1_writing_nothing(self, pipeline, capsys):
         tmp, out, cfg_path = pipeline
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-        assert cli.main(["--config", cfg_path, "postopt", "--rounds", "-1"]) == 1
+        assert cli.main(["--config", cfg_path, "--set", "train.rounds=-1", "postopt"]) == 1
         assert "error: TrainConfig.rounds must be >= 0" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 

@@ -74,7 +74,8 @@ class TestCollectDemos:
         with pytest.raises(RuntimeError, match="misconfigured"):
             ds.collect_demos(suite, ECFG, PCFG, CVOCAB)
         # with a permissive rate the bad episode is dropped, not kept
-        out = ds.collect_demos(suite, ECFG, PCFG, CVOCAB, max_infraction_rate=1.0)
+        monkeypatch.setattr(ds, "MAX_INFRACTION_RATE", 1.0)
+        out = ds.collect_demos(suite, ECFG, PCFG, CVOCAB)
         assert len(out) == 0
         assert out.manifest["episodes_discarded"] == 1
 
@@ -293,7 +294,7 @@ class TestMerge:
         assert np.all(counts[len(demo_dataset):] == 4)
 
     def test_empty_takeover_is_merge_identity(self, demo_dataset):
-        m = ds.MergedDataset(demo_dataset, [])
+        m = ds.MergedDataset(demo_dataset, [], takeover_weight=4.0)
         idx = sorted(m.epoch_indices(np.random.default_rng(0)))
         assert idx == list(range(len(demo_dataset)))
 
@@ -301,4 +302,4 @@ class TestMerge:
         other = ds.Dataset(takeover_dataset.samples, kind="takeover",
                            vocab_hash="0000000000000000")
         with pytest.raises(ValueError, match="hash"):
-            ds.MergedDataset(demo_dataset, [takeover_dataset, other])
+            ds.MergedDataset(demo_dataset, [takeover_dataset, other], takeover_weight=4.0)

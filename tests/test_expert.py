@@ -245,28 +245,25 @@ def command_bits(cmd):
     return np.array([cmd.throttle, cmd.brake, cmd.steer]).tobytes()
 
 
-class WindowCounter:
-    """Counts Route.project_window passes: `tables` are the ones made for a
-    forecast table, the rest come from project_many."""
+class ProjectionCounter:
+    """Counts Route.project_many calls (`tables`: the expert makes one per
+    forecast table) and the points they send to Route._full_scan
+    (`scanned`)."""
 
     def __init__(self, monkeypatch):
-        self.windows = self.many = 0
-        window, many = sim.Route.project_window, sim.Route.project_many
-
-        def counted_window(route, points):
-            self.windows += 1
-            return window(route, points)
+        self.tables = self.scanned = 0
+        many, full_scan = sim.Route.project_many, sim.Route._full_scan
 
         def counted_many(route, points):
-            self.many += 1
+            self.tables += 1
             return many(route, points)
 
-        monkeypatch.setattr(sim.Route, "project_window", counted_window)
-        monkeypatch.setattr(sim.Route, "project_many", counted_many)
+        def counted_scan(route, p):
+            self.scanned += len(p)
+            return full_scan(route, p)
 
-    @property
-    def tables(self):
-        return self.windows - self.many
+        monkeypatch.setattr(sim.Route, "project_many", counted_many)
+        monkeypatch.setattr(sim.Route, "_full_scan", counted_scan)
 
 
 # 15 straight 10 m segments from x = -30 to x = 120
@@ -295,40 +292,41 @@ class TestPlanMatchesReference:
 
     @pytest.mark.parametrize("kind", sim.SCENARIO_KINDS)
     def test_whole_episodes(self, kind, monkeypatch):
-        counter = WindowCounter(monkeypatch)
+        counter = ProjectionCounter(monkeypatch)
+        tables = 0      # the expert's; the reference projects through project_many too
         for seed in range(4):
             w = sim.reset(sim.ScenarioSpec(kind, seed))
             while not w.done:
                 before = counter.tables
                 label = xp.expert_act(w, CFG)
                 assert counter.tables - before <= len(w.actors)   # one table per actor
+                tables += counter.tables - before
                 self.assert_plan_matches(w, label)
                 sim.advance_world(w, label.command)
             assert w.termination == "completed", (kind, seed)
         # The walker's crossing and the merging car are forecast; the other
         # kinds' actors are parked, already in the lane, or absent.
-        assert (counter.tables > 0) == (kind in ("GiveWay", "Merging"))
+        assert (tables > 0) == (kind in ("GiveWay", "Merging"))
 
     def test_rows_the_window_cannot_certify(self, monkeypatch):
         # Far off the road, a forecast point's window is narrower than its
-        # distance to the route: the early rows fall back to project_many,
-        # the late ones are read from the table.
+        # distance to the route: the table's early points take the full scan.
         w = world_on(STRAIGHT, [actor(60.0, 50.0, -math.pi / 2, 10.0)],
                      sim.EgoState(x=0.0, y=0.0, speed=8.0))
-        counter = WindowCounter(monkeypatch)
+        counter = ProjectionCounter(monkeypatch)
         xp.expert_act(w, CFG)
-        assert counter.tables == 1 and 0 < counter.many < 30
+        assert counter.tables == 1 and counter.scanned > 0
         self.assert_plan_matches(w)
 
     def test_an_actor_the_route_is_clear_of(self, monkeypatch):
         # A car in the next lane, moving parallel: its forecast points stay
         # 3.5 m off the lane centre, so Route.clear_of certifies the actor
-        # and no table or fallback projection is made for it.
+        # and no table is made for it.
         w = world_on(STRAIGHT, [actor(10.0, 3.5, 0.0, 6.0)],
                      sim.EgoState(x=0.0, y=0.0, speed=8.0))
-        counter = WindowCounter(monkeypatch)
+        counter = ProjectionCounter(monkeypatch)
         xp.expert_act(w, CFG)
-        assert counter.tables == 0 and counter.windows == 0
+        assert counter.tables == 0 and counter.scanned == 0
         self.assert_plan_matches(w)
 
     def test_u_turn_route_has_no_window(self, monkeypatch):
@@ -336,11 +334,10 @@ class TestPlanMatchesReference:
                [10.0, 6.0], [0.0, 6.0]]
         w = world_on(pts, [actor(12.0, -4.0, math.pi / 2, 1.5, "pedestrian", 0.6, 0.6)],
                      sim.EgoState(x=0.0, y=0.0, speed=5.0))
-        assert not w.route.project_window(np.array([[12.0, -4.0]]))[2].any()
-        counter = WindowCounter(monkeypatch)
+        counter = ProjectionCounter(monkeypatch)
         xp.expert_act(w, CFG)
-        # every step that forecasts the walker takes project_many
-        assert counter.tables == 1 and counter.many > 0
+        # the route's breakpoints do not rise: every point takes the full scan
+        assert counter.tables == 1 and counter.scanned > 0
         self.assert_plan_matches(w)
 
     def test_stop_sign_before_the_line_is_served(self):

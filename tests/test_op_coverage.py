@@ -81,7 +81,7 @@ def test_every_autodiff_op_is_used(monkeypatch, tmp_path):
     cfg = tr.TrainConfig(pretrain_epochs=1, batch_size=2, seed=0)
 
     tr.pretrain(policy, demo, cfg)
-    tr.dagger_epoch(policy, ds.MergedDataset(demo, [takeover]), cfg,
+    tr.dagger_epoch(policy, ds.MergedDataset(demo, [takeover], cfg.takeover_weight), cfg,
                     np.random.default_rng(1))
     tr.mean_margin(policy, takeover.samples, cfg)
     tr.po_epoch(policy, takeover.samples, cfg, ad.Adam(policy.params, lr=cfg.po_lr))

@@ -535,7 +535,7 @@ class TestDagger:
         cfg = tr.TrainConfig(seed=0)
         a = pol.Policy(pol.PolicyConfig(feature_dim=8, k=4), tv, CVOCAB)
         b = pol.Policy(pol.PolicyConfig(feature_dim=8, k=4), tv, CVOCAB)
-        merged = ds.MergedDataset(demo, [])
+        merged = ds.MergedDataset(demo, [], cfg.takeover_weight)
         tr.dagger_epoch(a, merged, cfg, np.random.default_rng(5))
         opt = ad.Adam(b.params, lr=cfg.dagger_lr)
         order = np.random.default_rng(5).permutation(len(demo.samples))
@@ -551,7 +551,7 @@ class TestDagger:
         rng = np.random.default_rng(0)
         takeover = ds.Dataset([make_takeover(rng, seg=f"s{i}") for i in range(8)],
                               kind="takeover")
-        merged = ds.MergedDataset(demo, [takeover])
+        merged = ds.MergedDataset(demo, [takeover], cfg.takeover_weight)
         before = tr._batch_loss(policy, takeover.samples, cfg).data.item()
         tr.dagger_epoch(policy, merged, cfg, np.random.default_rng(1))
         after = tr._batch_loss(policy, takeover.samples, cfg).data.item()
@@ -645,7 +645,8 @@ def test_nan_parameter_raises_naming_stage_and_batch(stage, place):
     cfg = tr.TrainConfig(batch_size=2, seed=0)
     run = {
         "pretrain": lambda: tr.pretrain(policy, takeovers, cfg),
-        "dagger": lambda: tr.dagger_epoch(policy, ds.MergedDataset(takeovers, []), cfg, rng),
+        "dagger": lambda: tr.dagger_epoch(
+            policy, ds.MergedDataset(takeovers, [], cfg.takeover_weight), cfg, rng),
         "po": lambda: tr.po_epoch(policy, takeovers.samples, cfg,
                                   ad.Adam(policy.params, lr=cfg.po_lr)),
     }[stage]

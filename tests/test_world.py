@@ -27,10 +27,11 @@ class TestKinematics:
         assert 2.8 < speed <= 3.0
         assert y == pytest.approx(0.0)
 
-    def test_drag_free_matches_analytic(self):
+    def test_drag_free_matches_analytic(self, monkeypatch):
+        monkeypatch.setattr(sim, "C_DRAG", 0.0)
         state = sim.EgoState(speed=0.0).state
         for _ in range(40):
-            state = sim.step_kinematics(state, (1.0, 0.0, 0.0), self.WHEELBASE, c_drag=0.0)
+            state = sim.step_kinematics(state, (1.0, 0.0, 0.0), self.WHEELBASE)
         x, _, _, speed = state
         t = 40 * sim.DT
         assert speed == pytest.approx(sim.A_MAX * t, abs=1e-9)
@@ -47,9 +48,10 @@ class TestKinematics:
             state = sim.step_kinematics(state, (0.0, 1.0, 0.0), self.WHEELBASE)
         assert state[3] == 0.0
 
-    def test_steady_turn_matches_bicycle_yaw_rate(self):
+    def test_steady_turn_matches_bicycle_yaw_rate(self, monkeypatch):
+        monkeypatch.setattr(sim, "C_DRAG", 0.0)
         state = sim.EgoState(speed=5.0).state
-        heading = sim.step_kinematics(state, (0.0, 0.0, 0.5), self.WHEELBASE, c_drag=0.0)[2]
+        heading = sim.step_kinematics(state, (0.0, 0.0, 0.5), self.WHEELBASE)[2]
         # v slightly constant; yaw rate = v/L tan(delta_max * steer)
         expect = 5.0 / self.WHEELBASE * math.tan(sim.DELTA_MAX * 0.5) * sim.DT
         assert heading == pytest.approx(expect, rel=1e-3)
