@@ -18,7 +18,7 @@ from . import dataset as ds
 from . import metrics as bench
 from . import training as tr
 from .config import (ConfigError, apply_overrides, config_hash, expand_suite, expert_config,
-                     file_hash, load_config, policy_config, train_config, validate)
+                     file_hash, load_config, merge, policy_config, train_config, validate)
 from .policy import Policy
 from .vocab import ControlVocabulary, TrajectoryVocabulary, build_vocabulary
 
@@ -137,7 +137,7 @@ def cmd_report(cfg, args):
             print(f.read().rstrip())
     postopt_dir = os.path.join(cfg["out_dir"], cfg["paths"]["postopt_dir"])
     if os.path.isdir(postopt_dir):
-        for name in sorted(os.listdir(postopt_dir)):
+        for name in sorted(os.listdir(postopt_dir), key=lambda n: (len(n), n)):
             rpath = os.path.join(postopt_dir, name, "report.json")
             if os.path.exists(rpath):
                 with open(rpath) as f:
@@ -181,12 +181,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         apply_overrides(cfg, args.set)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.jobs is not None:
-            cfg["jobs"] = args.jobs
-        if args.out_dir is not None:
-            cfg["out_dir"] = args.out_dir
+        flags = {k: getattr(args, k) for k in ("seed", "jobs", "out_dir")}
+        merge(cfg, {k: v for k, v in flags.items() if v is not None})
         validate(cfg)
         os.makedirs(cfg["out_dir"], exist_ok=True)
         args.func(cfg, args)

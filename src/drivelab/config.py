@@ -61,29 +61,30 @@ def load_config(path=None):
             raise ConfigError(f"{path}: invalid JSON ({e})")
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: not a JSON object")
-        _deep_update(cfg, user)
+        merge(cfg, user)
     return cfg
 
 
-def _check_key(node, key, path):
-    """The rule for every key a user sets, from a config file or --set: it
-    must name an entry of the defaults. `path` is its dotted key path."""
-    if not isinstance(node, dict) or key not in node:
-        raise ConfigError(f"unknown key {path!r}")
-
-
-def _deep_update(base, extra, prefix=""):
+def merge(base, extra, prefix=""):
+    """The one rule by which a setting enters a config, from a config file,
+    --set or a CLI flag: each key must name an entry of the defaults; where
+    the default is a section, the value must be an object and is merged key
+    by key; any other value replaces the default."""
     for k, v in extra.items():
-        _check_key(base, k, prefix + k)
-        if isinstance(v, dict) and isinstance(base[k], dict):
-            _deep_update(base[k], v, f"{prefix}{k}.")
+        path = prefix + k
+        if k not in base:
+            raise ConfigError(f"unknown key {path!r}")
+        if isinstance(base[k], dict):
+            if not isinstance(v, dict):
+                raise ConfigError(f"{path} must be an object, got {v!r}")
+            merge(base[k], v, path + ".")
         else:
             base[k] = v
 
 
 def apply_overrides(cfg, overrides):
-    """Apply --set key.path=value pairs; values parse as JSON, falling back
-    to plain strings."""
+    """Merge --set key.path=value pairs, each as the object {key: {path:
+    value}}; values parse as JSON, falling back to plain strings."""
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -92,36 +93,27 @@ def apply_overrides(cfg, overrides):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            _check_key(node, p, key)
-            node = node[p]
-        _check_key(node, parts[-1], key)
-        node[parts[-1]] = value
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        merge(cfg, value)
     return cfg
 
 
 def expand_suite(cfg, name):
-    """A suite entry is either {kinds, seeds} (full product) or an explicit
-    list of {kind, seed} records; each seed is an integer."""
-    entry = cfg["suites"].get(name)
-    if entry is None:
-        raise ConfigError(f"no suite named {name!r}")
-    sc = cfg["scenario"]
-    if isinstance(entry, list):
-        if not all(isinstance(e, dict) and "kind" in e and "seed" in e for e in entry):
-            raise ConfigError(f"suite {name!r}: each list entry needs a kind and a seed")
-        items = [(e["kind"], e["seed"]) for e in entry]
-    else:
-        items = [(k, s) for k in entry["kinds"] for s in entry["seeds"]]
-    for kind, seed in items:
+    """A suite is {kinds, seeds}, run as their full product: each kind names
+    a scenario and each seed is an integer."""
+    entry, sc = cfg["suites"][name], cfg["scenario"]
+    for kind in entry["kinds"]:
         if kind not in sim.SCENARIO_KINDS:
             raise ConfigError(f"suite {name!r}: unknown scenario kind {kind!r}")
+    for seed in entry["seeds"]:
         if type(seed) is not int:
             raise ConfigError(f"suite {name!r}: seed must be an integer, got {seed!r}")
+    if not entry["kinds"] or not entry["seeds"]:
+        raise ConfigError(f"suite {name!r} has no episodes")
     return [sim.ScenarioSpec(kind=k, seed=s, route_length=sc["route_length"],
-                             speed_limit=sc["speed_limit"]) for k, s in items]
+                             speed_limit=sc["speed_limit"])
+            for k in entry["kinds"] for s in entry["seeds"]]
 
 
 def policy_config(cfg):
@@ -137,28 +129,29 @@ def train_config(cfg):
 
 
 def validate(cfg):
-    """Check a config before any command runs: suites, types, and every
+    """Check a config before any command runs: types, suites, and every
     section that builds a config class (which checks its own values), so
     each command rejects what any command would."""
+    _check_types(cfg, DEFAULT_CONFIG)
     train_seeds = {s.seed for s in expand_suite(cfg, "train")}
     expand_suite(cfg, "validation")
     test_seeds = {s.seed for s in expand_suite(cfg, "test")}
     overlap = train_seeds & test_seeds
     if overlap:
         raise ConfigError(f"train and test suites share seeds {sorted(overlap)}")
-    _check_types(cfg, DEFAULT_CONFIG)
     for build in (policy_config, expert_config, train_config):
         build(cfg)
     return cfg
 
 
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list"}
 _AT_LEAST_ONE = ("jobs", "demo_subsample")     # a worker count and a stride
 
 
 def _check_types(node, defaults, prefix=""):
-    """The rule for every scalar entry: it has the type of its default. An
-    int counts for a float; a bool counts for neither."""
+    """The rule for every entry that is not a section: it has the type of
+    its default. An int counts for a float; a bool counts for neither."""
     for key, value in node.items():
         default, path = defaults.get(key), prefix + key
         if isinstance(default, dict) and isinstance(value, dict):

@@ -156,10 +156,10 @@ class _DemoDriver:
         if w.tick % self.subsample:
             return xp.expert_command(w, self.expert_cfg)
         snap = encode_scene(w, self.policy_cfg)
-        label = xp.expert_act(w, self.expert_cfg, self.control_vocab)
+        label = xp.expert_act(w, self.expert_cfg)
         self.samples.append(DemoSample(
             **vars(snap), traj_waypoints=label.waypoints,
-            ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
+            ctrl_indices=self.control_vocab.discretize(label.command),
             scenario_id=scenario_id(w.spec), time=w.time))
         return label.command
 
@@ -220,7 +220,7 @@ class _ShadowDriver:
                 self.segments.append((f"{scenario_id(w.spec)}/r{self.round_index}"
                                       f"/s{len(self.segments) + 1}", trigger))
         if self.takeover_left > 0:
-            label = xp.expert_act(w, self.expert_cfg, self.neural.policy.ctrl_vocab)
+            label = xp.expert_act(w, self.expert_cfg)
             self.takeovers.append((w.tick, self.segments[-1], self.neural.snap, label))
             self.takeover_left -= 1
             if self.takeover_left == 0:
@@ -243,7 +243,7 @@ def _shadow_episode(spec, policy, expert_cfg, round_index, eps_steer):
         frame = trace[tick]
         samples.append(TakeoverSample(
             **vars(snap), traj_waypoints=label.waypoints,
-            ctrl_indices=(label.throttle_idx, label.brake_idx, label.steer_idx),
+            ctrl_indices=policy.ctrl_vocab.discretize(label.command),
             scenario_id=scenario_id(spec), time=frame.time,
             trigger=trig, segment_id=seg_id, round_index=round_index,
             ego_speed=frame.ego[3], infraction_kinds=tuple(frame.infractions),

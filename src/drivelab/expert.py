@@ -36,9 +36,6 @@ class ExpertConfig:
 class ExpertLabel:
     waypoints: np.ndarray          # (6, 2) ego-frame planned trajectory
     command: sim.ControlCommand
-    throttle_idx: int = 0
-    brake_idx: int = 0
-    steer_idx: int = 0
 
 
 def idm_accel(v, v0, gap, v_lead, cfg):
@@ -231,7 +228,7 @@ def expert_command(w, cfg):
                                             _Forecast(w, cfg, 1), 0, w.stop_line_served, cfg))
 
 
-def expert_act(w, cfg, control_vocab=None):
+def expert_act(w, cfg):
     """Compute the expert's command and its 3 s planned trajectory.
 
     The planned trajectory rolls the expert controller forward kinematically
@@ -267,11 +264,7 @@ def expert_act(w, cfg, control_vocab=None):
         dx, dy = state[0] - ox, state[1] - oy
         waypoints[i] = (cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy)
 
-    label = ExpertLabel(waypoints=waypoints, command=cmd)
-    if control_vocab is not None:
-        label.throttle_idx, label.brake_idx, label.steer_idx = \
-            control_vocab.discretize(cmd)
-    return label
+    return ExpertLabel(waypoints=waypoints, command=cmd)
 
 
 def forecast_collision(w, horizon):

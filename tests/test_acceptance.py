@@ -196,7 +196,7 @@ class ExpertClone:
         self.pid = PidTracker()
 
     def infer(self, snap, terms):
-        label = xp.expert_act(self.w, ECFG, CVOCAB)
+        label = xp.expert_act(self.w, ECFG)
         c_traj = self.pid.track(label.waypoints, self.w.ego)
         e = label.command
         # choose the direct-control branch so the blend reproduces e

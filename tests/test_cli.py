@@ -29,7 +29,7 @@ def write_config(tmp, out_dir, extra=None):
     cfg = json.loads(json.dumps(MINI))
     cfg["out_dir"] = str(out_dir)
     if extra:
-        cf._deep_update(cfg, extra)
+        cf.merge(cfg, extra)
     path = tmp / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -69,17 +69,21 @@ class TestConfig:
         with pytest.raises(cf.ConfigError, match="form"):
             cf.apply_overrides(cfg, ["no-equals"])
 
-    def test_explicit_suite_lists(self):
-        cfg = cf.load_config()
-        cfg["suites"]["train"] = [{"kind": "StopSign", "seed": 3}]
-        suite = cf.expand_suite(cfg, "train")
-        assert len(suite) == 1 and suite[0].kind == "StopSign"
-
     def test_unknown_kind_rejected(self):
         cfg = cf.load_config()
         cfg["suites"]["train"]["kinds"] = ["Flying"]
         with pytest.raises(cf.ConfigError, match="Flying"):
             cf.expand_suite(cfg, "train")
+
+    def test_object_override_hashes_as_its_dotted_form(self):
+        def hashed(*overrides):
+            return cf.config_hash(cf.validate(cf.apply_overrides(cf.load_config(),
+                                                                 list(overrides))))
+
+        assert hashed('train={"rounds": 3, "po_lr": 1e-5}') == \
+            hashed("train.rounds=3", "train.po_lr=1e-5") != hashed()
+        assert hashed('train={"po_lr": 1e-6}') == hashed("train.po_lr=1e-6") == hashed()
+        assert hashed("scenario={}") == hashed()
 
     def test_config_hash_ignores_plumbing(self):
         a = cf.load_config()
@@ -194,15 +198,51 @@ class TestDispatch:
         ("suites.train.seeds=[0.5, 1.9]",
          "suite 'train': seed must be an integer, got 0.5"),
         ("suites.train.seeds=[true]", "suite 'train': seed must be an integer, got True"),
-        ('suites.train=[{"seed": 3}]', "suite 'train': each list entry needs a kind and a seed"),
+        ('suites.train=[{"seed": 3}]', "suites.train must be an object, got [{'seed': 3}]"),
         ("suites.validation.seeds=[100.0]",
          "suite 'validation': seed must be an integer, got 100.0"),
+        ('train={"nope": 1}', "unknown key 'train.nope'"),
+        ("suites.train=5", "suites.train must be an object, got 5"),
+        ("policy=7", "policy must be an object, got 7"),
+        ('suites.train={"kinds": ["StopSign"], "seeds": [3], "x": 1}',
+         "unknown key 'suites.train.x'"),
+        ('suites.train=[{"kind": "StopSign", "seed": 3, "sed": 4}]',
+         "suites.train must be an object, got [{'kind': 'StopSign', 'seed': 3, 'sed': 4}]"),
+        ("suites.train.seeds=3", "suites.train.seeds must be a list, got 3"),
+        ('suites.train.kinds="StopSign"', "suites.train.kinds must be a list, got 'StopSign'"),
+        ("suites.train.seeds=[]", "suite 'train' has no episodes"),
+        ("suites.validation.seeds=[]", "suite 'validation' has no episodes"),
+        ("suites.test.kinds=[]", "suite 'test' has no episodes"),
     ])
-    def test_bad_suite_entry_exits_1(self, tmp_path, capsys, override, message):
+    @pytest.mark.parametrize("command", ["report", "collect-demos"])
+    def test_bad_suite_entry_exits_1(self, tmp_path, capsys, command, override, message):
+        """Every setting enters by one merge rule, and a suite is a non-empty
+        {kinds, seeds} object of integer seeds, so a malformed one fails
+        before any command writes anything."""
         out = tmp_path / "x"
-        assert cli.main(["--set", override, "--out-dir", str(out), "report"]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert cli.main(["--set", override, "--out-dir", str(out), command]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_flags_merge_like_set(self, tmp_path, capsys):
+        out = str(tmp_path / "x")
+        assert cli.main(["--seed", "3", "--jobs", "2", "--out-dir", out, "report"]) == 0
+        flags = capsys.readouterr().out
+        assert cli.main(["--set", "seed=3", "--set", "jobs=2", "--set", f"out_dir={out}",
+                         "report"]) == 0
+        assert capsys.readouterr().out == flags
+
+    def test_report_lists_rounds_in_round_order(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        for i in (2, 10, 1):
+            rdir = out / "postopt" / f"round_{i}"
+            rdir.mkdir(parents=True)
+            (rdir / "report.json").write_text(json.dumps(
+                {"takeover_kept": i, "validation": {"mean_ds": float(i)}}))
+        assert cli.main(["--out-dir", str(out), "report"]) == 0
+        rounds = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("round_")]
+        assert rounds == ["round_1", "round_2", "round_10"]
 
     def test_seed_overlap_exits_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tmp_path / "x",
@@ -212,7 +252,7 @@ class TestDispatch:
     def test_misconfigured_expert_exits_2_with_limit(self, tmp_path, capsys,
                                                      monkeypatch):
         # an expert that floors the throttle rear-ends the braking lead
-        def reckless(w, cfg, control_vocab=None):
+        def reckless(w, cfg):
             wp = np.stack([np.arange(1, 7) * 4.0, np.zeros(6)], axis=1)
             return xp.ExpertLabel(waypoints=wp,
                                   command=sim.ControlCommand(throttle=1.0))

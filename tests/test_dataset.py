@@ -65,7 +65,7 @@ class TestCollectDemos:
 
     def test_bad_expert_episodes_discarded_whole(self, monkeypatch):
         # an expert that floors the throttle rear-ends the braking lead
-        def reckless(w, cfg, control_vocab=None):
+        def reckless(w, cfg):
             wp = np.stack([np.arange(1, 7) * 4.0, np.zeros(6)], axis=1)
             return xp.ExpertLabel(waypoints=wp,
                                   command=sim.ControlCommand(throttle=1.0))

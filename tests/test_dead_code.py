@@ -31,7 +31,8 @@ that shares its name with another, can pass unseen.
 The package also has one episode loop: `metrics.run_episode` is the only
 function that builds or steps a world, and one rule for a failure's place:
 no `except` clause singles out `NonFiniteError`. A `Policy` holds its
-parameters and its network, and nothing a call changes.
+parameters and its network, and nothing a call changes. A setting enters a
+run config one way, through `config.merge`.
 """
 
 import ast
@@ -104,6 +105,17 @@ def call_sites(name):
 def test_one_episode_loop():
     for name in ("reset", "advance_world"):
         assert call_sites(name) == [("metrics", "run_episode")], name
+
+
+def test_one_way_into_a_config():
+    """A setting enters a run config, from a config file, `--set` or a CLI
+    flag, only through `config.merge`: it holds the only subscript
+    assignment in `config.py` and `cli.py`."""
+    trees = _trees()
+    sites = [(module, getattr(top, "name", None)) for module in ("config", "cli")
+             for top in trees[module].body for t in _assignment_targets(top)
+             if isinstance(t, ast.Subscript)]
+    assert sites == [("config", "merge")], sites
 
 
 def test_one_inference_site():

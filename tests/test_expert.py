@@ -109,11 +109,12 @@ class TestForecast:
 class TestLabels:
     def test_label_shapes_and_discretization(self):
         w = sim.reset(sim.ScenarioSpec("EmergencyBrake", 0))
-        label = xp.expert_act(w, CFG, ControlVocabulary())
+        label = xp.expert_act(w, CFG)
         assert label.waypoints.shape == (6, 2)
-        assert 0 <= label.throttle_idx < 5
-        assert 0 <= label.brake_idx < 2
-        assert 0 <= label.steer_idx < 9
+        throttle_idx, brake_idx, steer_idx = ControlVocabulary().discretize(label.command)
+        assert 0 <= throttle_idx < 5
+        assert 0 <= brake_idx < 2
+        assert 0 <= steer_idx < 9
 
     def test_rollout_starts_at_origin_and_moves_forward(self):
         w = sim.reset(sim.ScenarioSpec("StopSign", 0))

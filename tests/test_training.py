@@ -811,7 +811,7 @@ class TestFailureLocation:
                 real(w, cmd)
             monkeypatch.setattr(sim, "advance_world", advance)
         elif fault == "expert":
-            def expert_act(w, cfg, control_vocab=None):
+            def expert_act(w, cfg):
                 raise LookupError("expert fault")
             monkeypatch.setattr(ds.xp, "expert_act", expert_act)
         elif fault == "infer":
