@@ -199,7 +199,11 @@ class _ShadowDriver:
     steer (its command's steer), hands control to the expert for
     TAKEOVER_TICKS ticks, after which triggers are suppressed for
     SUPPRESS_TICKS ticks. Each takeover tick is kept as (tick, segment,
-    snapshot, expert label); a segment is (id, trigger)."""
+    snapshot, expert label); a segment is (id, trigger).
+
+    While the expert drives, the policy is disengaged: the trigger tick is
+    its last pass, later takeover ticks only encode the scene, and at
+    handback the NeuralDriver re-engages from a fresh PID and creep."""
 
     def __init__(self, policy, expert_cfg, round_index, eps_steer):
         self.neural = NeuralDriver(policy)
@@ -208,7 +212,11 @@ class _ShadowDriver:
         self.segments, self.takeovers = [], []
 
     def act(self, w):
-        final = self.neural.act(w)
+        if self.takeover_left > 0:
+            snap = encode_scene(w, self.neural.policy.cfg)
+        else:
+            final = self.neural.act(w)
+            snap = self.neural.snap
         if self.takeover_left == 0 and self.suppress_left == 0:
             ego_s = w.ego_projection()[0]
             gap = abs(final.steer - xp.pure_pursuit_steer(
@@ -221,10 +229,11 @@ class _ShadowDriver:
                                       f"/s{len(self.segments) + 1}", trigger))
         if self.takeover_left > 0:
             label = xp.expert_act(w, self.expert_cfg)
-            self.takeovers.append((w.tick, self.segments[-1], self.neural.snap, label))
+            self.takeovers.append((w.tick, self.segments[-1], snap, label))
             self.takeover_left -= 1
             if self.takeover_left == 0:
                 self.suppress_left = SUPPRESS_TICKS
+                self.neural.engage()
             return label.command
         if self.suppress_left > 0:
             self.suppress_left -= 1
@@ -259,8 +268,10 @@ def run_shadow_collection(policy, suite, expert_cfg, round_index, eps_steer=EPS_
     A takeover starts when the 2 s collision forecast hits or when the
     post-ensemble policy steer differs from the expert steer by more than
     eps_steer; the expert then drives for exactly 2 s (40 ticks), one
-    TakeoverSample per tick. Re-triggering is suppressed for 1 s after
-    handback. Returns the raw (unfiltered) takeover dataset.
+    TakeoverSample per tick. The policy does not run while the expert
+    drives, and re-engages with a fresh controller state at handback, as at
+    an episode's start. Re-triggering is suppressed for 1 s after handback.
+    Returns the raw (unfiltered) takeover dataset.
     """
     episodes = map_episodes(partial(_shadow_episode, policy=policy, expert_cfg=expert_cfg,
                                     round_index=round_index, eps_steer=eps_steer),

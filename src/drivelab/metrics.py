@@ -72,14 +72,21 @@ class NeuralDriver:
     a bit-equal snapshot (a standing ego in an unchanged scene) reuses. They
     hold while the parameters keep their values: `run_closed_loop` and
     `dataset._ShadowDriver` build one driver per episode, and nothing inside
-    `run_episode` writes parameters."""
+    `run_episode` writes parameters.
+
+    `engage` gives a fresh PID tracker and safety creep: an episode starts
+    with it, and shadow collection calls it at handback, since the policy
+    is disengaged while the expert drives. The caches stay."""
 
     def __init__(self, policy, creep_enabled=True):
-        self.policy = policy
-        self.pid = PidTracker()
-        self.creep = SafetyCreep(enabled=creep_enabled)
+        self.policy, self.creep_enabled = policy, creep_enabled
         self.snap = None
         self.terms, self.last = {}, (None, None)
+        self.engage()
+
+    def engage(self):
+        self.pid = PidTracker()
+        self.creep = SafetyCreep(enabled=self.creep_enabled)
 
     def act(self, world):
         self.snap = snap = encode_scene(world, self.policy.cfg)

@@ -80,6 +80,21 @@ class TestCollectDemos:
         assert out.manifest["episodes_discarded"] == 1
 
 
+def _tiny_policy():
+    t = np.arange(1, 7) * 0.5
+    centers = np.array([np.stack([t * v, t * t * c], axis=1)
+                        for v in (0.0, 2.0, 5.0, 8.0) for c in (-0.3, 0.3)])
+    return pol.Policy(pol.PolicyConfig(feature_dim=16, k=8, init_seed=5),
+                      vocab.TrajectoryVocabulary(centers), CVOCAB)
+
+
+GOLDEN_SUITE = [sim.ScenarioSpec(kind, 0, route_length=40.0)
+                for kind in ("Overtaking", "StopSign", "GiveWay")]
+# The expert holds the ego still through the last 30 ticks of the two
+# segments it hands back at ticks 700 and 760.
+STANDSTILL_HANDBACK = sim.ScenarioSpec("StopSign", 3, route_length=60.0)
+
+
 class TestShadowCollection:
     def test_segments_are_40_ticks(self, takeover_dataset):
         by_seg = {}
@@ -113,20 +128,13 @@ class TestShadowCollection:
         raw takeover set has a fixed sha256. The suite has a collision
         trigger, a segment cut short by the episode's end and a takeover tick
         that logs an infraction, so each of those is pinned too."""
-        t = np.arange(1, 7) * 0.5
-        centers = np.array([np.stack([t * v, t * t * c], axis=1)
-                            for v in (0.0, 2.0, 5.0, 8.0) for c in (-0.3, 0.3)])
-        policy = pol.Policy(pol.PolicyConfig(feature_dim=16, k=8, init_seed=5),
-                            vocab.TrajectoryVocabulary(centers), CVOCAB)
-        suite = [sim.ScenarioSpec(kind, 0, route_length=40.0)
-                 for kind in ("Overtaking", "StopSign", "GiveWay")]
-        raw = ds.run_shadow_collection(policy, suite, ECFG, round_index=1)
+        raw = ds.run_shadow_collection(_tiny_policy(), GOLDEN_SUITE, ECFG, round_index=1)
         assert raw.manifest["triggers"]["collision"] >= 1
         assert any(s.truncated for s in raw.samples)
         assert any(s.infraction_kinds for s in raw.samples)
         ds.persist(raw, tmp_path / "takeover.jsonl")
         digest = hashlib.sha256((tmp_path / "takeover.jsonl").read_bytes()).hexdigest()
-        assert digest == "1e9fd89a7f32f7500dd11128d025f7cdc0b47140efd13e087bee3d91873d8b4a"
+        assert digest == "f378560084472ea4300ce29e94be2ffe0248e3a518e0c07fd1b335f22b44aaf4"
 
 
 class TestFilter:
@@ -303,3 +311,109 @@ class TestMerge:
                            vocab_hash="0000000000000000")
         with pytest.raises(ValueError, match="hash"):
             ds.MergedDataset(demo_dataset, [takeover_dataset, other], takeover_weight=4.0)
+
+
+class _Recorder:
+    """Wraps `_ShadowDriver.act`, `NeuralDriver.act` and `Policy.infer` to
+    record, per tick: the ego's speed, the shadow driver's state on entry
+    to the policy's tick and on its exit, and which ticks ran `infer`."""
+
+    def __init__(self, monkeypatch):
+        self.speed, self.entry, self.exit, self.infers = {}, {}, {}, []
+        real_shadow, real_act, real_infer = (
+            ds._ShadowDriver.act, ds.NeuralDriver.act, pol.Policy.infer)
+
+        def shadow_act(driver, w):
+            self.tick, self.speed[w.tick] = w.tick, w.ego.speed
+            return real_shadow(driver, w)
+
+        def act(driver, w):
+            self.entry[w.tick] = self._state(driver)
+            cmd = real_act(driver, w)
+            self.exit[w.tick] = self._state(driver)
+            return cmd
+
+        def infer(policy, *args):
+            self.infers.append(self.tick)
+            return real_infer(policy, *args)
+
+        monkeypatch.setattr(ds._ShadowDriver, "act", shadow_act)
+        monkeypatch.setattr(ds.NeuralDriver, "act", act)
+        monkeypatch.setattr(pol.Policy, "infer", infer)
+
+    @staticmethod
+    def _state(driver):
+        return {"pid": driver.pid, "creep": driver.creep, "terms": driver.terms,
+                "last": driver.last, "integral": driver.pid.integral,
+                "still_ticks": driver.creep.still_ticks,
+                "pulse_ticks_left": driver.creep.pulse_ticks_left}
+
+    def run(self, spec):
+        """One shadowed episode; returns its driver and its segments as
+        (trigger tick, last tick) pairs."""
+        driver = ds._ShadowDriver(_tiny_policy(), ECFG, 1, ds.EPS_STEER)
+        ds.run_episode(driver, spec)
+        segments = {}
+        for tick, (seg_id, _), _, _ in driver.takeovers:
+            segments.setdefault(seg_id, []).append(tick)
+        return driver, [(ticks[0], ticks[-1]) for ticks in segments.values()]
+
+
+class TestDisengagedPolicy:
+    """While the expert drives, the policy is disengaged: only the trigger
+    tick of a segment runs it, and at handback it re-engages from a fresh
+    PID and creep, keeping the episode's caches."""
+
+    @pytest.mark.parametrize("spec", GOLDEN_SUITE + [STANDSTILL_HANDBACK], ids=ds.scenario_id)
+    def test_policy_runs_only_on_ticks_it_drives(self, spec, monkeypatch):
+        rec = _Recorder(monkeypatch)
+        driver, segments = rec.run(spec)
+        takeover = {tick for tick, *_ in driver.takeovers}
+        triggers = {first for first, _ in segments}
+        assert segments and len(triggers) == len(driver.segments)
+        assert sorted(rec.entry) == sorted(set(rec.speed) - takeover | triggers)
+        assert len(rec.entry) == len(rec.speed) - len(takeover) + len(segments)
+        assert rec.infers and not set(rec.infers) & (takeover - triggers)
+
+    def test_handback_reengages_from_a_fresh_controller_state(self, monkeypatch):
+        rec = _Recorder(monkeypatch)
+        _, segments = rec.run(STANDSTILL_HANDBACK)
+        handbacks = [(first, last + 1) for first, last in segments if last + 1 in rec.entry]
+        assert len(handbacks) >= 10
+        for first, tick in handbacks:
+            before, after = rec.exit[first], rec.entry[tick]
+            assert (after["integral"], after["still_ticks"], after["pulse_ticks_left"]) == \
+                (0.0, 0, 0), tick
+            assert after["pid"] is not before["pid"] and after["creep"] is not before["creep"]
+            assert after["terms"] is before["terms"] and after["last"] is before["last"]
+        assert any(rec.exit[first]["integral"] != 0.0 for first, _ in handbacks)
+        # The expert stood the ego still through the end of the segment: a
+        # creep that had kept counting would hand back most of 2.5 s.
+        standstill = [tick for _, tick in handbacks
+                      if all(rec.speed[t] < sim.STILL_SPEED for t in range(tick - 30, tick + 1))]
+        assert standstill == [700, 760]
+
+    def test_takeover_snapshots_equal_the_scene_at_their_tick(self, monkeypatch):
+        """The trigger tick's sample holds `NeuralDriver.snap`, the later
+        ones a scene encoded without the policy; both equal `encode_scene`
+        of the world at the sample's tick, bit for bit."""
+        real_act, want = ds._ShadowDriver.act, []
+
+        def act(driver, w):
+            snap, n = pol.encode_scene(w, driver.neural.policy.cfg), len(driver.takeovers)
+            cmd = real_act(driver, w)
+            if len(driver.takeovers) > n:
+                want.append(snap)
+            return cmd
+
+        monkeypatch.setattr(ds._ShadowDriver, "act", act)
+        raw = ds.run_shadow_collection(_tiny_policy(), GOLDEN_SUITE, ECFG, round_index=1)
+        assert len(raw) == len(want)
+        firsts = [i == 0 or s.segment_id != raw.samples[i - 1].segment_id
+                  for i, s in enumerate(raw.samples)]
+        assert sum(firsts) == len({s.segment_id for s in raw.samples}) < len(raw)
+        for s, snap in zip(raw.samples, want):
+            for name in ("agent_feats", "map_feats", "cmd_onehot"):
+                got, expected = getattr(s, name), getattr(snap, name)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, name
+                assert got.tobytes() == expected.tobytes(), name

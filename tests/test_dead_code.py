@@ -29,10 +29,12 @@ attribute that shares its name with a live one, or a parameter of a method
 that shares its name with another, can pass unseen.
 
 The package also has one episode loop: `metrics.run_episode` is the only
-function that builds or steps a world, and one rule for a failure's place:
-no `except` clause singles out `NonFiniteError`. A `Policy` holds its
-parameters and its network, and nothing a call changes. A setting enters a
-run config one way, through `config.merge`.
+function that builds or steps a world; one rule that engages the
+closed-loop driver: `metrics.NeuralDriver` builds the only PID tracker and
+safety creep, at an episode's start and at a handback; and one rule for a
+failure's place: no `except` clause singles out `NonFiniteError`. A
+`Policy` holds its parameters and its network, and nothing a call changes.
+A setting enters a run config one way, through `config.merge`.
 """
 
 import ast
@@ -122,6 +124,16 @@ def test_one_inference_site():
     """Only the closed-loop driver runs `infer`: stored samples go to the
     network in batches, through `forward`."""
     assert call_sites("infer") == [("metrics", "NeuralDriver")]
+
+
+def test_one_rule_engages_the_driver():
+    """A new episode and a handback give the closed-loop driver its
+    controller state by one rule, `NeuralDriver.engage`: it builds the only
+    PID tracker and safety creep, and shadow collection calls it at
+    handback."""
+    for name in ("PidTracker", "SafetyCreep"):
+        assert call_sites(name) == [("metrics", "NeuralDriver")], name
+    assert call_sites("engage") == [("dataset", "_ShadowDriver"), ("metrics", "NeuralDriver")]
 
 
 def test_policy_keeps_no_per_call_state():
