@@ -111,8 +111,8 @@ def persist(dataset, path):
 
 
 def load(path, expect_vocab_hash=None):
-    """Read a dataset; malformed lines, a NaN or Infinity token among them,
-    are rejected with their line number."""
+    """Read a dataset; a malformed line, such as one with a NaN or Infinity
+    token or one that is not a record object, is rejected with its number."""
     samples = []
     with open(path) as f:
         first = f.readline()
@@ -122,12 +122,14 @@ def load(path, expect_vocab_hash=None):
             manifest = _DECODER.decode(first)
         except ValueError as e:
             raise ValueError(f"{path}:1: malformed manifest ({e})")
+        if type(manifest) is not dict:
+            raise ValueError(f"{path}:1: malformed manifest (not a JSON object)")
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             try:
                 samples.append(_record_to_sample(_DECODER.decode(line)))
-            except (KeyError, ValueError) as e:
+            except (KeyError, OverflowError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: malformed sample record ({e})")
     if manifest.get("count") != len(samples):
         raise ValueError(

@@ -58,6 +58,9 @@ class TrajectoryVocabulary:
             centers = centers.reshape(-1, WAYPOINTS_PER_TRAJ, 2)
         if centers.ndim != 3 or centers.shape[1:] != (WAYPOINTS_PER_TRAJ, 2):
             raise ValueError(f"centers must be (k, {WAYPOINTS_PER_TRAJ}, 2), got {centers.shape}")
+        bad = np.flatnonzero(~np.isfinite(centers).all(axis=(1, 2)))
+        if len(bad):
+            raise ValueError(f"center {bad[0]} has a non-finite waypoint")
         self.centers = centers
         self.k = centers.shape[0]
 
@@ -92,18 +95,24 @@ class TrajectoryVocabulary:
 
     @classmethod
     def load(cls, path):
+        """Read a vocabulary; a line that is not an index with 12 numbers,
+        and a non-finite center, are rejected with the file's name."""
         rows = []
         with open(path) as f:
             for lineno, line in enumerate(f, start=1):
                 try:
                     rec = json.loads(line)
-                    rows.append((rec["index"], rec["waypoints"]))
-                except (json.JSONDecodeError, KeyError) as e:
+                    rows.append((rec["index"], np.array(rec["waypoints"], dtype=np.float64)
+                                 .reshape(WAYPOINTS_PER_TRAJ, 2)))
+                except (KeyError, OverflowError, TypeError, ValueError) as e:
                     raise ValueError(f"{path}:{lineno}: malformed vocabulary line ({e})")
         if sorted(i for i, _ in rows if type(i) is int) != list(range(len(rows))):
             raise ValueError(f"{path}: vocabulary indices are not 0..{len(rows) - 1}, each once")
         rows.sort()
-        return cls(np.array([w for _, w in rows]))
+        try:
+            return cls(np.array([w for _, w in rows]))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}")
 
 
 def lloyd_cost(points, centers, assignment):

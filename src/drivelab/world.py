@@ -176,43 +176,22 @@ def step_kinematics(state, control, wheelbase, dt=DT):
 
 # -- oriented-rectangle collision (separating axis) -------------------------
 
-def obb_corners(x, y, heading, length, width):
-    hl, hw = length / 2.0, width / 2.0
-    c, s = math.cos(heading), math.sin(heading)
-    return [(x + dx * c - dy * s, y + dx * s + dy * c)
-            for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))]
-
-
-def _project(corners, ax):
-    dots = [cx * ax[0] + cy * ax[1] for cx, cy in corners]
-    return min(dots), max(dots)
-
-
-def obb_overlap(c1, c2):
-    """Separating-axis test for two convex quads given as corner lists."""
-    for corners in (c1, c2):
-        for i in range(4):
-            x1, y1 = corners[i]
-            x2, y2 = corners[(i + 1) % 4]
-            ax = (y1 - y2, x2 - x1)
-            n = math.hypot(*ax)
-            if n == 0.0:
-                continue
-            ax = (ax[0] / n, ax[1] / n)
-            lo1, hi1 = _project(c1, ax)
-            lo2, hi2 = _project(c2, ax)
-            if hi1 < lo2 or hi2 < lo1:
-                return False
-    return True
-
-
 def rects_collide(x1, y1, h1, l1, w1, x2, y2, h2, l2, w2):
-    # Cheap circle prefilter before the SAT test.
+    """Whether two rectangles (centre, heading, length, width) overlap;
+    touching counts. A circle prefilter, then the separating-axis test on
+    the 4 edge directions: the boxes are apart when, on one of them, the
+    projected centre gap exceeds the sum of the two half-extents."""
+    dx, dy = x2 - x1, y2 - y1
     r = 0.5 * (math.hypot(l1, w1) + math.hypot(l2, w2))
-    if math.hypot(x2 - x1, y2 - y1) > r:
+    if math.hypot(dx, dy) > r:
         return False
-    return obb_overlap(obb_corners(x1, y1, h1, l1, w1),
-                       obb_corners(x2, y2, h2, l2, w2))
+    c1, s1, c2, s2 = math.cos(h1), math.sin(h1), math.cos(h2), math.sin(h2)
+    c, s = abs(c1 * c2 + s1 * s2), abs(c1 * s2 - s1 * c2)   # |cos|, |sin| of h2 - h1
+    a1, b1, a2, b2 = 0.5 * l1, 0.5 * w1, 0.5 * l2, 0.5 * w2
+    return not (abs(dx * c1 + dy * s1) > a1 + a2 * c + b2 * s
+                or abs(dy * c1 - dx * s1) > b1 + a2 * s + b2 * c
+                or abs(dx * c2 + dy * s2) > a2 + a1 * c + b1 * s
+                or abs(dy * c2 - dx * s2) > b2 + a1 * s + b1 * c)
 
 
 # -- routes ------------------------------------------------------------------
@@ -539,11 +518,6 @@ class CrossingWalker:
         actor.heading = wrap_angle(heading - math.pi / 2.0)
 
 
-class StaticScript:
-    def step(self, world, actor, dt):
-        actor.speed = 0.0
-
-
 # -- world -------------------------------------------------------------------
 
 @dataclass
@@ -621,9 +595,7 @@ def detect_collisions(world):
                          a.x, a.y, a.heading, a.length, a.width):
             still_touching.add(a.actor_id)
             if a.actor_id not in world._contacts:
-                kind = {"vehicle": "collision_vehicle",
-                        "pedestrian": "collision_pedestrian",
-                        "static": "collision_static"}[a.kind]
+                kind = f"collision_{a.kind}"
                 events.append(InfractionEvent(kind=kind, time=world.time,
                                               penalty=PENALTY[kind]))
     world._contacts = still_touching
@@ -754,7 +726,7 @@ def reset(spec):
         # Parked car sits on the original lane centerline (route swerves around it).
         base = _make_route(rng, spec, curvature=curvature)
         x, y, h = base.point_at(park_s)
-        actors.append(ActorState(x, y, h, 0.0, 4.5, 1.9, "static", StaticScript(), 1))
+        actors.append(ActorState(x, y, h, 0.0, 4.5, 1.9, "static", None, 1))
     elif kind == "GiveWay":
         route = _make_route(rng, spec)
         cross_s = 60.0 + rng.uniform(-8.0, 8.0)

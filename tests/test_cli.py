@@ -314,6 +314,33 @@ class TestDispatch:
             f"{printed}round 1 shadow: EmergencyBrake:0 tick 3: world fault\n"
         assert not (run / "postopt" / "policy.ckpt").exists()
 
+    @pytest.mark.parametrize("command, name, edit, message", [
+        ("build-vocab", "demos.jsonl", lambda rec: 5, "demos.jsonl:2: malformed sample record"),
+        ("build-vocab", "demos.jsonl", lambda rec: [1, 2], "demos.jsonl:2: malformed sample record"),
+        ("build-vocab", "demos.jsonl", lambda rec: {**rec, "agent_feats": [{"x": 1.0}]},
+         "demos.jsonl:2: malformed sample record"),
+        ("pretrain", "vocab.jsonl", lambda rec: 5, "vocab.jsonl:2: malformed vocabulary line"),
+        ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [{"x": 1.0}] * 12},
+         "vocab.jsonl:2: malformed vocabulary line"),
+        ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [float("nan")] * 12},
+         "vocab.jsonl: center 1 has a non-finite waypoint"),
+    ], ids=["demos-int", "demos-list", "demos-object", "vocab-int", "vocab-object", "vocab-nan"])
+    def test_a_malformed_record_exits_1(self, pipeline, tmp_path, capsys,
+                                        command, name, edit, message):
+        """A line of valid JSON that is not a record, or a vocabulary
+        center that is not finite, is an input error naming the file."""
+        _, out, cfg_path = pipeline
+        run = tmp_path / "run"
+        run.mkdir()
+        for artifact in ("demos.jsonl", "vocab.jsonl"):
+            shutil.copy(out / artifact, run / artifact)
+        lines = (run / name).read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        (run / name).write_text("\n".join(lines) + "\n")
+        assert cli.main(["--config", cfg_path, "--out-dir", str(run), command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
     def test_eval_and_report(self, pipeline, capsys):
         tmp, out, cfg_path = pipeline
         assert cli.main(["--config", cfg_path, "eval",

@@ -260,6 +260,32 @@ class TestPersistence:
         with pytest.raises(ValueError, match=":2: malformed sample record"):
             ds.load(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda rec: 5,
+        lambda rec: [1, 2],
+        lambda rec: {**rec, "agent_feats": {"x": 1.0}},
+        lambda rec: {**rec, "traj_waypoints": [[{"x": 1.0}, 0.0]] * 6},
+        lambda rec: {**rec, "ctrl_indices": 5},
+        lambda rec: {**rec, "traj_waypoints": [[10 ** 400, 0.0]] * 6},
+    ], ids=["int", "list", "object-feature", "object-waypoint", "int-tuple", "huge-int"])
+    def test_a_record_of_the_wrong_type_names_line_number(self, demo_dataset, tmp_path, edit):
+        """A line of valid JSON that is not a sample record is a ValueError
+        naming the file and line, not a bare TypeError."""
+        path = tmp_path / "d.jsonl"
+        ds.persist(demo_dataset, path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps(edit(json.loads(lines[2])))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed sample record")):
+            ds.load(path)
+
+    @pytest.mark.parametrize("manifest", ["5", "[1, 2]", '"demo"', "null"])
+    def test_a_manifest_of_the_wrong_type_is_rejected(self, tmp_path, manifest):
+        path = tmp_path / "d.jsonl"
+        path.write_text(manifest + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: malformed manifest")):
+            ds.load(path)
+
     def test_corrupted_line_names_line_number(self, demo_dataset, tmp_path):
         path = tmp_path / "d.jsonl"
         ds.persist(demo_dataset, path)

@@ -31,8 +31,10 @@ that shares its name with another, can pass unseen.
 The package also has one episode loop: `metrics.run_episode` is the only
 function that builds or steps a world; one rule that engages the
 closed-loop driver: `metrics.NeuralDriver` builds the only PID tracker and
-safety creep, at an episode's start and at a handback; and one rule for a
-failure's place: no `except` clause singles out `NonFiniteError`. A
+safety creep, at an episode's start and at a handback; one box test:
+`world.rects_collide` decides both a forecast collision and a logged
+contact; and one rule for a failure's place: no `except` clause singles
+out `NonFiniteError`. A
 `Policy` holds its parameters and its network, and nothing a call changes.
 A setting enters a run config one way, through `config.merge`.
 """
@@ -134,6 +136,13 @@ def test_one_rule_engages_the_driver():
     for name in ("PidTracker", "SafetyCreep"):
         assert call_sites(name) == [("metrics", "NeuralDriver")], name
     assert call_sites("engage") == [("dataset", "_ShadowDriver"), ("metrics", "NeuralDriver")]
+
+
+def test_one_box_test():
+    """The takeover trigger's collision forecast and the infraction log
+    share one overlap test for two boxes."""
+    assert call_sites("rects_collide") == [("expert", "forecast_collision"),
+                                           ("world", "detect_collisions")]
 
 
 def test_policy_keeps_no_per_call_state():

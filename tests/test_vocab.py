@@ -118,6 +118,45 @@ class TestTrajectoryVocabulary:
         with pytest.raises(ValueError, match=":2"):
             vocab.TrajectoryVocabulary.load(path)
 
+    @pytest.mark.parametrize("line", [
+        "5", "[1, 2]", '{"index": 0, "waypoints": 5}', '{"index": 0, "waypoints": [1, 2]}',
+        '{"index": 0, "waypoints": [{"x": 1}, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+        '{"index": 0, "waypoints": [%s, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}' % (10 ** 400),
+    ], ids=["int", "list", "int-waypoints", "short", "object", "huge-int"])
+    def test_a_line_of_the_wrong_type_names_line_number(self, tmp_path, line):
+        path = tmp_path / "v.jsonl"
+        path.write_text(json.dumps({"index": 0, "waypoints": [0.0] * 12}) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed vocabulary line")):
+            vocab.TrajectoryVocabulary.load(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_a_non_finite_center_names_the_file(self, tmp_path, token):
+        """A NaN or infinite waypoint, which `json` reads without complaint,
+        is refused on load; a finite vocabulary loads as it was saved."""
+        path = tmp_path / "v.jsonl"
+        vocab.TrajectoryVocabulary(np.arange(36.0).reshape(3, 6, 2)).save(path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace("17.0", token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: center 1 has a non-finite waypoint")):
+            vocab.TrajectoryVocabulary.load(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_center_is_refused(self, bad):
+        centers = np.zeros((4, 6, 2))
+        centers[2, 3, 0] = bad
+        with pytest.raises(ValueError, match="center 2 has a non-finite waypoint"):
+            vocab.TrajectoryVocabulary(centers)
+        with pytest.raises(ValueError, match="center 2 has a non-finite waypoint"):
+            vocab.TrajectoryVocabulary(centers.reshape(4, 12))
+
+    def test_an_empty_file_names_the_file(self, tmp_path):
+        path = tmp_path / "v.jsonl"
+        path.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: centers must be")):
+            vocab.TrajectoryVocabulary.load(path)
+
     @pytest.mark.parametrize("indices", [(0, 1, 1), (0, 1, 3), (0, 1, 2.0)],
                              ids=["duplicate", "gap", "float"])
     def test_indices_must_be_0_to_n(self, tmp_path, indices):

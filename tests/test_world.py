@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st, target
+from hypothesis import assume, example, given, settings, strategies as st, target
 
 from drivelab import world as sim
 
@@ -73,6 +73,36 @@ def test_wrap_angle_range(a):
     assert math.cos(w) == pytest.approx(math.cos(a), abs=1e-9)
 
 
+def corners(x, y, heading, length, width):
+    hl, hw = length / 2.0, width / 2.0
+    c, s = math.cos(heading), math.sin(heading)
+    return [(x + dx * c - dy * s, y + dx * s + dy * c)
+            for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))]
+
+
+def corner_gap(box1, box2):
+    """The corner-list separating-axis test that `rects_collide` replaced,
+    as a signed margin: the widest gap between the two boxes' corner
+    projections on the unit normals of their 8 edges (a zero-length edge has
+    none). It called the boxes apart where this is > 0."""
+    c1, c2 = corners(*box1), corners(*box2)
+    gap = -math.inf
+    for quad in (c1, c2):
+        for (x1, y1), (x2, y2) in zip(quad, quad[1:] + quad[:1]):
+            n = math.hypot(y1 - y2, x2 - x1)
+            if n == 0.0:
+                continue
+            ax, ay = (y1 - y2) / n, (x2 - x1) / n
+            p1 = [cx * ax + cy * ay for cx, cy in c1]
+            p2 = [cx * ax + cy * ay for cx, cy in c2]
+            gap = max(gap, min(p2) - max(p1), min(p1) - max(p2))
+    return gap
+
+
+BOXES = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-math.pi, math.pi),
+                  st.floats(0.1, 6.0), st.just(0.0) | st.floats(0.1, 3.0))
+
+
 class TestCollision:
     def test_separated(self):
         assert not sim.rects_collide(0, 0, 0, 4, 2, 10, 0, 0, 4, 2)
@@ -84,6 +114,47 @@ class TestCollision:
         # lateral neighbor that only hits once rotated across our lane
         assert not sim.rects_collide(0, 0, 0, 4, 2, 2.5, 2.2, 0.0, 4, 2)
         assert sim.rects_collide(0, 0, 0, 4, 2, 2.5, 2.2, math.pi / 2, 4, 2)
+
+    @settings(max_examples=500, deadline=None)
+    @given(BOXES, BOXES)
+    @example((0.0, 0.0, 0.0, 4.0, 2.0), (2.5, 2.2, math.pi / 2, 4.0, 2.0))
+    @example((0.0, 0.0, 0.3, 4.5, 1.9), (3.1, 2.0, -0.4, 0.6, 0.6))
+    def test_agrees_with_the_corner_test(self, box, other):
+        """Wherever the corner test is decided by more than rounding, the
+        closed form decides the same, the circle prefilter included."""
+        gap = corner_gap(box, other)
+        assume(abs(gap) > 1e-9)
+        assert sim.rects_collide(*box, *other) == (gap < 0.0)
+
+    def test_touching_counts_as_overlap(self):
+        """Two 4 x 2 boxes whose edges meet exactly overlap, end to end and
+        side by side; one ulp farther apart they do not."""
+        box = (0.0, 0.0, 0.0, 4.0, 2.0)
+        for touching, apart in (((4.0, 0.0), (np.nextafter(4.0, np.inf), 0.0)),
+                                ((0.0, 2.0), (0.0, np.nextafter(2.0, np.inf)))):
+            assert sim.rects_collide(*box, *touching, 0.0, 4.0, 2.0)
+            assert not sim.rects_collide(*box, *apart, 0.0, 4.0, 2.0)
+            assert corner_gap(box, (*touching, 0.0, 4.0, 2.0)) == 0.0
+            assert corner_gap(box, (*apart, 0.0, 4.0, 2.0)) > 0.0
+
+    def test_zero_width_box(self):
+        """A box of zero width is a segment: it hits what it crosses or
+        touches and nothing past its ends."""
+        box = (0.0, 0.0, 0.0, 4.0, 2.0)
+        assert sim.rects_collide(*box, 0.0, 0.5, 0.0, 4.0, 0.0)
+        assert sim.rects_collide(*box, 0.0, 1.0, 0.0, 4.0, 0.0)
+        assert not sim.rects_collide(*box, 0.0, np.nextafter(1.0, np.inf), 0.0, 4.0, 0.0)
+        assert sim.rects_collide(*box, 1.5, 0.0, math.pi / 2, 4.0, 0.0)
+        assert not sim.rects_collide(*box, 2.5, 0.0, math.pi / 2, 4.0, 0.0)
+        # end on: only the long axis separates two collinear segments
+        assert not sim.rects_collide(0.0, 0.0, 0.0, 4.0, 0.0, 4.5, 0.0, 0.0, 4.0, 0.0)
+        assert sim.rects_collide(0.0, 0.0, 0.0, 4.0, 0.0, 4.0, 0.0, 0.0, 4.0, 0.0)
+
+    @pytest.mark.parametrize("other", [(4.0, 2.0, 0.0), (0.6, 0.6, 1.1), (4.5, 0.0, -2.0),
+                                       (0.0, 0.0, 0.7)])
+    def test_boxes_with_the_same_centre_overlap(self, other):
+        length, width, heading = other
+        assert sim.rects_collide(1.0, -2.0, 0.3, 4.0, 2.0, 1.0, -2.0, heading, length, width)
 
     def test_debounce_one_event_per_contact(self):
         route = straight_route()
@@ -99,6 +170,22 @@ class TestCollision:
         sim.detect_collisions(w)
         w.ego = sim.EgoState(x=0.0)
         assert len(sim.detect_collisions(w)) == 1
+
+    @staticmethod
+    def _contact_with(kind):
+        actor = sim.ActorState(3.0, 0.0, 0.0, 0.0, 4.5, 1.9, kind, None, 1)
+        w = sim.World(sim.ScenarioSpec("EmergencyBrake", 0), straight_route(), sim.EgoState(), [actor])
+        return sim.detect_collisions(w)
+
+    @pytest.mark.parametrize("kind", ["vehicle", "pedestrian", "static"])
+    def test_a_contact_is_named_by_its_actors_kind(self, kind):
+        [event] = self._contact_with(kind)
+        assert event.kind == f"collision_{kind}"
+        assert event.penalty == sim.PENALTY[f"collision_{kind}"]
+
+    def test_an_unknown_actor_kind_has_no_penalty(self):
+        with pytest.raises(KeyError, match="collision_bicycle"):
+            self._contact_with("bicycle")
 
 
 class TestRoute:
@@ -465,6 +552,22 @@ class TestEpisodeLogic:
             assert np.array_equal(a.route.waypoints, b.route.waypoints)
             for x, y in zip(a.actors, b.actors):
                 assert (x.x, x.y, x.heading, x.speed) == (y.x, y.y, y.heading, y.speed)
+
+    def test_parked_car_never_moves(self):
+        """Overtaking's parked car has no script: through an expert-driven
+        episode it keeps its reset pose and speed 0.0 on every tick."""
+        from drivelab import expert as xp
+        w = sim.reset(sim.ScenarioSpec("Overtaking", 0))
+        [car] = w.actors
+        assert car.script is None
+        parked = (car.x, car.y, car.heading, 0.0)
+        assert car.speed == 0.0
+        cfg = xp.ExpertConfig()
+        while not w.done:
+            sim.advance_world(w, xp.expert_command(w, cfg))
+        assert w.termination == "completed"
+        assert len(w.trace) == w.tick
+        assert all(frame.actors == [parked] for frame in w.trace)
 
     def test_scenarios_have_expected_cast(self):
         kinds = {k: [a.kind for a in sim.reset(sim.ScenarioSpec(k, 0)).actors]
