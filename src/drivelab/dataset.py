@@ -13,6 +13,7 @@ from . import expert as xp
 # dataset.MAX_EPISODE_TICKS, so it stays importable from this module.
 from .metrics import MAX_EPISODE_TICKS, NeuralDriver, map_episodes, run_episode, scenario_id
 from .policy import AGENT_FEATURES, MAP_FEATURES, SceneSnapshot, encode_scene
+from .vocab import from_json
 from .world import STILL_SPEED
 
 EPS_STEER = 0.2                  # threshold-trigger steering gap
@@ -26,7 +27,7 @@ TRIGGERS = ("collision", "threshold")   # takeover trigger kinds, in manifest or
 class DemoSample(SceneSnapshot):
     """A scene with its expert label: the policy takes it as it is."""
     traj_waypoints: np.ndarray      # expert planned trajectory, (6, 2)
-    ctrl_indices: tuple             # (throttle_idx, brake_idx, steer_idx)
+    ctrl_indices: tuple[int, int, int]   # (throttle_idx, brake_idx, steer_idx)
     scenario_id: str
     time: float
 
@@ -38,7 +39,7 @@ class TakeoverSample(DemoSample):
     segment_id: str = ""
     round_index: int = 0
     ego_speed: float = 0.0
-    infraction_kinds: tuple = ()     # infractions logged on this tick
+    infraction_kinds: tuple[str, ...] = ()   # infractions logged on this tick
     truncated: bool = False
 
 
@@ -75,18 +76,15 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _record_to_sample(rec):
-    """The sample a record holds, every field of its class required: a
-    takeover record is the one with a `segment_id`."""
+    """The sample a record holds, every field of its class required and of
+    its declared type (`vocab.from_json`), other keys ignored: a takeover
+    record is the one with a `segment_id`."""
     cls = TakeoverSample if "segment_id" in rec else DemoSample
     values = {}
     for f in fields(cls):
-        v = rec[f.name]
-        if f.type is np.ndarray:
-            v = np.array(v, dtype=np.float64)
-            if f.name in _ROW_WIDTHS:
-                v = v.reshape(-1, _ROW_WIDTHS[f.name])
-        elif f.type is tuple:
-            v = tuple(v)
+        v = from_json(f.name, rec[f.name], f.type)
+        if f.name in _ROW_WIDTHS:
+            v = v.reshape(-1, _ROW_WIDTHS[f.name])
         values[f.name] = v
     return cls(**values)
 

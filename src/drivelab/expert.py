@@ -235,7 +235,7 @@ def expert_act(w, cfg):
     with actors propagated at constant velocity, sampled every 0.5 s in the
     current ego frame. The command is the rollout's first step.
     """
-    route, stop_line_s, served = w.route, w.route.stop_line_s, w.stop_line_served
+    route, served = w.route, w.stop_line_served
     steps_per_wp = int(round(WAYPOINT_DT / ROLLOUT_DT))
     n_steps = WAYPOINTS_PER_TRAJ * steps_per_wp
     forecast = _Forecast(w, cfg, n_steps)
@@ -246,23 +246,18 @@ def expert_act(w, cfg):
     # The virtual ego is (x, y, heading, speed) and its control (throttle,
     # brake, steer); only step 0's control becomes a ControlCommand.
     state, ego_s = ego.state, w.ego_projection()[0]
-    for i in range(WAYPOINTS_PER_TRAJ):
-        for j in range(steps_per_wp):
-            step = i * steps_per_wp + j
-            if ego_s is None:
-                ego_s = route.project(state[0], state[1])[0]
-            control = _control_for(route, ego, state, ego_s, forecast, step, served, cfg)
-            if step == 0:
-                cmd = sim.ControlCommand(*control)
-            state = sim.step_kinematics(state, control, ego.wheelbase, dt=ROLLOUT_DT)
-            ego_s = None
-            if stop_line_s is not None and not served and step + 1 < n_steps:
-                # The served check's projection is also the next step's; after
-                # the last step nothing reads either.
-                ego_s = route.project(state[0], state[1])[0]
+    for step in range(n_steps):
+        control = _control_for(route, ego, state, ego_s, forecast, step, served, cfg)
+        if step == 0:
+            cmd = sim.ControlCommand(*control)
+        state = sim.step_kinematics(state, control, ego.wheelbase, dt=ROLLOUT_DT)
+        if step + 1 < n_steps:      # the next step's projection, shared by the served check
+            ego_s = route.project(state[0], state[1])[0]
+            if route.stop_line_s is not None and not served:
                 served = route.serves_stop_line(ego_s, state[3])
-        dx, dy = state[0] - ox, state[1] - oy
-        waypoints[i] = (cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy)
+        if (step + 1) % steps_per_wp == 0:
+            dx, dy = state[0] - ox, state[1] - oy
+            waypoints[step // steps_per_wp] = (cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy)
 
     return ExpertLabel(waypoints=waypoints, command=cmd)
 

@@ -26,7 +26,6 @@ class EpisodeResult:
     rc: float                  # route completion in [0, 1]
     infraction_score: float    # product of penalty factors, in [0, 1]
     success: bool
-    timeout: bool
     elapsed: float
     termination: str
     infractions: list
@@ -39,25 +38,22 @@ class EpisodeResult:
 
 
 def score_episode(world):
-    """Fold a finished world into an EpisodeResult."""
+    """Fold a finished world into an EpisodeResult: its infractions are its
+    trace's kinds, in order, and their penalties' product, left to right."""
     # Reaching the route end scores full completion (the terminal check
     # allows a sub-meter arrival tolerance).
     if world.termination == "completed":
         rc = 1.0
     else:
         rc = min(1.0, world.progress / world.route.length)
-    is_score = 1.0
-    kinds = []
-    for ev in world.infractions:
-        is_score *= ev.penalty
-        kinds.append(ev.kind)
-    timeout = "timeout" in kinds
-    success = rc >= 0.99 and is_score == 1.0 and not timeout
+    kinds = [k for f in world.trace for k in f.infractions]
+    is_score = math.prod((sim.PENALTY.get(k, 1.0) for k in kinds), start=1.0)
+    success = rc >= 0.99 and is_score == 1.0 and world.termination != "timeout"
     return EpisodeResult(
         kind=world.spec.kind, seed=world.spec.seed, rc=rc,
-        infraction_score=is_score, success=success, timeout=timeout,
-        elapsed=world.time, termination=world.termination or "running",
-        infractions=kinds, trace=world.trace, speed_limit=world.route.speed_limit)
+        infraction_score=is_score, success=success, elapsed=world.time,
+        termination=world.termination or "running", infractions=kinds, trace=world.trace,
+        speed_limit=world.route.speed_limit)
 
 
 class NeuralDriver:
@@ -212,7 +208,7 @@ def summarize(results):
         sr=100.0 * float(np.mean([r.success for r in results])),
         efficiency=float(np.mean(effs)) if effs else 0.0,
         comfortness=float(np.mean(comfs)) if comfs else 0.0,
-        timeout_pct=100.0 * float(np.mean([r.timeout for r in results])),
+        timeout_pct=100.0 * float(np.mean([r.termination == "timeout" for r in results])),
         ability=ability, episodes=len(results))
 
 

@@ -10,6 +10,29 @@ WAYPOINTS_PER_TRAJ = 6       # 3 s horizon at 0.5 s spacing
 WAYPOINT_DT = 0.5
 LLOYD_MAX_ITER = 100
 LLOYD_TOL_FRAC = 0.001       # stop once fewer points than this change cluster
+_NUMBERS = frozenset((int, float))
+
+
+def from_json(name, value, declared):
+    """`value`, decoded from JSON, as its declared type, or a ValueError
+    naming `name`: the loaders' one typed rule. A number is a JSON int or
+    float, never a boolean; an ndarray is nested lists of numbers, read as
+    float64; tuple[X, ...] and tuple[X, Y, Z] are lists of their items."""
+    if declared is np.ndarray:
+        array = np.array(value, dtype=object)
+        if set(map(type, array.flat)) <= _NUMBERS:
+            return array.astype(np.float64)
+        value, declared = next(v for v in array.flat if type(v) not in _NUMBERS), float
+    elif isinstance(declared, type):
+        if type(value) in (_NUMBERS if declared is float else (declared,)):
+            return value
+    elif type(value) is list:
+        items = declared.__args__
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        if len(value) == len(items):
+            return tuple(from_json(name, v, t) for v, t in zip(value, items))
+    raise ValueError(f"{name}: {value!r} is not of type {declared.__name__}")
 
 
 # The control branch's discrete values, one softmax group per control; the
@@ -102,7 +125,7 @@ class TrajectoryVocabulary:
             for lineno, line in enumerate(f, start=1):
                 try:
                     rec = json.loads(line)
-                    rows.append((rec["index"], np.array(rec["waypoints"], dtype=np.float64)
+                    rows.append((rec["index"], from_json("waypoints", rec["waypoints"], np.ndarray)
                                  .reshape(WAYPOINTS_PER_TRAJ, 2)))
                 except (KeyError, OverflowError, TypeError, ValueError) as e:
                     raise ValueError(f"{path}:{lineno}: malformed vocabulary line ({e})")

@@ -105,12 +105,8 @@ class ActorState:
     script: object = None
     actor_id: int = 0
 
-
-@dataclass
-class InfractionEvent:
-    kind: str
-    time: float
-    penalty: float = 1.0
+    def __post_init__(self):
+        PENALTY[f"collision_{self.kind}"]   # KeyError: a contact would have no penalty
 
 
 @dataclass
@@ -525,7 +521,7 @@ class Frame:
     time: float
     ego: tuple          # (x, y, heading, speed)
     actors: list        # [(x, y, heading, speed), ...]
-    infractions: list   # kinds logged this tick
+    infractions: list   # kinds logged this tick; the episode's only infraction log
 
 
 class World:
@@ -536,9 +532,7 @@ class World:
         self.actors = actors
         self.time = 0.0
         self.tick = 0
-        self.infractions = []
         self.progress = 0.0
-        self.done = False
         self.termination = None
         self.trace = []
         self.stop_line_served = False
@@ -559,6 +553,10 @@ class World:
             self._ego_memo = memo = (ego, ego.x, ego.y, self.route.project(ego.x, ego.y))
         return memo[3]
 
+    @property
+    def done(self):
+        return self.termination is not None
+
     def leading_gap(self):
         """Distance along the route to the nearest actor ahead inside the
         forward lane corridor, or None beyond LEADING_GAP_RANGE."""
@@ -577,29 +575,20 @@ class World:
         return best
 
     def _log(self, kind, tick_kinds):
-        penalty = PENALTY.get(kind, 1.0)
-        self.infractions.append(InfractionEvent(kind=kind, time=self.time, penalty=penalty))
         tick_kinds.append(kind)
         if kind in TERMINAL_INFRACTIONS:
-            self.done = True
             self.termination = kind
 
 
 def detect_collisions(world):
-    """SAT overlap between ego and every actor, debounced per contact episode."""
-    events = []
+    """The kinds of the ego's new contacts this tick: SAT overlap with every
+    actor, debounced per contact episode."""
     e = world.ego
-    still_touching = set()
-    for a in world.actors:
-        if rects_collide(e.x, e.y, e.heading, e.length, e.width,
-                         a.x, a.y, a.heading, a.length, a.width):
-            still_touching.add(a.actor_id)
-            if a.actor_id not in world._contacts:
-                kind = f"collision_{a.kind}"
-                events.append(InfractionEvent(kind=kind, time=world.time,
-                                              penalty=PENALTY[kind]))
-    world._contacts = still_touching
-    return events
+    touching = [a for a in world.actors if rects_collide(e.x, e.y, e.heading, e.length, e.width,
+                                                         a.x, a.y, a.heading, a.length, a.width)]
+    kinds = [f"collision_{a.kind}" for a in touching if a.actor_id not in world._contacts]
+    world._contacts = {a.actor_id for a in touching}
+    return kinds
 
 
 def advance_world(world, cmd):
@@ -617,10 +606,7 @@ def advance_world(world, cmd):
     world.time += DT
     world.tick += 1
 
-    tick_kinds = []
-    for ev in detect_collisions(world):
-        world.infractions.append(ev)
-        tick_kinds.append(ev.kind)
+    tick_kinds = detect_collisions(world)
 
     s, lateral = world.ego_projection()
     world.progress = max(world.progress, s)
@@ -653,7 +639,6 @@ def advance_world(world, cmd):
 
     if not world.done:
         if world.progress >= world.route.length - 0.5:
-            world.done = True
             world.termination = "completed"
         elif world.time > world.route.time_budget:
             world._log("timeout", tick_kinds)

@@ -222,7 +222,7 @@ def test_criterion_4_takeover_pipeline():
     while not w.done and w.tick < 2000:
         out = drv.infer(None, {})
         sim.advance_world(w, ensemble(out.c_ctrl, pid.track(out.tau_plan, w.ego)))
-    impacts = [e.time for e in w.infractions if e.kind.startswith("collision")]
+    impacts = [f.time for f in w.trace for k in f.infractions if k.startswith("collision")]
     if not impacts:
         failures.append("collide-straight run produced no collision")
 

@@ -319,12 +319,17 @@ class TestDispatch:
         ("build-vocab", "demos.jsonl", lambda rec: [1, 2], "demos.jsonl:2: malformed sample record"),
         ("build-vocab", "demos.jsonl", lambda rec: {**rec, "agent_feats": [{"x": 1.0}]},
          "demos.jsonl:2: malformed sample record"),
+        ("build-vocab", "demos.jsonl", lambda rec: {**rec, "time": None},
+         "demos.jsonl:2: malformed sample record (time: None is not of type float)"),
         ("pretrain", "vocab.jsonl", lambda rec: 5, "vocab.jsonl:2: malformed vocabulary line"),
         ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [{"x": 1.0}] * 12},
          "vocab.jsonl:2: malformed vocabulary line"),
+        ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [True] + [1.5] * 11},
+         "vocab.jsonl:2: malformed vocabulary line (waypoints: True is not of type float)"),
         ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [float("nan")] * 12},
          "vocab.jsonl: center 1 has a non-finite waypoint"),
-    ], ids=["demos-int", "demos-list", "demos-object", "vocab-int", "vocab-object", "vocab-nan"])
+    ], ids=["demos-int", "demos-list", "demos-object", "demos-null-time", "vocab-int",
+            "vocab-object", "vocab-bool", "vocab-nan"])
     def test_a_malformed_record_exits_1(self, pipeline, tmp_path, capsys,
                                         command, name, edit, message):
         """A line of valid JSON that is not a record, or a vocabulary

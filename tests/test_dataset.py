@@ -279,6 +279,53 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed sample record")):
             ds.load(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("traj_waypoints", [["3", "4"]] * 6),
+        ("traj_waypoints", [[True, 0.0]] * 6),
+        ("agent_feats", [None]),
+        ("cmd_onehot", "1000000"),
+        ("time", None),
+        ("time", "0.5"),
+        ("time", True),
+        ("scenario_id", 7),
+        ("ctrl_indices", [True, "0", 4.5]),
+        ("ctrl_indices", [0, 0, 4.0]),
+        ("ctrl_indices", [0, 0]),
+        ("trigger", None),
+        ("segment_id", 3),
+        ("round_index", 1.0),
+        ("round_index", True),
+        ("ego_speed", "2.0"),
+        ("infraction_kinds", [1]),
+        ("infraction_kinds", "off_road"),
+        ("truncated", 0),
+    ])
+    def test_a_field_of_the_wrong_type_names_line_number(self, takeover_dataset, tmp_path,
+                                                         field, value):
+        """Every field has one typed rule: a number is a JSON int or float,
+        never a boolean, a string or null; `ctrl_indices` is three ints,
+        `round_index` an int, `truncated` a boolean, `infraction_kinds`
+        strings, and the string fields strings."""
+        path = tmp_path / "t.jsonl"
+        ds.persist(takeover_dataset, path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed sample record ({field}")):
+            ds.load(path)
+
+    def test_an_int_loads_where_a_float_belongs(self, demo_dataset, tmp_path):
+        """A JSON int is a number: it loads as it is in a scalar field and as
+        a float64 in an array."""
+        path = tmp_path / "d.jsonl"
+        ds.persist(demo_dataset, path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "time": 2, "traj_waypoints": [[1, 2]] * 6})
+        path.write_text("\n".join(lines) + "\n")
+        s = ds.load(path).samples[1]
+        assert s.time == 2 and type(s.time) is int
+        assert s.traj_waypoints.dtype == np.float64 and s.traj_waypoints.tolist() == [[1.0, 2.0]] * 6
+
     @pytest.mark.parametrize("manifest", ["5", "[1, 2]", '"demo"', "null"])
     def test_a_manifest_of_the_wrong_type_is_rejected(self, tmp_path, manifest):
         path = tmp_path / "d.jsonl"

@@ -145,6 +145,12 @@ def test_one_box_test():
                                            ("world", "detect_collisions")]
 
 
+def test_one_tick_record():
+    """One site records what a tick did: `advance_world` builds the only
+    Frame, and the trace of Frames is the episode's only infraction log."""
+    assert call_sites("Frame") == [("world", "advance_world")]
+
+
 def test_policy_keeps_no_per_call_state():
     """After `forward`, `predict` and `infer`, a Policy has exactly the
     attributes its `__init__` set: the closed-loop caches belong to the

@@ -138,7 +138,7 @@ class TestClosedLoopExpert:
         while not w.done and w.tick < 4000:
             sim.advance_world(w, xp.expert_command(w, CFG))
         assert w.termination == "completed"
-        kinds = [e.kind for e in w.infractions]
+        kinds = [k for f in w.trace for k in f.infractions]
         assert not any(k.startswith("collision") for k in kinds)
 
 

@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivelab import dataset as ds
 from drivelab import expert as xp
@@ -50,7 +51,7 @@ class TestScoring:
         # blocked rule
         r = bench.run_episode(ScriptedDriver(sim.ControlCommand(brake=1.0)),
                               sim.ScenarioSpec("StopSign", 1, route_length=30.0))
-        assert r.timeout and not r.success
+        assert r.termination == "timeout" and not r.success
         assert r.rc < 0.05
 
     def test_penalty_arithmetic(self):
@@ -58,8 +59,7 @@ class TestScoring:
         w = sim.reset(spec)
         w.progress = w.route.length
         w.termination = "completed"
-        w.done = True
-        w.infractions.append(sim.InfractionEvent("collision_vehicle", 1.0, 0.60))
+        w.trace.append(frame(1.0, (0, 0, 0, 0), infractions=["collision_vehicle"]))
         r = bench.score_episode(w)
         assert r.ds == pytest.approx(100.0 * 1.0 * 0.60)
         assert not r.success
@@ -69,10 +69,10 @@ class TestScoring:
         w = sim.reset(spec)
         w.progress = w.route.length
         base = bench.score_episode(w).ds
-        for kind, pen in sim.PENALTY.items():
+        for kind in sim.PENALTY:
             w2 = sim.reset(spec)
             w2.progress = w2.route.length
-            w2.infractions.append(sim.InfractionEvent(kind, 1.0, pen))
+            w2.trace.append(frame(1.0, (0, 0, 0, 0), infractions=[kind]))
             assert bench.score_episode(w2).ds < base
 
     def test_success_implies_high_ds(self):
@@ -80,6 +80,23 @@ class TestScoring:
         r = bench.run_episode(ExpertDriver(), spec)
         if r.success:
             assert r.ds >= 99.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(
+        [*sim.PENALTY, *sim.TERMINAL_INFRACTIONS, "unpenalized"]), max_size=4), max_size=8))
+    def test_score_folds_the_traces_kinds_in_order(self, ticks):
+        """The trace is the one infraction log: the score is the product of
+        its kinds' penalties, taken left to right, to the bit."""
+        w = sim.reset(sim.ScenarioSpec("StopSign", 0))
+        w.trace = [frame(0.05 * (i + 1), (0, 0, 0, 0), infractions=kinds)
+                   for i, kinds in enumerate(ticks)]
+        r = bench.score_episode(w)
+        kinds = [k for tick in ticks for k in tick]
+        product = 1.0
+        for k in kinds:
+            product *= sim.PENALTY.get(k, 1.0)
+        assert r.infraction_score.hex() == product.hex()
+        assert r.infractions == kinds
 
     def test_rc_depends_only_on_final_progress(self):
         spec = sim.ScenarioSpec("StopSign", 0)
@@ -156,10 +173,9 @@ class TestSummarize:
                 timeout=False):
         rc = ds_val / 100.0
         return bench.EpisodeResult(kind=kind, seed=seed, rc=rc,
-                                   infraction_score=1.0, success=success,
-                                   timeout=timeout, elapsed=30.0,
-                                   termination="completed", infractions=[],
-                                   trace=[])
+                                   infraction_score=1.0, success=success, elapsed=30.0,
+                                   termination="timeout" if timeout else "completed",
+                                   infractions=[], trace=[])
 
     def test_single_perfect_episode(self):
         rep = bench.summarize([self._result()])
@@ -180,7 +196,7 @@ class TestSummarize:
         rep = bench.summarize(results)
         assert rep.mean_ds == pytest.approx(np.mean([r.ds for r in results]))
         assert rep.timeout_pct == pytest.approx(
-            100.0 * np.mean([r.timeout for r in results]))
+            100.0 * np.mean([r.termination == "timeout" for r in results]))
         assert set(rep.ability) == set(sim.SCENARIO_KINDS)
         for kind in sim.SCENARIO_KINDS:
             mine = [r.success for r in results if r.kind == kind]

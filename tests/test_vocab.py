@@ -122,7 +122,11 @@ class TestTrajectoryVocabulary:
         "5", "[1, 2]", '{"index": 0, "waypoints": 5}', '{"index": 0, "waypoints": [1, 2]}',
         '{"index": 0, "waypoints": [{"x": 1}, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}',
         '{"index": 0, "waypoints": [%s, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}' % (10 ** 400),
-    ], ids=["int", "list", "int-waypoints", "short", "object", "huge-int"])
+        '{"index": 0, "waypoints": [true, "1.5", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+        '{"index": 0, "waypoints": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, false]}',
+        '{"index": 0, "waypoints": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, null]}',
+    ], ids=["int", "list", "int-waypoints", "short", "object", "huge-int", "bool-and-string",
+            "false", "null"])
     def test_a_line_of_the_wrong_type_names_line_number(self, tmp_path, line):
         path = tmp_path / "v.jsonl"
         path.write_text(json.dumps({"index": 0, "waypoints": [0.0] * 12}) + "\n" + line + "\n")

@@ -13,6 +13,11 @@ def straight_route(length=120.0, spacing=3.0, **kw):
     return sim.Route(pts, ["LaneFollow"] * (n - 1), **kw)
 
 
+def logged(w):
+    """The infraction kinds the world's trace holds, in order."""
+    return [k for f in w.trace for k in f.infractions]
+
+
 class TestKinematics:
     # step_kinematics integrates (x, y, heading, speed) under (throttle,
     # brake, steer) for a given wheelbase.
@@ -163,7 +168,7 @@ class TestCollision:
         w = sim.World(sim.ScenarioSpec("EmergencyBrake", 0), route, ego, [actor])
         ev1 = sim.detect_collisions(w)
         ev2 = sim.detect_collisions(w)
-        assert len(ev1) == 1 and ev1[0].kind == "collision_vehicle"
+        assert ev1 == ["collision_vehicle"]
         assert ev2 == []
         # separation then re-contact logs a second event
         w.ego = sim.EgoState(x=-20.0)
@@ -180,8 +185,8 @@ class TestCollision:
     @pytest.mark.parametrize("kind", ["vehicle", "pedestrian", "static"])
     def test_a_contact_is_named_by_its_actors_kind(self, kind):
         [event] = self._contact_with(kind)
-        assert event.kind == f"collision_{kind}"
-        assert event.penalty == sim.PENALTY[f"collision_{kind}"]
+        assert event == f"collision_{kind}"
+        assert event in sim.PENALTY
 
     def test_an_unknown_actor_kind_has_no_penalty(self):
         with pytest.raises(KeyError, match="collision_bicycle"):
@@ -494,7 +499,7 @@ class TestEpisodeLogic:
         track_route(w)
         assert w.termination == "completed"
         assert w.progress >= w.route.length - 0.5
-        assert [e.kind for e in w.infractions] == []
+        assert logged(w) == []
 
     def test_timeout_when_stationary(self):
         spec = sim.ScenarioSpec("StopSign", 0, route_length=30.0)
@@ -505,12 +510,20 @@ class TestEpisodeLogic:
         assert w.termination == "timeout"
         assert w.time > w.route.time_budget
 
+    def test_done_is_read_off_termination(self):
+        w = sim.reset(sim.ScenarioSpec("StopSign", 0))
+        assert not w.done
+        w.termination = "completed"
+        assert w.done
+        with pytest.raises(AttributeError):
+            w.done = False
+
     def test_route_deviation_terminal(self):
         spec = sim.ScenarioSpec("StopSign", 1)
         w = sim.reset(spec)
         drive_straight(w, throttle=0.8, steer=0.6)
         assert w.termination == "route_deviation"
-        kinds = [e.kind for e in w.infractions]
+        kinds = logged(w)
         assert "off_road" in kinds    # crossed the shoulder on the way out
 
     def test_off_road_debounced(self):
@@ -524,7 +537,7 @@ class TestEpisodeLogic:
             _, lat = w.route.project(w.ego.x, w.ego.y)
             steer = 0.25 if (tick // 200) % 2 == 0 else -0.25
             sim.advance_world(w, sim.ControlCommand(throttle=0.5, steer=steer))
-        kinds = [e.kind for e in w.infractions]
+        kinds = logged(w)
         excursions = kinds.count("off_road")
         assert excursions >= 1
         # each excursion logged once, not once per tick spent outside
@@ -536,13 +549,13 @@ class TestEpisodeLogic:
         track_route(w, brake_before=w.route.stop_line_s)
         assert w.stop_line_served
         assert w.termination == "completed"
-        assert [e.kind for e in w.infractions] == []
+        assert logged(w) == []
 
     def test_stop_sign_violation_when_running_it(self):
         spec = sim.ScenarioSpec("StopSign", 0)
         w = sim.reset(spec)
         drive_straight(w)
-        kinds = [e.kind for e in w.infractions]
+        kinds = logged(w)
         assert kinds.count("stop_sign_violation") == 1
 
     def test_reset_deterministic(self):
