@@ -3,6 +3,7 @@ k-means trajectory vocabulary clustered from expert demonstrations."""
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -11,20 +12,35 @@ WAYPOINT_DT = 0.5
 LLOYD_MAX_ITER = 100
 LLOYD_TOL_FRAC = 0.001       # stop once fewer points than this change cluster
 _NUMBERS = frozenset((int, float))
+_SCALARS = frozenset((float, int, str, bool))
+
+
+def _is_number(value):
+    """A JSON int or float, never a boolean, that a float64 holds finitely:
+    not inf or nan, and no int beyond the largest float."""
+    return type(value) in _NUMBERS and abs(value) <= sys.float_info.max
 
 
 def from_json(name, value, declared):
     """`value`, decoded from JSON, as its declared type, or a ValueError
-    naming `name`: the loaders' one typed rule. A number is a JSON int or
-    float, never a boolean; an ndarray is nested lists of numbers, read as
-    float64; tuple[X, ...] and tuple[X, Y, Z] are lists of their items."""
+    naming `name`: the loaders' one typed rule. A float is a number
+    (`_is_number`), kept as the int or float it is; an ndarray is nested
+    lists of numbers, read as float64; tuple[X, ...] and tuple[X, Y, Z] are
+    lists of their items. The scalar types are looked up in `_SCALARS`, not
+    told by `isinstance(declared, type)`, which Python 3.10 answers True for
+    `tuple[int, int, int]`."""
     if declared is np.ndarray:
         array = np.array(value, dtype=object)
         if set(map(type, array.flat)) <= _NUMBERS:
-            return array.astype(np.float64)
-        value, declared = next(v for v in array.flat if type(v) not in _NUMBERS), float
-    elif isinstance(declared, type):
-        if type(value) in (_NUMBERS if declared is float else (declared,)):
+            try:
+                floats = array.astype(np.float64)
+            except OverflowError:
+                floats = None
+            if floats is not None and np.isfinite(floats).all():
+                return floats
+        value, declared = next(v for v in array.flat if not _is_number(v)), float
+    elif declared in _SCALARS:
+        if _is_number(value) if declared is float else type(value) is declared:
             return value
     elif type(value) is list:
         items = declared.__args__
@@ -32,7 +48,8 @@ def from_json(name, value, declared):
             items = items[:1] * len(value)
         if len(value) == len(items):
             return tuple(from_json(name, v, t) for v, t in zip(value, items))
-    raise ValueError(f"{name}: {value!r} is not of type {declared.__name__}")
+    what = "a finite number" if declared is float else f"of type {declared.__name__}"
+    raise ValueError(f"{name}: {value!r} is not {what}")
 
 
 # The control branch's discrete values, one softmax group per control; the
@@ -118,8 +135,8 @@ class TrajectoryVocabulary:
 
     @classmethod
     def load(cls, path):
-        """Read a vocabulary; a line that is not an index with 12 numbers,
-        and a non-finite center, are rejected with the file's name."""
+        """Read a vocabulary; a line that is not an index with 12 finite
+        numbers is rejected with the file's name and the line's number."""
         rows = []
         with open(path) as f:
             for lineno, line in enumerate(f, start=1):

@@ -320,14 +320,14 @@ class TestDispatch:
         ("build-vocab", "demos.jsonl", lambda rec: {**rec, "agent_feats": [{"x": 1.0}]},
          "demos.jsonl:2: malformed sample record"),
         ("build-vocab", "demos.jsonl", lambda rec: {**rec, "time": None},
-         "demos.jsonl:2: malformed sample record (time: None is not of type float)"),
+         "demos.jsonl:2: malformed sample record (time: None is not a finite number)"),
         ("pretrain", "vocab.jsonl", lambda rec: 5, "vocab.jsonl:2: malformed vocabulary line"),
         ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [{"x": 1.0}] * 12},
          "vocab.jsonl:2: malformed vocabulary line"),
         ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [True] + [1.5] * 11},
-         "vocab.jsonl:2: malformed vocabulary line (waypoints: True is not of type float)"),
+         "vocab.jsonl:2: malformed vocabulary line (waypoints: True is not a finite number)"),
         ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [float("nan")] * 12},
-         "vocab.jsonl: center 1 has a non-finite waypoint"),
+         "vocab.jsonl:2: malformed vocabulary line (waypoints: nan is not a finite number)"),
     ], ids=["demos-int", "demos-list", "demos-object", "demos-null-time", "vocab-int",
             "vocab-object", "vocab-bool", "vocab-nan"])
     def test_a_malformed_record_exits_1(self, pipeline, tmp_path, capsys,

@@ -314,6 +314,26 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed sample record ({field}")):
             ds.load(path)
 
+    @pytest.mark.parametrize("field, token", [
+        ("time", "1e999"),
+        ("ego_speed", "-1e999"),
+        ("time", str(10 ** 400)),
+        ("traj_waypoints", "[[1e999, 0.0]" + ", [0.0, 0.0]" * 5 + "]"),
+        ("traj_waypoints", "[[%d, 0.0]" % 10 ** 400 + ", [0.0, 0.0]" * 5 + "]"),
+    ], ids=["inf-time", "inf-speed", "huge-int-time", "inf-waypoint", "huge-int-waypoint"])
+    def test_a_number_no_float64_holds_names_line_number(self, takeover_dataset, tmp_path,
+                                                          field, token):
+        """`1e999` parses as inf and a 400-digit int as an int; neither is a
+        finite float64, in a scalar field or in an array."""
+        path = tmp_path / "t.jsonl"
+        ds.persist(takeover_dataset, path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), field: "@"}).replace('"@"', token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: malformed sample record ({field}: ") + ".* is not a finite number"):
+            ds.load(path)
+
     def test_an_int_loads_where_a_float_belongs(self, demo_dataset, tmp_path):
         """A JSON int is a number: it loads as it is in a scalar field and as
         a float64 in an array."""

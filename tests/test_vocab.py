@@ -136,14 +136,15 @@ class TestTrajectoryVocabulary:
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_a_non_finite_center_names_the_file(self, tmp_path, token):
         """A NaN or infinite waypoint, which `json` reads without complaint,
-        is refused on load; a finite vocabulary loads as it was saved."""
+        is refused on load with the line's number."""
         path = tmp_path / "v.jsonl"
         vocab.TrajectoryVocabulary(np.arange(36.0).reshape(3, 6, 2)).save(path)
         lines = path.read_text().splitlines()
         lines[1] = lines[1].replace("17.0", token)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: center 1 has a non-finite waypoint")):
+                f"{path}:2: malformed vocabulary line (waypoints: ")
+                + r"(nan|-?inf) is not a finite number\)"):
             vocab.TrajectoryVocabulary.load(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
