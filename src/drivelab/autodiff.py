@@ -1,13 +1,23 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Supports exactly the operations the policy heads and training losses need:
-linear algebra (batched: a (B, n, d) operand against a (d, m) weight or a
-(B, d, m) batch, the weight's gradient summed over the batch), pointwise
-nonlinearities, a row softmax with an optional mask, sums, reciprocal, flat
-gathers, last-axis slices and concatenation, and single-head attention with a
-key mask. Every op records its parents; `backward` orders the graph by a
-depth-first topological sort from the loss and runs each node's backward in
-that order, so repeated backward passes are bit-identical.
+matrix products (batched: a (B, n, d) operand against a (d, m) weight or a
+(B, d, m) batch, the weight's gradient summed over the batch), a sigmoid, a
+row softmax, sums, reshapes, the row normalisation, last-axis slices and
+concatenation, and five fused ops: a two-layer perceptron (`mlp2`),
+single-head attention with a key mask, the KL divergence against a target
+distribution, the log-probability pick with its floor clamp (`log_pick`),
+and ln sigmoid. Every op records its parents; `backward` orders the graph by
+a depth-first topological sort from the loss and runs each node's backward
+in that order, so repeated backward passes are bit-identical.
+
+A fused op is one node for a chain of primitive ops, with a closed-form
+backward: its forward runs the chain's float ops in the chain's order, and
+its backward runs the chain's gradient formulas (`_left_grad`,
+`_softmax_grad`, ...) in the order the chain's nodes would, adding into each
+operand in that order too. So it gives the chain's values and gradients bit
+for bit (`tests/chain_ops.py` keeps the chains) and costs `backward` one
+node instead of up to eight.
 
 Gradients accumulate by two rules. A node's first gradient is stored as it
 arrives, without a copy: it may be a view of another node's gradient, and
@@ -22,26 +32,29 @@ whatever the padded slot holds; a query row with no valid key attends to
 nothing and its attention output is exactly zero.
 
 A plain array or Python scalar is a constant: it joins no graph and gets no
-gradient. `+`, `-`, `*` and `@` (a constant on either side of `@`) accept
-one constant operand and record the op against the Tensor operand alone.
-Every other op is one module-level function, its only definition (`relu`,
-`sigmoid`, `softmax`, `log`, `take_rows`, `narrow`, `concat`, `normalize`,
-`linear`, `scaled_dot_attention`). It takes a Tensor or a plain float64
-array and computes the value from the array either one holds; an array gets
-that value back, and a Tensor gets a node that records the op. `Tensor`
-itself keeps only the arithmetic operators and the names numpy arrays also
-have (`shape`, `sum`, `reshape`, `mT`). So a network written once, its
-inputs constants, runs as a graph when its parameters are Tensors and
-graph-free when they are arrays, bit for bit alike; `value` reads the array
-either one holds.
+gradient. `+`, `-`, `*` and `@` accept one constant operand, on the right,
+and record the op against the Tensor operand alone. Every other op is one
+module-level function, its only definition (`sigmoid`, `log_sigmoid`,
+`softmax`, `log_pick`, `kl_div`, `narrow`, `concat`, `normalize`, `mlp2`,
+`scaled_dot_attention`). It takes Tensors or plain float64 arrays and
+computes the value from the arrays they hold; arrays get that value back,
+and a Tensor operand gets a node that records the op. `Tensor` itself keeps
+only the arithmetic operators and the names numpy arrays also have
+(`shape`, `sum`, `reshape`). So a network written once, its inputs
+constants, runs as a graph when its parameters are Tensors and graph-free
+when they are arrays, bit for bit alike; `value` reads the array either one
+holds.
 
-Both paths check for non-finite values in the same three places: the inputs
-of sigmoid and softmax, where an inf would become finite and a nan in a
-masked slot would vanish, and the reciprocal of normalize's row sums, where a
-zero sum first becomes inf. Every other op passes an inf or nan on to one of
-them, so both paths raise NonFiniteError on the same inputs. `backward`
-rejects a non-finite loss and `Adam.step` non-finite gradients, so what the
-losses add after the network is checked too.
+Both paths check for non-finite values in the same places: the inputs of
+every sigmoid and softmax (those inside `log_sigmoid` and the attention
+included), where an inf would become finite and a nan in a masked slot
+would vanish; the reciprocal of normalize's row sums, where a zero sum first
+becomes inf; and the logs of `log_pick` and `log_sigmoid`, where an input
+that is not positive would first become -inf or nan. Every other op passes
+an inf or nan on to one of them, so both paths raise NonFiniteError on the
+same inputs. `backward` rejects a non-finite loss and `Adam.step`
+non-finite gradients, so what the losses add after the network is checked
+too.
 
 Importing the module sets two of glibc's malloc thresholds, where the
 process runs on glibc, so that a training step reuses the heap the previous
@@ -51,6 +64,7 @@ step's graph freed (see the `mallopt` calls below).
 import ctypes
 import math
 import platform
+from functools import partial
 
 import numpy as np
 
@@ -110,8 +124,8 @@ class Tensor:
 
     # -- arithmetic -------------------------------------------------------
 
-    # numpy hands `array @ Tensor` to `__rmatmul__` instead of treating the
-    # Tensor as an object scalar.
+    # numpy refuses `array + Tensor` (and `-`, `*`, `@`) instead of treating
+    # the Tensor as an object scalar: a constant operand goes on the right.
     __array_ufunc__ = None
 
     def __add__(self, other):
@@ -146,18 +160,23 @@ class Tensor:
         return Tensor(out_data, parents=_graph_parents(self, other), backward=backward)
 
     def __matmul__(self, other):
-        return _matmul(self, other)
+        """Matrix product over the last two axes, leading (batch) axes
+        broadcast as numpy does: (n, d) @ (d, m), (B, n, d) @ (d, m) and
+        (B, n, d) @ (B, d, m)."""
+        a, b = self.data, value(other)
+        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+            raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+        try:
+            out_data = a @ b
+        except ValueError:
+            raise ShapeError(f"matmul: incompatible batch shapes {a.shape} and {b.shape}")
 
-    def __rmatmul__(self, other):
-        return _matmul(other, self)
-
-    @property
-    def mT(self):
-        """Transpose of the last two axes (numpy's `ndarray.mT`)."""
         def backward(out):
-            self._accum(out.grad.mT)
+            self._accum(_left_grad(out.grad, b, a.shape))
+            if isinstance(other, Tensor):
+                other._accum(_right_grad(a, out.grad, b.shape))
 
-        return Tensor(self.data.mT, parents=(self,), backward=backward)
+        return Tensor(out_data, parents=_graph_parents(self, other), backward=backward)
 
     # -- reductions / reshaping ------------------------------------------
 
@@ -183,39 +202,47 @@ def value(x):
     return x.data if isinstance(x, Tensor) else _as_array(x)
 
 
-def _graph_parents(x, y):
-    """A binary op's graph parents: its Tensor operands (one or two)."""
-    if not isinstance(y, Tensor):
-        return (x,)
-    return (x, y) if isinstance(x, Tensor) else (y,)
+def _tensors(operands):
+    """A fused op's graph parents: its Tensor operands, in order."""
+    return tuple(t for t in operands if isinstance(t, Tensor))
 
 
-def _matmul(x, y):
-    """Matrix product over the last two axes, leading (batch) axes broadcast
-    as numpy does: (n, d) @ (d, m), (B, n, d) @ (d, m) and (B, n, d) @
-    (B, d, m). Either operand may be a constant."""
-    a, b = value(x), value(y)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    try:
-        out_data = a @ b
-    except ValueError:
-        raise ShapeError(f"matmul: incompatible batch shapes {a.shape} and {b.shape}")
+def _graph_parents(x, other):
+    """A binary op's graph parents: the Tensor x, and `other` if it is one."""
+    return (x, other) if isinstance(other, Tensor) else (x,)
 
-    def backward(out):
-        g = out.grad
-        if isinstance(x, Tensor):
-            x._accum(_unbroadcast(g @ b.mT, a.shape))
-        if not isinstance(y, Tensor):
-            return
-        if b.ndim == 2:
-            # A weight shared by the batch: one product sums its gradient
-            # over every row of every sample.
-            y._accum(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        else:
-            y._accum(_unbroadcast(a.mT @ g, b.shape))
 
-    return Tensor(out_data, parents=_graph_parents(x, y), backward=backward)
+# The gradient formulas of the recorded ops, on arrays. A fused op runs the
+# same formulas, in the same order, as the chain of ops it replaces.
+
+
+def _left_grad(g, b, a_shape):
+    """The gradient of `a` in `a @ b`, given the product's gradient g."""
+    return _unbroadcast(g @ b.mT, a_shape)
+
+
+def _right_grad(a, g, b_shape):
+    """The gradient of `b` in `a @ b`. A weight shared by the batch gets one
+    product that sums its gradient over every row of every sample."""
+    if len(b_shape) == 2:
+        return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return _unbroadcast(a.mT @ g, b_shape)
+
+
+def _softmax_grad(g, out_data):
+    dot = (g * out_data).sum(axis=-1, keepdims=True)
+    return (g - dot) * out_data
+
+
+def _sigmoid_grad(g, out_data):
+    return g * out_data * (1.0 - out_data)
+
+
+def _scatter(g, indices, size):
+    """A flat gradient of `size` entries: g added at `indices`, zero elsewhere."""
+    flat = np.zeros(size)
+    np.add.at(flat, indices, g)
+    return flat
 
 
 def _unbroadcast(grad, shape):
@@ -236,89 +263,122 @@ def _unbroadcast(grad, shape):
 # float64 conversion would cost every op of the graph-free pass a call.
 
 
-def relu(x):
-    graph = isinstance(x, Tensor)
-    a = x.data if graph else x
-    out_data = a * (a > 0.0)
-    if not graph:
-        return out_data
-
-    def backward(out):
-        x._accum(out.grad * (a > 0.0))
-
-    return Tensor(out_data, parents=(x,), backward=backward)
+def _sigmoid_value(a):
+    # Numerically stable split over sign.
+    e = np.exp(-np.abs(_finite(a)))
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x):
     graph = isinstance(x, Tensor)
-    a = _finite(x.data if graph else x)
-    # Numerically stable split over sign.
-    e = np.exp(-np.abs(a))
-    out_data = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out_data = _sigmoid_value(x.data if graph else x)
     if not graph:
         return out_data
 
     def backward(out):
-        x._accum(out.grad * out_data * (1.0 - out_data))
+        x._accum(_sigmoid_grad(out.grad, out_data))
 
     return Tensor(out_data, parents=(x,), backward=backward)
 
 
-def softmax(x, mask=None):
-    """Row softmax over the last axis; rows sum to 1 within fp64 rounding.
-
-    Entries where `mask` (broadcast against x) is False get exactly zero,
-    and a row with no unmasked entry is all zeros. With every entry of a row
-    unmasked, the row's floats are those of the unmasked formula."""
-    graph = isinstance(x, Tensor)
-    a = _finite(x.data if graph else x)
-    if mask is None:
-        e = np.exp(a - a.max(axis=-1, keepdims=True))
-        out_data = e / e.sum(axis=-1, keepdims=True)
-    else:
-        top = np.where(mask, a, -np.inf).max(axis=-1, keepdims=True)
-        e = np.exp(np.where(mask, a - top, -np.inf))
-        total = e.sum(axis=-1, keepdims=True)
-        out_data = e / np.where(total > 0.0, total, 1.0)
-    if not graph:
-        return out_data
-
-    def backward(out):
-        g = out.grad
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        x._accum((g - dot) * out_data)
-
-    return Tensor(out_data, parents=(x,), backward=backward)
-
-
-def log(x):
-    graph = isinstance(x, Tensor)
-    a = x.data if graph else x
+def _log(a):
     if np.any(a <= 0.0):
         raise NonFiniteError("log: non-positive input")
-    out_data = np.log(a)
+    return np.log(a)
+
+
+def log_sigmoid(x):
+    """ln sigmoid(x), one node: the sigmoid's value, the log of it, and
+    back the log's gradient through the sigmoid's."""
+    graph = isinstance(x, Tensor)
+    s = _sigmoid_value(x.data if graph else x)
+    out_data = _log(s)
     if not graph:
         return out_data
 
     def backward(out):
-        x._accum(out.grad / a)
+        x._accum(_sigmoid_grad(out.grad / s, s))
 
     return Tensor(out_data, parents=(x,), backward=backward)
 
 
-def take_rows(x, indices):
-    """Rows by integer index (first axis); a 1-D operand gathers entries."""
+def _softmax_value(a, mask):
+    """Row softmax of a finite array. Entries where `mask` (broadcast
+    against a; None: every entry) is False get exactly zero, and a row with
+    no unmasked entry is all zeros. With every entry of a row unmasked, the
+    row's floats are those of the unmasked formula."""
+    _finite(a)
+    if mask is None:
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    top = np.where(mask, a, -np.inf).max(axis=-1, keepdims=True)
+    e = np.exp(np.where(mask, a - top, -np.inf))
+    total = e.sum(axis=-1, keepdims=True)
+    return e / np.where(total > 0.0, total, 1.0)
+
+
+def softmax(x):
+    """Row softmax over the last axis; rows sum to 1 within fp64 rounding."""
     graph = isinstance(x, Tensor)
-    a = x.data if graph else x
-    indices = np.asarray(indices, dtype=np.intp)
-    out_data = a[indices]
+    out_data = _softmax_value(x.data if graph else x, None)
     if not graph:
         return out_data
 
     def backward(out):
-        g = np.zeros_like(a)
-        np.add.at(g, indices, out.grad)
-        x._accum(g)
+        x._accum(_softmax_grad(out.grad, out_data))
+
+    return Tensor(out_data, parents=(x,), backward=backward)
+
+
+def log_pick(x, indices, clamp, floor):
+    """ln x.flat[indices], one node; an entry where `clamp` is True is
+    `floor` instead, a constant that takes no gradient. Every other picked
+    entry must be positive."""
+    graph = isinstance(x, Tensor)
+    a = x.data if graph else x
+    p = a.reshape(-1)[indices]
+    clamped = clamp.any()
+    if clamped:
+        p = np.where(clamp, 1.0, p)
+    out_data = _log(p)
+    if clamped:
+        out_data[clamp] = floor
+    if not graph:
+        return out_data
+
+    def backward(out):
+        g = out.grad / p
+        if clamped:
+            g[clamp] = 0.0
+        x._accum(_scatter(g, indices, a.size).reshape(a.shape))
+
+    return Tensor(out_data, parents=(x,), backward=backward)
+
+
+def kl_div(target, x):
+    """Mean over rows of D_KL(target row || x row), with 0 ln 0 = 0, one
+    node: the log of x where the target is positive, weighted by the target,
+    summed, and shifted by the target's entropy. `target` is an array of
+    distributions, (B, n) or one (n,), and x has its shape; x must be
+    positive wherever the target is."""
+    graph = isinstance(x, Tensor)
+    a = x.data if graph else x
+    target = target.reshape(-1, target.shape[-1])
+    indices = np.flatnonzero(target > 0.0)
+    t = target.ravel()[indices]
+    p = a.reshape(-1)[indices]
+    if np.any(p <= 0.0):
+        raise ValueError("support mismatch: predicted has zero mass where target > 0")
+    entropy = float((t * np.log(t)).sum())
+    inv_rows = 1.0 / target.shape[0]
+    out_data = ((np.log(p) * t).sum(keepdims=True) * -1.0 + entropy) * inv_rows
+    if not graph:
+        return out_data
+
+    def backward(out):
+        # The (1,) gradient broadcasts over t as the sum's gradient did.
+        g = out.grad * inv_rows * -1.0 * t / p
+        x._accum(_scatter(g, indices, a.size).reshape(a.shape))
 
     return Tensor(out_data, parents=(x,), backward=backward)
 
@@ -379,14 +439,56 @@ def concat(tensors):
     return Tensor(out_data, parents=tuple(tensors), backward=backward)
 
 
-def linear(x, w, b):
-    return x @ w + b
+# `infer` runs mlp2 and scaled_dot_attention graph-free on every closed-loop
+# tick. Their backward is a module function bound by `partial`, not a
+# closure: a closure makes each local it reads a cell, which every call pays
+# for, the graph-free ones included.
+
+
+def mlp2(x, w1, b1, w2, b2):
+    """Linear, relu, linear: relu(x @ w1 + b1) @ w2 + b2, one node; any
+    operand may be a constant."""
+    operands = (x, w1, b1, w2, b2)
+    graph = (isinstance(x, Tensor) or isinstance(w1, Tensor) or isinstance(b1, Tensor)
+             or isinstance(w2, Tensor) or isinstance(b2, Tensor))
+    arrays = tuple(map(value, operands)) if graph else operands
+    a, w1_, b1_, w2_, b2_ = arrays
+    first = a @ w1_
+    pre = first + b1_
+    active = pre > 0.0
+    h = pre * active
+    second = h @ w2_
+    out_data = second + b2_
+    if not graph:
+        return out_data
+    return Tensor(out_data, parents=_tensors(operands), backward=partial(
+        _mlp2_backward, operands, arrays, active, h, first.shape, second.shape))
+
+
+def _mlp2_backward(operands, arrays, active, h, first_shape, second_shape, out):
+    x, w1, b1, w2, b2 = operands
+    a, w1_, b1_, w2_, b2_ = arrays
+    g = out.grad
+    g_second = _unbroadcast(g, second_shape)
+    if isinstance(b2, Tensor):
+        b2._accum(_unbroadcast(g, b2_.shape))
+    g_h = _left_grad(g_second, w2_, h.shape)
+    if isinstance(w2, Tensor):
+        w2._accum(_right_grad(h, g_second, w2_.shape))
+    g_pre = g_h * active
+    g_first = _unbroadcast(g_pre, first_shape)
+    if isinstance(b1, Tensor):
+        b1._accum(_unbroadcast(g_pre, b1_.shape))
+    if isinstance(x, Tensor):
+        x._accum(_left_grad(g_first, w1_, a.shape))
+    if isinstance(w1, Tensor):
+        w1._accum(_right_grad(a, g_first, w1_.shape))
 
 
 def scaled_dot_attention(q, k, v, mask=None):
     """Single-head attention: softmax(q kᵀ / sqrt(d)) v, over the last two
     axes of (n_q, d) queries and (n_k, d) keys and values, or of batches of
-    them.
+    them; one node, any operand may be a constant.
 
     `mask` (B, n_k), True for a valid key, masks padded key slots: a masked
     key gets exactly zero weight, so whatever its slot holds changes no
@@ -399,11 +501,33 @@ def scaled_dot_attention(q, k, v, mask=None):
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(
             f"scaled_dot_attention: key count {k.shape} vs value count {v.shape}")
-    d = q.shape[-1]
-    scores = (q @ k.mT) * (1.0 / math.sqrt(d))
+    graph = isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)
+    q_, k_, v_ = map(value, (q, k, v)) if graph else (q, k, v)
+    scale = 1.0 / math.sqrt(q_.shape[-1])
+    k_t = k_.mT
+    scores = q_ @ k_t
     if mask is not None:
         mask = mask[..., None, :]     # the same keys for every query row
-    return softmax(scores, mask) @ v
+    weights = _softmax_value(scores * scale, mask)
+    out_data = weights @ v_
+    if not graph:
+        return out_data
+    return Tensor(out_data, parents=_tensors((q, k, v)), backward=partial(
+        _attention_backward, (q, k, v), (q_, k_t, v_), weights, scale))
+
+
+def _attention_backward(operands, arrays, weights, scale, out):
+    q, k, v = operands
+    q_, k_t, v_ = arrays
+    g = out.grad
+    g_weights = _left_grad(g, v_, weights.shape)
+    if isinstance(v, Tensor):
+        v._accum(_right_grad(weights, g, v_.shape))
+    g_scores = _softmax_grad(g_weights, weights) * scale
+    if isinstance(q, Tensor):
+        q._accum(_left_grad(g_scores, k_t, q_.shape))
+    if isinstance(k, Tensor):
+        k._accum(_right_grad(q_, g_scores, k_t.shape).mT)
 
 
 def backward(loss, params=None):

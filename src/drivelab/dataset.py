@@ -13,8 +13,8 @@ from . import expert as xp
 # dataset.MAX_EPISODE_TICKS, so it stays importable from this module.
 from .metrics import MAX_EPISODE_TICKS, NeuralDriver, map_episodes, run_episode, scenario_id
 from .policy import AGENT_FEATURES, MAP_FEATURES, SceneSnapshot, encode_scene
-from .vocab import from_json
-from .world import STILL_SPEED
+from .vocab import WAYPOINTS_PER_TRAJ, from_json
+from .world import COMMANDS, STILL_SPEED
 
 EPS_STEER = 0.2                  # threshold-trigger steering gap
 TAKEOVER_TICKS = 40              # 2 s at dt = 0.05
@@ -62,7 +62,10 @@ class Dataset:
         return self.manifest.get("vocab_hash")
 
 
-_ROW_WIDTHS = {"agent_feats": AGENT_FEATURES, "map_feats": MAP_FEATURES}
+# Each array field's shape, None for any number of rows. A record holds no
+# rows as [], which reads as shape (0,).
+_SHAPES = {"agent_feats": (None, AGENT_FEATURES), "map_feats": (None, MAP_FEATURES),
+           "cmd_onehot": (len(COMMANDS),), "traj_waypoints": (WAYPOINTS_PER_TRAJ, 2)}
 
 
 def _reject_constant(token):
@@ -75,17 +78,28 @@ _ENCODER = json.JSONEncoder(allow_nan=False, default=np.ndarray.tolist)
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _shaped(name, array):
+    """An array field in its `_SHAPES` shape, or a ValueError naming it."""
+    rows, *rest = _SHAPES[name]
+    if rows is None:
+        if array.shape == (0,):
+            array = array.reshape(0, *rest)
+        rows = len(array)
+    if array.shape != (rows, *rest):
+        want = str(tuple("n" if n is None else n for n in _SHAPES[name])).replace("'", "")
+        raise ValueError(f"{name}: shape {array.shape} is not {want}")
+    return array
+
+
 def _record_to_sample(rec):
-    """The sample a record holds, every field of its class required and of
-    its declared type (`vocab.from_json`), other keys ignored: a takeover
-    record is the one with a `segment_id`."""
+    """The sample a record holds, every field of its class required, of its
+    declared type (`vocab.from_json`) and, for an array, of its shape, other
+    keys ignored: a takeover record is the one with a `segment_id`."""
     cls = TakeoverSample if "segment_id" in rec else DemoSample
     values = {}
     for f in fields(cls):
         v = from_json(f.name, rec[f.name], f.type)
-        if f.name in _ROW_WIDTHS:
-            v = v.reshape(-1, _ROW_WIDTHS[f.name])
-        values[f.name] = v
+        values[f.name] = _shaped(f.name, v) if f.type is np.ndarray else v
     return cls(**values)
 
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import world as sim
-from .autodiff import scaled_dot_attention
 from .vocab import ControlVocabulary, WAYPOINT_DT
 
 AGENT_FEATURES = 7      # rel x, rel y, sin/cos rel heading, speed, length, width
@@ -113,8 +112,8 @@ def positional_encoding(centers_flat):
 
 
 def _mlp2(params, prefix, x):
-    h = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return ad.mlp2(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"],
+                   params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _cross_attention(params, prefix, queries, q, keys, mask):
@@ -129,7 +128,7 @@ def _cross_attention(params, prefix, queries, q, keys, mask):
         return queries
     k = keys @ params[f"{prefix}.wk"]
     v = keys @ params[f"{prefix}.wv"]
-    return queries + scaled_dot_attention(q, k, v, mask)
+    return queries + ad.scaled_dot_attention(q, k, v, mask)
 
 
 def _pad(rows):

@@ -78,18 +78,10 @@ def kl_loss(target, predicted):
     if target.shape != predicted.data.shape or target.ndim not in (1, 2):
         raise ValueError(
             f"support mismatch: target {target.shape} vs predicted {predicted.data.shape}")
-    target = target.reshape(-1, target.shape[-1])
     # Stated as what must hold: a nan fails every comparison, an inf the sum.
     if not (np.all(target >= 0) and np.all(np.abs(target.sum(axis=-1) - 1.0) <= 1e-9)):
         raise ValueError("target is not a distribution")
-    idx = np.flatnonzero(target > 0.0)
-    t = target.ravel()[idx]
-    p = ad.take_rows(predicted.reshape(-1), idx)
-    if np.any(p.data <= 0.0):
-        raise ValueError("support mismatch: predicted has zero mass where target > 0")
-    entropy_term = float((t * np.log(t)).sum())
-    cross = (ad.log(p) * t).sum()
-    return (cross * -1.0 + entropy_term) * (1.0 / target.shape[0])
+    return ad.kl_div(target, predicted)
 
 
 def _log_prob(dist, idx, flags=None):
@@ -99,22 +91,17 @@ def _log_prob(dist, idx, flags=None):
     to the floor, a constant with no gradient, and its index is appended to
     `flags`: the ln pi floor rule, for every loss and margin."""
     idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
-    p = ad.take_rows(dist.reshape(-1), np.arange(len(idx)) * dist.shape[-1] + idx)
-    under = ad.value(p) < math.exp(LOGPROB_FLOOR)
-    if not under.any():
-        return ad.log(p)
+    flat = np.arange(len(idx)) * dist.shape[-1] + idx
+    under = ad.value(dist).reshape(-1)[flat] < math.exp(LOGPROB_FLOOR)
     if flags is not None:
         flags.extend(idx[under].tolist())
-    # ln(p * 0 + 1) + floor = floor on a clamped entry, and no gradient
-    # reaches p there; a kept entry is ln(p * 1 + 0) + 0 = ln p exactly.
-    clamped = under.astype(np.float64)
-    return ad.log(p * (1.0 - clamped) + clamped) + LOGPROB_FLOOR * clamped
+    return ad.log_pick(dist, flat, under, LOGPROB_FLOOR)
 
 
 def _log_sigmoid_const(x):
-    """ln sigma(x) for a python float, through the same fp ops the Tensor
-    path uses so the compensation constant cancels exactly."""
-    return float(np.log(ad.sigmoid(np.array([x]))).item())
+    """ln sigma(x) for a python float, through the array path of the op the
+    loss uses, so the compensation constant cancels exactly."""
+    return float(ad.log_sigmoid(np.array([x])).item())
 
 
 def _margin(dist, y_w, y_l, beta, flags=None):
@@ -129,7 +116,7 @@ def simpo_from_dist(dist, y_w, y_l, beta, gamma, flags=None):
     """Reference-free preference loss -ln sigma(margin - gamma) per row (see
     `_margin`), as a (B,) Tensor."""
     z = _margin(dist, y_w, y_l, beta, flags) - gamma
-    return ad.log(ad.sigmoid(z)) * -1.0
+    return ad.log_sigmoid(z) * -1.0
 
 
 def po_from_dist(dist, y_w, y_l, beta, gamma, flags=None):

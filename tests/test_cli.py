@@ -321,6 +321,8 @@ class TestDispatch:
          "demos.jsonl:2: malformed sample record"),
         ("build-vocab", "demos.jsonl", lambda rec: {**rec, "time": None},
          "demos.jsonl:2: malformed sample record (time: None is not a finite number)"),
+        ("build-vocab", "demos.jsonl", lambda rec: {**rec, "traj_waypoints": [[1.0, 2.0]]},
+         "demos.jsonl:2: malformed sample record (traj_waypoints: shape (1, 2) is not (6, 2))"),
         ("pretrain", "vocab.jsonl", lambda rec: 5, "vocab.jsonl:2: malformed vocabulary line"),
         ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [{"x": 1.0}] * 12},
          "vocab.jsonl:2: malformed vocabulary line"),
@@ -328,7 +330,8 @@ class TestDispatch:
          "vocab.jsonl:2: malformed vocabulary line (waypoints: True is not a finite number)"),
         ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [float("nan")] * 12},
          "vocab.jsonl:2: malformed vocabulary line (waypoints: nan is not a finite number)"),
-    ], ids=["demos-int", "demos-list", "demos-object", "demos-null-time", "vocab-int",
+    ], ids=["demos-int", "demos-list", "demos-object", "demos-null-time",
+            "demos-one-waypoint", "vocab-int",
             "vocab-object", "vocab-bool", "vocab-nan"])
     def test_a_malformed_record_exits_1(self, pipeline, tmp_path, capsys,
                                         command, name, edit, message):

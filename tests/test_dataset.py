@@ -334,6 +334,39 @@ class TestPersistence:
                 f"{path}:3: malformed sample record ({field}: ") + ".* is not a finite number"):
             ds.load(path)
 
+    @pytest.mark.parametrize("field, value, shape", [
+        ("traj_waypoints", [[1.0, 2.0]], "(1, 2) is not (6, 2)"),
+        ("traj_waypoints", [1.0, 2.0] * 6, "(12,) is not (6, 2)"),
+        ("cmd_onehot", [1.0, 0.0], "(2,) is not (7,)"),
+        ("cmd_onehot", [[0.0] * 7], "(1, 7) is not (7,)"),
+        ("agent_feats", [0.5] * 14, "(14,) is not (n, 7)"),
+        ("agent_feats", [[0.5] * 6], "(1, 6) is not (n, 7)"),
+        ("map_feats", [[[0.5] * 12]], "(1, 1, 12) is not (n, 12)"),
+    ], ids=["one-waypoint", "flat-waypoints", "short-command", "nested-command",
+            "flat-agents", "narrow-agents", "nested-map"])
+    def test_an_array_of_the_wrong_shape_names_line_number(self, takeover_dataset, tmp_path,
+                                                            field, value, shape):
+        """Each array field has its shape: six (x, y) waypoints, a one-hot
+        row over the commands, and rows of the agent and map feature widths,
+        any number of them."""
+        path = tmp_path / "t.jsonl"
+        ds.persist(takeover_dataset, path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: malformed sample record ({field}: shape {shape})")):
+            ds.load(path)
+
+    def test_no_rows_load_at_their_width(self, takeover_dataset, tmp_path):
+        """A record holds no agents as `[]`: it loads as (0, 7)."""
+        path = tmp_path / "t.jsonl"
+        ds.persist(takeover_dataset, path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "agent_feats": []})
+        path.write_text("\n".join(lines) + "\n")
+        assert ds.load(path).samples[1].agent_feats.shape == (0, pol.AGENT_FEATURES)
+
     def test_an_int_loads_where_a_float_belongs(self, demo_dataset, tmp_path):
         """A JSON int is a number: it loads as it is in a scalar field and as
         a float64 in an array."""

@@ -18,6 +18,7 @@ from drivelab import vocab
 from drivelab import world as sim
 from drivelab.autodiff import Tensor
 
+import chain_ops
 from gradcheck_util import policy_grad_check
 
 CVOCAB = vocab.ControlVocabulary()
@@ -229,10 +230,10 @@ def reference_imitation_loss(policy, samples, cfg):
         out = forward_row(policy, s)
         t = tr.soft_trajectory_target(policy.traj_vocab, s.traj_waypoints[None], cfg.tau_label)[0]
         idx = np.flatnonzero(t > 0.0)
-        loss = (ad.log(ad.take_rows(out["d_traj"], idx)) * Tensor(t[idx])).sum() * -1.0 \
-            + float((t[idx] * np.log(t[idx])).sum())
+        loss = (chain_ops.log(chain_ops.take_rows(out["d_traj"], idx))
+                * Tensor(t[idx])).sum() * -1.0 + float((t[idx] * np.log(t[idx])).sum())
         for dist, y in zip(out["d_ctrl"], s.ctrl_indices):
-            loss = loss - ad.log(ad.narrow(dist, y, 1))
+            loss = loss - chain_ops.log(ad.narrow(dist, y, 1))
         total = loss if total is None else total + loss
     return total * (1.0 / len(samples))
 
@@ -256,9 +257,9 @@ def reference_preference_loss(policy, samples, cfg, flags):
                     flags.append(y)
                     lps.append(Tensor(np.array([tr.LOGPROB_FLOOR])))
                 else:
-                    lps.append(ad.log(p))
+                    lps.append(chain_ops.log(p))
             z = (lps[0] - lps[1]) * cfg.beta - cfg.gamma
-            term = ad.log(ad.sigmoid(z)) * -1.0 + shift
+            term = chain_ops.log(ad.sigmoid(z)) * -1.0 + shift
             loss = term if loss is None else loss + term
         loss = loss * 0.25
         total = loss if total is None else total + loss
@@ -338,14 +339,15 @@ def _copying_accum(self, g):
 def _fan_out_graph(store):
     """A graph whose nodes hand views of their gradients on: `s = a + b`
     gives a and b its gradient array itself, the concat hands five views of
-    its gradient to four nodes (a twice), reshape, mT and sum hand views
-    on, and a, b and s receive more gradient later in backward's order."""
+    its gradient to four nodes (a twice), reshape, the transpose and sum
+    hand views on, and a, b and s receive more gradient later in backward's
+    order."""
     x = Tensor(np.linspace(-2.0, 2.0, 12).reshape(4, 3))
     h = x @ store["w"]
-    a = ad.relu(h)
+    a = chain_ops.relu(h)
     b = ad.sigmoid(h)
     s = a + b
-    c = s.mT.reshape(4, 3)
+    c = chain_ops.transpose(s).reshape(4, 3)
     n = ad.concat([a, b, s, c, a])
     loss = (n * n).sum() + (s.sum(axis=-1) * a.sum(axis=-1)).sum() + (b * s).sum()
     return loss, {"x": x, "h": h, "a": a, "b": b, "s": s, "c": c, "n": n}
@@ -388,6 +390,57 @@ class TestCopyFreeAccumulation:
         new, old = self.both_rules(monkeypatch, lambda: (*_fan_out_graph(store), store))
         assert new == old
         assert len(new[1]) == 8
+
+
+def _graph_nodes(loss):
+    """The number of nodes with parents that `loss` reaches, itself included."""
+    nodes, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node._parents and node not in nodes:
+            nodes.add(node)
+            stack.extend(node._parents)
+    return len(nodes)
+
+
+def _fused_graph_losses(policy, cfg):
+    """One imitation and one preference loss over a batch of 16 samples
+    with 0 to N_a agents and 1 to N_m map rows, so padded and masked."""
+    samples = random_samples(np.random.default_rng(12), 16)
+    return {"imitation": lambda: tr._batch_loss(policy, samples, cfg),
+            "preference": lambda: tr._pair_losses(policy, samples, cfg, [])}
+
+
+class TestFusedGraph:
+    """The network's layers and attention, and the losses' picks, are one
+    node each (`autodiff.mlp2`, `scaled_dot_attention`, `kl_div`, `log_pick`
+    and `log_sigmoid`), and give the primitive chains' floats."""
+
+    @pytest.mark.parametrize("loss", ["imitation", "preference"])
+    def test_matches_primitive_chain(self, monkeypatch, loss):
+        """The loss and every parameter's gradient are those of the graph
+        built from the primitive chains, bit for bit: the fused backward
+        passes add each node's gradients in the chain's order."""
+        policy = tiny_policy(seed=2, k=8)
+        policy.params["ctrl_head.w2"].data[...] *= 1000.0   # some clamped picks
+        build = _fused_graph_losses(policy, tr.TrainConfig())[loss]
+        runs = []
+        for patched in (False, True):
+            with monkeypatch.context() as mp:
+                if patched:
+                    for name in chain_ops.FUSED:
+                        mp.setattr(ad, name, getattr(chain_ops, name))
+                value, grads = _loss_and_grads(policy, build())
+                runs.append((np.float64(value).tobytes(),
+                             {k: g.tobytes() for k, g in grads.items()}))
+        assert runs[0] == runs[1]
+
+    def test_node_counts(self):
+        """Pinned so that a change that splits an op again shows: the
+        primitive chains built 118 and 151 nodes."""
+        builds = _fused_graph_losses(tiny_policy(seed=2, k=8), tr.TrainConfig())
+        assert {name: _graph_nodes(build()) for name, build in builds.items()} \
+            == {"imitation": 50, "preference": 91}
 
 
 def _graph_leaves(loss):
