@@ -12,9 +12,9 @@ from . import expert as xp
 # MAX_EPISODE_TICKS is not used here; perfbench/workloads.py reads it as
 # dataset.MAX_EPISODE_TICKS, so it stays importable from this module.
 from .metrics import MAX_EPISODE_TICKS, NeuralDriver, map_episodes, run_episode, scenario_id
-from .policy import AGENT_FEATURES, MAP_FEATURES, SceneSnapshot, encode_scene
-from .vocab import WAYPOINTS_PER_TRAJ, from_json
-from .world import COMMANDS, STILL_SPEED
+from .policy import SceneSnapshot, encode_scene
+from .vocab import CONTROL_GROUP_SIZES, WAYPOINTS_PER_TRAJ, from_json
+from .world import STILL_SPEED
 
 EPS_STEER = 0.2                  # threshold-trigger steering gap
 TAKEOVER_TICKS = 40              # 2 s at dt = 0.05
@@ -25,11 +25,20 @@ TRIGGERS = ("collision", "threshold")   # takeover trigger kinds, in manifest or
 
 @dataclass
 class DemoSample(SceneSnapshot):
-    """A scene with its expert label: the policy takes it as it is."""
-    traj_waypoints: np.ndarray      # expert planned trajectory, (6, 2)
-    ctrl_indices: tuple[int, int, int]   # (throttle_idx, brake_idx, steer_idx)
+    """A scene and its expert label, each field checked when built: the policy takes it as is."""
+    traj_waypoints: np.ndarray      # expert planned trajectory, (WAYPOINTS_PER_TRAJ, 2)
+    ctrl_indices: tuple[int, int, int]   # (throttle, brake, steer), each in its group
     scenario_id: str
     time: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.traj_waypoints.shape != (WAYPOINTS_PER_TRAJ, 2):
+            raise ValueError(f"traj_waypoints: shape {self.traj_waypoints.shape} "
+                             f"is not {(WAYPOINTS_PER_TRAJ, 2)}")
+        if not all(0 <= i < n for i, n in zip(self.ctrl_indices, CONTROL_GROUP_SIZES)):
+            raise ValueError(f"ctrl_indices: {self.ctrl_indices} is outside the control "
+                             f"group sizes {CONTROL_GROUP_SIZES}")
 
 
 @dataclass
@@ -62,12 +71,6 @@ class Dataset:
         return self.manifest.get("vocab_hash")
 
 
-# Each array field's shape, None for any number of rows. A record holds no
-# rows as [], which reads as shape (0,).
-_SHAPES = {"agent_feats": (None, AGENT_FEATURES), "map_feats": (None, MAP_FEATURES),
-           "cmd_onehot": (len(COMMANDS),), "traj_waypoints": (WAYPOINTS_PER_TRAJ, 2)}
-
-
 def _reject_constant(token):
     raise ValueError(f"{token} is not a JSON number")
 
@@ -76,31 +79,6 @@ def _reject_constant(token):
 # are not JSON: the encoder refuses a non-finite value, the decoder the token.
 _ENCODER = json.JSONEncoder(allow_nan=False, default=np.ndarray.tolist)
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-
-def _shaped(name, array):
-    """An array field in its `_SHAPES` shape, or a ValueError naming it."""
-    rows, *rest = _SHAPES[name]
-    if rows is None:
-        if array.shape == (0,):
-            array = array.reshape(0, *rest)
-        rows = len(array)
-    if array.shape != (rows, *rest):
-        want = str(tuple("n" if n is None else n for n in _SHAPES[name])).replace("'", "")
-        raise ValueError(f"{name}: shape {array.shape} is not {want}")
-    return array
-
-
-def _record_to_sample(rec):
-    """The sample a record holds, every field of its class required, of its
-    declared type (`vocab.from_json`) and, for an array, of its shape, other
-    keys ignored: a takeover record is the one with a `segment_id`."""
-    cls = TakeoverSample if "segment_id" in rec else DemoSample
-    values = {}
-    for f in fields(cls):
-        v = from_json(f.name, rec[f.name], f.type)
-        values[f.name] = _shaped(f.name, v) if f.type is np.ndarray else v
-    return cls(**values)
 
 
 def persist(dataset, path):
@@ -123,8 +101,10 @@ def persist(dataset, path):
 
 
 def load(path, expect_vocab_hash=None):
-    """Read a dataset; a malformed line, such as one with a NaN or Infinity
-    token or one that is not a record object, is rejected with its number."""
+    """Read a dataset; each record is built by its class (TakeoverSample if
+    it has a `segment_id`) from the class's fields, typed by `from_json`. A
+    malformed line, such as one with a NaN or Infinity token, one that is not
+    a record object or one its class refuses, is rejected with its number."""
     samples = []
     with open(path) as f:
         first = f.readline()
@@ -140,7 +120,10 @@ def load(path, expect_vocab_hash=None):
             if not line.strip():
                 continue
             try:
-                samples.append(_record_to_sample(_DECODER.decode(line)))
+                rec = _DECODER.decode(line)
+                cls = TakeoverSample if "segment_id" in rec else DemoSample
+                samples.append(cls(**{f.name: from_json(f.name, rec[f.name], f.type)
+                                      for f in fields(cls)}))
             except (KeyError, OverflowError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: malformed sample record ({e})")
     if manifest.get("count") != len(samples):

@@ -36,12 +36,33 @@ class PolicyConfig:
                 raise ValueError(f"PolicyConfig.{f} must be an integer >= 1, got {v!r}")
 
 
+def _rows(name, array, width):
+    """`array` as rows of `width` columns, `[]` as none, or a ValueError."""
+    shape = array.shape
+    if len(shape) == 2 and shape[1] == width:
+        return array
+    if shape == (0,):
+        return array.reshape(0, width)
+    raise ValueError(f"{name}: shape {shape} is not (n, {width})")
+
+
 @dataclass
 class SceneSnapshot:
-    """Raw privileged inputs to the scene encoder (pre-embedding)."""
-    agent_feats: np.ndarray    # (n_valid_agents, AGENT_FEATURES), n_valid <= N_a
-    map_feats: np.ndarray      # (n_valid_map, MAP_FEATURES)
-    cmd_onehot: np.ndarray     # (7,)
+    """Raw privileged inputs to the scene encoder (pre-embedding), each
+    field's shape and domain checked where a snapshot is built."""
+    agent_feats: np.ndarray    # rows of AGENT_FEATURES, nearest agent first
+    map_feats: np.ndarray      # rows of MAP_FEATURES
+    cmd_onehot: np.ndarray     # a (len(COMMANDS),) row of _COMMAND_ROWS
+
+    def __post_init__(self):
+        self.agent_feats = _rows("agent_feats", self.agent_feats, AGENT_FEATURES)
+        self.map_feats = _rows("map_feats", self.map_feats, MAP_FEATURES)
+        if self.cmd_onehot.tolist() not in _COMMAND_ROWS.values():
+            shape, want = self.cmd_onehot.shape, (len(sim.COMMANDS),)
+            if shape != want:
+                raise ValueError(f"cmd_onehot: shape {shape} is not {want}")
+            raise ValueError(f"cmd_onehot: {self.cmd_onehot.tolist()} is not one-hot "
+                             f"over {want[0]} commands")
 
 
 @dataclass
@@ -59,7 +80,6 @@ def command_onehot(command):
 
 
 _COMMAND_ROWS = {c: command_onehot(c).tolist() for c in sim.COMMANDS}
-_ONE_HOT_ROWS = np.eye(len(sim.COMMANDS))
 
 
 def encode_scene(world, cfg):
@@ -150,10 +170,6 @@ def _batch_inputs(snapshots):
     command rows, and (B, ...) agent and map feats padded to the batch's
     largest agent and map counts, each with its valid-slot mask."""
     cmd = np.array([s.cmd_onehot for s in snapshots], dtype=np.float64)
-    # A row is one-hot exactly when it equals the one-hot row of its argmax.
-    if cmd.shape[-1] != len(sim.COMMANDS) or not (
-            cmd == _ONE_HOT_ROWS[cmd.argmax(axis=-1)]).all():
-        raise ValueError(f"cmd must be one-hot over {len(sim.COMMANDS)} categories")
     agents, agent_mask = _pad([s.agent_feats for s in snapshots])
     maps, map_mask = _pad([s.map_feats for s in snapshots])
     return cmd[:, None], agents, agent_mask, maps, map_mask

@@ -57,6 +57,7 @@ def from_json(name, value, declared):
 THROTTLE_VALUES = (0.0, 0.3, 0.5, 0.7, 1.0)
 BRAKE_VALUES = (0.0, 1.0)
 STEER_VALUES = (-1.0, -0.6, -0.3, -0.1, 0.0, 0.1, 0.3, 0.6, 1.0)
+CONTROL_GROUP_SIZES = (len(THROTTLE_VALUES), len(BRAKE_VALUES), len(STEER_VALUES))
 
 
 class ControlVocabulary:
@@ -67,7 +68,7 @@ class ControlVocabulary:
         self.throttle = np.asarray(THROTTLE_VALUES, dtype=np.float64)
         self.brake = np.asarray(BRAKE_VALUES, dtype=np.float64)
         self.steer = np.asarray(STEER_VALUES, dtype=np.float64)
-        self.group_sizes = (len(THROTTLE_VALUES), len(BRAKE_VALUES), len(STEER_VALUES))
+        self.group_sizes = CONTROL_GROUP_SIZES
         self.total = sum(self.group_sizes)
         starts = np.cumsum((0,) + self.group_sizes[:-1]).tolist()
         self.group_slices = tuple(zip(starts, self.group_sizes))

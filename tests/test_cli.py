@@ -323,6 +323,11 @@ class TestDispatch:
          "demos.jsonl:2: malformed sample record (time: None is not a finite number)"),
         ("build-vocab", "demos.jsonl", lambda rec: {**rec, "traj_waypoints": [[1.0, 2.0]]},
          "demos.jsonl:2: malformed sample record (traj_waypoints: shape (1, 2) is not (6, 2))"),
+        ("build-vocab", "demos.jsonl", lambda rec: {**rec, "ctrl_indices": [7, 0, 0]},
+         "demos.jsonl:2: malformed sample record (ctrl_indices: (7, 0, 0) is outside"),
+        ("build-vocab", "demos.jsonl", lambda rec: {**rec, "cmd_onehot": [2.0] + [0] * 6},
+         "demos.jsonl:2: malformed sample record (cmd_onehot: [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, "
+         "0.0] is not one-hot"),
         ("pretrain", "vocab.jsonl", lambda rec: 5, "vocab.jsonl:2: malformed vocabulary line"),
         ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [{"x": 1.0}] * 12},
          "vocab.jsonl:2: malformed vocabulary line"),
@@ -331,12 +336,13 @@ class TestDispatch:
         ("pretrain", "vocab.jsonl", lambda rec: {**rec, "waypoints": [float("nan")] * 12},
          "vocab.jsonl:2: malformed vocabulary line (waypoints: nan is not a finite number)"),
     ], ids=["demos-int", "demos-list", "demos-object", "demos-null-time",
-            "demos-one-waypoint", "vocab-int",
-            "vocab-object", "vocab-bool", "vocab-nan"])
+            "demos-one-waypoint", "demos-control-out-of-group", "demos-not-one-hot",
+            "vocab-int", "vocab-object", "vocab-bool", "vocab-nan"])
     def test_a_malformed_record_exits_1(self, pipeline, tmp_path, capsys,
                                         command, name, edit, message):
-        """A line of valid JSON that is not a record, or a vocabulary
-        center that is not finite, is an input error naming the file."""
+        """A line of valid JSON that is not a record, a record field outside
+        its shape or domain, or a vocabulary center that is not finite, is
+        an input error naming the file."""
         _, out, cfg_path = pipeline
         run = tmp_path / "run"
         run.mkdir()

@@ -2,7 +2,7 @@ import copy
 import hashlib
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -291,6 +291,8 @@ class TestPersistence:
         ("ctrl_indices", [True, "0", 4.5]),
         ("ctrl_indices", [0, 0, 4.0]),
         ("ctrl_indices", [0, 0]),
+        ("ctrl_indices", [7, 0, 0]),
+        ("cmd_onehot", [2.0, 0, 0, 0, 0, 0, 0]),
         ("trigger", None),
         ("segment_id", 3),
         ("round_index", 1.0),
@@ -305,7 +307,9 @@ class TestPersistence:
         """Every field has one typed rule: a number is a JSON int or float,
         never a boolean, a string or null; `ctrl_indices` is three ints,
         `round_index` an int, `truncated` a boolean, `infraction_kinds`
-        strings, and the string fields strings."""
+        strings, and the string fields strings. Past its type, a field has
+        its domain: each control index lies in its group, and the command
+        row is one-hot."""
         path = tmp_path / "t.jsonl"
         ds.persist(takeover_dataset, path)
         lines = path.read_text().splitlines()
@@ -356,6 +360,34 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}:3: malformed sample record ({field}: shape {shape})")):
+            ds.load(path)
+
+    @pytest.mark.parametrize("cls", [ds.DemoSample, ds.TakeoverSample])
+    @pytest.mark.parametrize("field, value", [
+        ("agent_feats", [[0.5] * 6]),
+        ("map_feats", [0.5] * 12),
+        ("cmd_onehot", [1.0, 0.0]),
+        ("cmd_onehot", [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]),
+        ("traj_waypoints", [[1.0, 2.0]]),
+        ("ctrl_indices", [0, 2, 0]),
+        ("ctrl_indices", [0, 0, -1]),
+    ])
+    def test_load_and_build_refuse_a_field_alike(self, demo_dataset, takeover_dataset,
+                                                   tmp_path, cls, field, value):
+        """A field's shape and domain are one rule, its class's: a value that
+        building a sample refuses, `load` refuses with the same message,
+        behind the file and line."""
+        source = demo_dataset if cls is ds.DemoSample else takeover_dataset
+        bad = tuple(value) if field == "ctrl_indices" else np.array(value, dtype=np.float64)
+        with pytest.raises(ValueError, match=f"^{field}: ") as built:
+            replace(source.samples[1], **{field: bad})
+        path = tmp_path / "d.jsonl"
+        ds.persist(source, path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: malformed sample record ({built.value})")):
             ds.load(path)
 
     def test_no_rows_load_at_their_width(self, takeover_dataset, tmp_path):

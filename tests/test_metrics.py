@@ -348,11 +348,10 @@ class TestDriverCaches:
         monkeypatch.undo()
         for snap, out in zip(snaps + snaps[::-1], outs):
             _assert_predicted(policy, snap, out)
-        # The one-hot check still runs on a snapshot whose row is cached.
-        bad = _copy(snaps[0])
-        bad.cmd_onehot = bad.cmd_onehot * 2.0
+        # A row that is not one-hot, even a multiple of a cached row, is
+        # refused where its snapshot is built, so no tick gets it.
         with pytest.raises(ValueError, match="one-hot"):
-            self._tick(monkeypatch, driver, bad)
+            pol.SceneSnapshot(**{**vars(snaps[0]), "cmd_onehot": snaps[0].cmd_onehot * 2.0})
 
     @pytest.mark.parametrize("fault", ["bad one-hot", "non-finite"])
     def test_a_call_that_raises_stores_nothing(self, fault, monkeypatch):
@@ -361,13 +360,14 @@ class TestDriverCaches:
         good, other = _command_snaps()[1:3]
         first = self._tick(monkeypatch, driver, good)
         terms = dict(driver.terms)
-        bad = _copy(good)
         if fault == "bad one-hot":
-            bad.cmd_onehot = bad.cmd_onehot * 2.0
+            with pytest.raises(ValueError, match="one-hot"):
+                pol.SceneSnapshot(**{**vars(good), "cmd_onehot": good.cmd_onehot * 2.0})
         else:
+            bad = _copy(good)
             bad.agent_feats[0, 0] = np.nan
-        with pytest.raises(ValueError if fault == "bad one-hot" else NonFiniteError):
-            self._tick(monkeypatch, driver, bad)
+            with pytest.raises(NonFiniteError):
+                self._tick(monkeypatch, driver, bad)
         assert driver.terms.keys() == terms.keys()
         assert all(driver.terms[row] is terms[row] for row in terms)
         assert self._tick(monkeypatch, driver, good) is first

@@ -74,11 +74,12 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_rejects_bad_command_vector(self):
-        p = tiny_policy()
+        """A command row that is not one-hot is refused where its snapshot
+        is built, so no pass gets it."""
         snap = snapshot_from()
-        snap.cmd_onehot = np.full(7, 1.0 / 7.0)
-        with pytest.raises(ValueError, match="one-hot"):
-            p.forward([snap])
+        with pytest.raises(ValueError, match=r"cmd_onehot: \[.*\] is not one-hot over 7 "):
+            pol.SceneSnapshot(agent_feats=snap.agent_feats, map_feats=snap.map_feats,
+                              cmd_onehot=np.full(7, 1.0 / 7.0))
 
     def test_rejects_a_lone_snapshot(self):
         """The network takes a list of snapshots only; `infer` is the one
