@@ -26,7 +26,7 @@ TRIGGERS = ("collision", "threshold")   # takeover trigger kinds, in manifest or
 @dataclass
 class DemoSample(SceneSnapshot):
     """A scene and its expert label, each field checked when built: the policy takes it as is."""
-    traj_waypoints: np.ndarray      # expert planned trajectory, (WAYPOINTS_PER_TRAJ, 2)
+    traj_waypoints: np.ndarray      # expert plan in the ego frame, (WAYPOINTS_PER_TRAJ, 2)
     ctrl_indices: tuple[int, int, int]   # (throttle, brake, steer), each in its group
     scenario_id: str
     time: float

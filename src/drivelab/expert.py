@@ -86,8 +86,8 @@ class _Forecast:
         self.route, self.n_steps = w.route, n_steps
         self.times = _yield_times(cfg.yield_horizon)
         # (x, y, vx, vy, heading, speed, length, corridor half-width) per actor
-        self.actors = [(a.x, a.y, a.speed * math.cos(a.heading), a.speed * math.sin(a.heading),
-                        a.heading, a.speed, a.length, sim.LANE_HALF_WIDTH + a.width / 2.0)
+        self.actors = [(a.x, a.y, *sim.velocity(a.speed, a.heading),
+                        a.heading, a.speed, a.length, sim.corridor_half_width(a.width))
                        for a in w.actors]
         # actor index -> place of a standing actor
         self.standing = {}
@@ -162,7 +162,7 @@ def leading_obstacle(route, ego_length, ego_s, forecast, step, stop_served):
         s_a, lat_a, tangent_heading = place
         v_along = max(0.0, speed * math.cos(heading - tangent_heading))
         if abs(lat_a) <= half and s_a > ego_s:
-            consider(s_a - ego_s - (ego_length + length) / 2.0, v_along)
+            consider(sim.bumper_gap(s_a, ego_s, ego_length, length), v_along)
             continue
         # Not in the corridor yet: will its straight-line motion enter it ahead?
         if speed < 1e-3 or s_a - ego_s > 80.0 or s_a - ego_s < -10.0:
@@ -173,7 +173,7 @@ def leading_obstacle(route, ego_length, ego_s, forecast, step, stop_served):
         s_f, lat_f = entry
         hits = np.flatnonzero((np.abs(lat_f) <= half) & (s_f > ego_s))
         if len(hits):
-            consider(s_f[hits[0]] - ego_s - (ego_length + length) / 2.0, v_along)
+            consider(sim.bumper_gap(s_f[hits[0]], ego_s, ego_length, length), v_along)
 
     stop_line_s = route.stop_line_s
     if stop_line_s is not None and not stop_served and stop_line_s > ego_s - sim.STOP_LATCH_RANGE:
@@ -189,11 +189,8 @@ def pure_pursuit_steer(route, state, wheelbase, lookahead, ego_s):
     length `ego_s`."""
     x, y, heading, _ = state
     tx, ty, _ = route.point_at(ego_s + lookahead)
-    dx, dy = tx - x, ty - y
-    cos_h, sin_h = math.cos(heading), math.sin(heading)
-    local_x = cos_h * dx + sin_h * dy
-    local_y = -sin_h * dx + cos_h * dy
-    return sim.steer_toward(local_x, local_y, max(math.hypot(dx, dy), 1e-6), wheelbase)
+    local_x, local_y = sim.to_ego(tx, ty, x, y, heading)
+    return sim.steer_toward(local_x, local_y, max(math.hypot(tx - x, ty - y), 1e-6), wheelbase)
 
 
 def accel_to_command(accel, speed, steer):
@@ -235,13 +232,10 @@ def expert_act(w, cfg):
     with actors propagated at constant velocity, sampled every 0.5 s in the
     current ego frame. The command is the rollout's first step.
     """
-    route, served = w.route, w.stop_line_served
+    route, served, ego = w.route, w.stop_line_served, w.ego
     steps_per_wp = int(round(WAYPOINT_DT / ROLLOUT_DT))
     n_steps = WAYPOINTS_PER_TRAJ * steps_per_wp
     forecast = _Forecast(w, cfg, n_steps)
-    ego = w.ego
-    cos_h, sin_h = math.cos(ego.heading), math.sin(ego.heading)
-    ox, oy = ego.x, ego.y
     waypoints = np.zeros((WAYPOINTS_PER_TRAJ, 2))
     # The virtual ego is (x, y, heading, speed) and its control (throttle,
     # brake, steer); only step 0's control becomes a ControlCommand.
@@ -256,8 +250,7 @@ def expert_act(w, cfg):
             if route.stop_line_s is not None and not served:
                 served = route.serves_stop_line(ego_s, state[3])
         if (step + 1) % steps_per_wp == 0:
-            dx, dy = state[0] - ox, state[1] - oy
-            waypoints[step // steps_per_wp] = (cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy)
+            waypoints[step // steps_per_wp] = sim.to_ego(*state[:2], ego.x, ego.y, ego.heading)
 
     return ExpertLabel(waypoints=waypoints, command=cmd)
 
@@ -266,14 +259,12 @@ def forecast_collision(w, horizon):
     """Earliest time within `horizon` at which the ego (constant speed and
     heading) overlaps an actor (constant velocity), or None."""
     e = w.ego
-    evx, evy = e.speed * math.cos(e.heading), e.speed * math.sin(e.heading)
-    actors = [(a, a.speed * math.cos(a.heading), a.speed * math.sin(a.heading))
-              for a in w.actors]
+    evx, evy = sim.velocity(e.speed, e.heading)
+    actors = [(a, *sim.velocity(a.speed, a.heading)) for a in w.actors]
     n = int(round(horizon / sim.DT))
     for step in range(1, n + 1):
         t = step * sim.DT
-        ex = e.x + evx * t
-        ey = e.y + evy * t
+        ex, ey = e.x + evx * t, e.y + evy * t
         for a, vx, vy in actors:
             if sim.rects_collide(ex, ey, e.heading, e.length, e.width,
                                  a.x + vx * t, a.y + vy * t, a.heading, a.length, a.width):

@@ -37,12 +37,12 @@ class PolicyConfig:
 
 
 def _rows(name, array, width):
-    """`array` as rows of `width` columns, `[]` as none, or a ValueError."""
+    """`array` as rows of `width` columns, `[]` as a new (0, width) array, or a ValueError."""
     shape = array.shape
     if len(shape) == 2 and shape[1] == width:
         return array
     if shape == (0,):
-        return array.reshape(0, width)
+        return np.zeros((0, width))
     raise ValueError(f"{name}: shape {shape} is not (n, {width})")
 
 
@@ -90,20 +90,13 @@ def encode_scene(world, cfg):
     cover the next N_m route segments from the ego's position.
     """
     ego = world.ego
-    cos_h, sin_h = math.cos(ego.heading), math.sin(ego.heading)
-
-    def to_ego(x, y):
-        dx, dy = x - ego.x, y - ego.y
-        return cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy
-
     ranked = sorted(world.actors,
                     key=lambda a: (math.hypot(a.x - ego.x, a.y - ego.y), a.actor_id))
     agent_rows = []
     for a in ranked[:cfg.n_agents]:
-        rx, ry = to_ego(a.x, a.y)
+        rx, ry = sim.to_ego(a.x, a.y, ego.x, ego.y, ego.heading)
         rh = sim.wrap_angle(a.heading - ego.heading)
         agent_rows.append([rx, ry, math.sin(rh), math.cos(rh), a.speed, a.length, a.width])
-    agent_feats = np.array(agent_rows) if agent_rows else np.zeros((0, AGENT_FEATURES))
 
     route = world.route
     ego_s, _ = world.ego_projection()
@@ -112,13 +105,12 @@ def encode_scene(world, cfg):
     map_rows = []
     for j in range(first_seg, min(first_seg + cfg.n_map, len(route.commands))):
         (ax, ay), (bx, by) = points[j], points[j + 1]
-        mx, my = to_ego((ax + bx) / 2.0, (ay + by) / 2.0)
+        mx, my = sim.to_ego((ax + bx) / 2.0, (ay + by) / 2.0, ego.x, ego.y, ego.heading)
         rh = sim.wrap_angle(route.headings[j] - ego.heading)
         map_rows.append([mx, my, math.sin(rh), math.cos(rh), math.hypot(mx, my)]
                         + _COMMAND_ROWS[route.commands[j]])
-    map_feats = np.array(map_rows) if map_rows else np.zeros((0, MAP_FEATURES))
 
-    return SceneSnapshot(agent_feats=agent_feats, map_feats=map_feats,
+    return SceneSnapshot(agent_feats=np.array(agent_rows), map_feats=np.array(map_rows),
                          cmd_onehot=command_onehot(route.command_at(ego_s)))
 
 

@@ -56,6 +56,35 @@ def wrap_angle(a):
     return a - math.pi
 
 
+# -- frames ------------------------------------------------------------------
+
+def to_ego(x, y, ox, oy, heading):
+    """World (x, y) in the frame (x forward, y left) of a body at (ox, oy) facing `heading`."""
+    c, s = math.cos(heading), math.sin(heading)
+    dx, dy = x - ox, y - oy
+    return c * dx + s * dy, -s * dx + c * dy
+
+
+def left_of(x, y, heading, d):
+    """The point `d` m from (x, y) along the left normal of `heading`."""
+    return x - math.sin(heading) * d, y + math.cos(heading) * d
+
+
+def velocity(speed, heading):
+    """World-frame velocity (vx, vy) of a body moving at `speed` along `heading`."""
+    return speed * math.cos(heading), speed * math.sin(heading)
+
+
+def corridor_half_width(width):
+    """The |lateral| within which a body `width` m wide reaches into the lane."""
+    return LANE_HALF_WIDTH + width / 2.0
+
+
+def bumper_gap(s, ego_s, ego_length, length):
+    """Route distance from the ego's front to the back of a body centred at `s`."""
+    return s - ego_s - (ego_length + length) / 2.0
+
+
 @dataclass
 class EgoState:
     x: float = 0.0
@@ -270,7 +299,7 @@ class Route:
                 self._q_window = q[half + 1:len(q) - _WINDOW + half]
 
     def project(self, x, y):
-        """Arc-length of the closest polyline point and signed lateral offset."""
+        """Arc length of the closest polyline point and lateral offset, left positive."""
         if self._u is not None:
             up = self._ux * x + self._uy * y
             qs, segs = self._qs, self._segs
@@ -473,10 +502,8 @@ class RouteFollower:
 
         self.s += self.speed * dt
         x, y, heading = self.route.point_at(self.s)
-        if self.lateral != 0.0:
-            x += -math.sin(heading) * self.lateral
-            y += math.cos(heading) * self.lateral
-        actor.x, actor.y, actor.heading, actor.speed = x, y, heading, self.speed
+        actor.x, actor.y = left_of(x, y, heading, self.lateral)
+        actor.heading, actor.speed = heading, self.speed
         # Past the route end the actor keeps going straight and leaves the scene.
         if self.s > self.route.length:
             over = self.s - self.route.length
@@ -508,8 +535,7 @@ class CrossingWalker:
         else:
             actor.speed = 0.0
         x, y, heading = self.route.point_at(self.cross_s)
-        actor.x = x - math.sin(heading) * self.offset
-        actor.y = y + math.cos(heading) * self.offset
+        actor.x, actor.y = left_of(x, y, heading, self.offset)
         # Walks from +offset toward -offset, i.e. along -normal.
         actor.heading = wrap_angle(heading - math.pi / 2.0)
 
@@ -564,14 +590,11 @@ class World:
         best = None
         for a in self.actors:
             s_a, lat_a = self.route.project(a.x, a.y)
-            if self.route.exited(s_a):
+            if self.route.exited(s_a) or abs(lat_a) > corridor_half_width(a.width):
                 continue
-            if abs(lat_a) > LANE_HALF_WIDTH + a.width / 2.0:
-                continue
-            gap = s_a - ego_s - (self.ego.length + a.length) / 2.0
-            if -1.0 < gap < LEADING_GAP_RANGE and s_a > ego_s:
-                if best is None or gap < best:
-                    best = gap
+            gap = bumper_gap(s_a, ego_s, self.ego.length, a.length)
+            if -1.0 < gap < LEADING_GAP_RANGE and s_a > ego_s and (best is None or gap < best):
+                best = gap
         return best
 
     def _log(self, kind, tick_kinds):
@@ -673,8 +696,7 @@ def _make_route(rng, spec, lateral_bump=None, stop_line_s=None, curvature=None):
             u = (s_grid[i] - center) / half_span
             if abs(u) < 1.0:
                 off = offset * 0.5 * (1.0 + math.cos(math.pi * u))
-                x[i] += off * -math.sin(heads[i])
-                y[i] += off * math.cos(heads[i])
+                x[i], y[i] = left_of(x[i], y[i], heads[i], off)
         for i in range(n - 1):
             mid = (s_grid[i] + s_grid[i + 1]) / 2.0
             if center - half_span < mid < center:
@@ -701,8 +723,7 @@ def reset(spec):
         stop_for = 3.0 + rng.uniform(0.0, 1.5)
         script = RouteFollower(route, s0, cruise, brake_at_s=brake_at,
                                stop_duration=stop_for, resume_speed=7.5)
-        x, y, h = route.point_at(s0)
-        actors.append(ActorState(x, y, h, cruise, 4.5, 1.9, "vehicle", script, 1))
+        actors.append(ActorState(*route.point_at(s0), cruise, 4.5, 1.9, "vehicle", script, 1))
     elif kind == "Overtaking":
         curvature = rng.uniform(-0.003, 0.003)
         park_s = 60.0 + rng.uniform(-8.0, 8.0)
@@ -710,8 +731,7 @@ def reset(spec):
                             curvature=curvature)
         # Parked car sits on the original lane centerline (route swerves around it).
         base = _make_route(rng, spec, curvature=curvature)
-        x, y, h = base.point_at(park_s)
-        actors.append(ActorState(x, y, h, 0.0, 4.5, 1.9, "static", None, 1))
+        actors.append(ActorState(*base.point_at(park_s), 0.0, 4.5, 1.9, "static", None, 1))
     elif kind == "GiveWay":
         route = _make_route(rng, spec)
         cross_s = 60.0 + rng.uniform(-8.0, 8.0)
@@ -720,8 +740,7 @@ def reset(spec):
         script = CrossingWalker(route, cross_s, start_offset=5.0,
                                 walk_speed=walk, trigger_gap=trigger)
         x, y, h = route.point_at(cross_s)
-        actors.append(ActorState(x - math.sin(h) * 5.0, y + math.cos(h) * 5.0,
-                                 wrap_angle(h + math.pi / 2.0), 0.0,
+        actors.append(ActorState(*left_of(x, y, h, 5.0), wrap_angle(h + math.pi / 2.0), 0.0,
                                  0.6, 0.6, "pedestrian", script, 1))
     elif kind == "Merging":
         route = _make_route(rng, spec)
@@ -732,13 +751,10 @@ def reset(spec):
                                merge_trigger_gap=trigger, slow_speed=slow,
                                slow_duration=5.0, resume_speed=7.5)
         x, y, h = route.point_at(s0)
-        actors.append(ActorState(x - math.sin(h) * 3.5, y + math.cos(h) * 3.5,
-                                 h, slow, 4.5, 1.9, "vehicle", script, 1))
+        actors.append(ActorState(*left_of(x, y, h, 3.5), h, slow, 4.5, 1.9, "vehicle", script, 1))
     elif kind == "StopSign":
         stop_s = 60.0 + rng.uniform(-8.0, 8.0)
         route = _make_route(rng, spec, stop_line_s=stop_s)
 
-    ego = EgoState(x=route.waypoints[0, 0], y=route.waypoints[0, 1],
-                   heading=math.atan2(*(route.waypoints[1] - route.waypoints[0])[::-1]),
-                   speed=0.0)
+    ego = EgoState(x=route.waypoints[0, 0], y=route.waypoints[0, 1], heading=route.headings[0])
     return World(spec, route, ego, actors)

@@ -33,8 +33,10 @@ function that builds or steps a world; one rule that engages the
 closed-loop driver: `metrics.NeuralDriver` builds the only PID tracker and
 safety creep, at an episode's start and at a handback; one box test:
 `world.rects_collide` decides both a forecast collision and a logged
-contact; and one rule for a failure's place: no `except` clause singles
-out `NonFiniteError`. A
+contact; one rule for a failure's place: no `except` clause singles
+out `NonFiniteError`; and one home for each frame change: `world.to_ego`
+writes the only world-to-ego rotation and `world.left_of` the only offset
+along a heading's normal, besides `world.rects_collide`'s box axes. A
 `Policy` holds its parameters and its network, and nothing a call changes.
 A setting enters a run config one way, through `config.merge`.
 """
@@ -200,20 +202,100 @@ def _projects_the_ego(call):
         isinstance(owner, ast.Attribute) and owner.attr == "ego")
 
 
-def test_one_ego_projection():
-    """`World.ego_projection` is the only code that projects the ego's
-    position onto the route; every other reader of the ego's arc length or
-    lateral offset shares its one projection per ego state."""
-    sites = []
+def _members():
+    """(qualified name, node) of each top-level statement of the package,
+    a class's statements taken one by one."""
     for module, tree in _trees().items():
         for top in tree.body:
             is_class = isinstance(top, ast.ClassDef)
             for member in top.body if is_class else [top]:
                 name = f"{top.name}.{getattr(member, 'name', '')}" if is_class \
                     else getattr(top, "name", "")
-                sites += [f"{module}.{name}" for node in ast.walk(member)
-                          if isinstance(node, ast.Call) and _projects_the_ego(node)]
+                yield f"{module}.{name}", member
+
+
+def test_one_ego_projection():
+    """`World.ego_projection` is the only code that projects the ego's
+    position onto the route; every other reader of the ego's arc length or
+    lateral offset shares its one projection per ego state."""
+    sites = [name for name, member in _members() for node in ast.walk(member)
+             if isinstance(node, ast.Call) and _projects_the_ego(node)]
     assert sites == ["world.World.ego_projection"], sites
+
+
+NO_TERM = (frozenset(), False)
+
+
+def _trig_term(node, names):
+    """(kinds, negated) of an expression as a sine or cosine term: `kinds`
+    holds "sin" and "cos" for each such call, or name bound to one, among
+    its factors (a quotient's numerator only), and `negated` whether an odd
+    number of minus signs applies. Any other expression is NO_TERM."""
+    if isinstance(node, ast.Call) and _callee(node.func) in ("sin", "cos"):
+        return frozenset([_callee(node.func)]), False
+    if isinstance(node, ast.Name):
+        return names.get(node.id, NO_TERM)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        kinds, negated = _trig_term(node.operand, names)
+        return kinds, not negated
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        (left, neg_left), (right, neg_right) = (_trig_term(node.left, names),
+                                                _trig_term(node.right, names))
+        return (left | right if isinstance(node.op, ast.Mult) else left), neg_left != neg_right
+    return NO_TERM
+
+
+def _trig_names(member):
+    """Name -> term of each name that `member` binds to a sine or cosine
+    term, tuple assignments element by element, in source order."""
+    names = {}
+    assigns = sorted((n for n in ast.walk(member) if isinstance(n, ast.Assign)),
+                     key=lambda n: (n.lineno, n.col_offset))
+    for node in assigns:
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            for t, value in pairs:
+                if isinstance(t, ast.Name):
+                    term = _trig_term(value, names)
+                    if term[0]:
+                        names[t.id] = term
+    return names
+
+
+def _changes_frame(node, names):
+    """Whether `node` is a sum or difference, or an augmented one, that
+    rotates a point or offsets it along a heading's normal: it subtracts or
+    adds a negated sine or cosine term (`x - sin(h) * d`, `-s * dx + ...`),
+    or it adds a sine term to a cosine term (`c * dx + s * dy`). A step
+    along the heading itself, `x + cos(h) * d`, is none."""
+    if isinstance(node, ast.BinOp):
+        left, op, right = node.left, node.op, node.right
+    elif isinstance(node, ast.AugAssign):
+        left, op, right = node.target, node.op, node.value
+    else:
+        return False
+    if not isinstance(op, (ast.Add, ast.Sub)):
+        return False
+    (kinds_l, neg_l), (kinds_r, neg_r) = _trig_term(left, names), _trig_term(right, names)
+    neg_r = neg_r != isinstance(op, ast.Sub)
+    return bool((kinds_l and neg_l) or (kinds_r and neg_r)
+                or (kinds_l and kinds_r and kinds_l != kinds_r))
+
+
+def test_one_home_for_each_frame_change():
+    """`world.to_ego` is the only code that rotates a world point into a
+    body's frame and `world.left_of` the only code that offsets a point
+    along a heading's normal; `world.rects_collide` projects onto its two
+    boxes' axes in closed form. Every other frame change calls the two, so
+    the frame convention is one module's decision."""
+    sites = set()
+    for name, member in _members():
+        names = _trig_names(member)
+        if any(_changes_frame(node, names) for node in ast.walk(member)):
+            sites.add(name)
+    assert sorted(sites) == ["world.left_of", "world.rects_collide", "world.to_ego"], sites
 
 
 def _assignment_targets(node):

@@ -35,8 +35,16 @@ class TestEncodeScene:
         assert snap.cmd_onehot.sum() == 1.0
 
     def test_empty_scene_has_zero_agents(self):
+        """No agents is a (0, AGENT_FEATURES) array of its own, not a view
+        that keeps a 1-D base alive in every such sample."""
         snap = snapshot_from("StopSign", 0)
-        assert snap.agent_feats.shape[0] == 0
+        assert snap.agent_feats.shape == (0, pol.AGENT_FEATURES)
+        assert snap.agent_feats.base is None
+        loaded = pol.SceneSnapshot(agent_feats=np.array([]), map_feats=np.array([]),
+                                   cmd_onehot=snap.cmd_onehot)
+        assert loaded.agent_feats.shape == (0, pol.AGENT_FEATURES)
+        assert loaded.map_feats.shape == (0, pol.MAP_FEATURES)
+        assert loaded.agent_feats.base is None and loaded.map_feats.base is None
 
     def test_agents_sorted_by_distance(self):
         w = sim.reset(sim.ScenarioSpec("EmergencyBrake", 0))
@@ -52,6 +60,17 @@ class TestEncodeScene:
         a = w.actors[0]
         expect = math.hypot(a.x - w.ego.x, a.y - w.ego.y)
         assert math.hypot(*snap.agent_feats[0, :2]) == pytest.approx(expect)
+        assert snap.agent_feats[0, 0] > 0.0      # the lead car is ahead
+        # An ego turned to 2.5 rad sees an actor 5 m ahead and 2 m to its
+        # left at (5, 2), and one 3 m behind and 1 m to its right at (-3, -1).
+        w.ego = sim.EgoState(x=10.0, y=-4.0, heading=2.5)
+        c, s = math.cos(2.5), math.sin(2.5)
+        w.actors = [sim.ActorState(10.0 + ahead * c - left * s, -4.0 + ahead * s + left * c,
+                                   0.0, 0.0, 4.5, 1.9, "vehicle", None, i)
+                    for i, (ahead, left) in enumerate([(5.0, 2.0), (-3.0, -1.0)])]
+        snap = pol.encode_scene(w, pol.PolicyConfig(feature_dim=16, k=8))
+        # nearest first
+        assert snap.agent_feats[:, :2].ravel().tolist() == pytest.approx([-3.0, -1.0, 5.0, 2.0])
 
 
 class TestForward:

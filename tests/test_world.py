@@ -193,6 +193,65 @@ class TestCollision:
             self._contact_with("bicycle")
 
 
+def hexes(*values):
+    """Each value's exact bits, -0.0 told from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+class TestFrames:
+    """`to_ego` and `left_of` against the formulas they replaced, each
+    written out here, and their sign conventions: the ego frame is x
+    forward and y left, and lateral is positive to the left."""
+
+    @staticmethod
+    def random_inputs(n=20000):
+        """n rows of four coordinates of both signs over five decades, a
+        heading within +-4 pi (past +-pi) and an offset of either sign."""
+        rng = np.random.default_rng(11)
+        coords = rng.uniform(-1.0, 1.0, (n, 4)) * 10.0 ** rng.integers(-2, 3, (n, 4))
+        headings = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, n)
+        headings[:4] = (math.pi, -math.pi, 0.0, -0.0)
+        offsets = rng.uniform(-6.0, 6.0, n)
+        return zip(coords.tolist(), headings.tolist(), offsets.tolist())
+
+    def test_to_ego_matches_the_written_out_rotation(self):
+        for (x, y, ox, oy), h, _ in self.random_inputs():
+            cos_h, sin_h = math.cos(h), math.sin(h)
+            dx, dy = x - ox, y - oy
+            want = (cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy)
+            assert hexes(*sim.to_ego(x, y, ox, oy, h)) == hexes(*want)
+
+    def test_left_of_matches_each_written_out_offset(self):
+        """The three forms the offset was written in: subtracted, added
+        negated, and with the negated sine as the second factor."""
+        for (x, y, _, _), h, d in self.random_inputs():
+            got = hexes(*sim.left_of(x, y, h, d))
+            assert got == hexes(x - math.sin(h) * d, y + math.cos(h) * d)
+            assert got == hexes(x + -math.sin(h) * d, y + math.cos(h) * d)
+            assert got == hexes(x + d * -math.sin(h), y + d * math.cos(h))
+
+    @pytest.mark.parametrize("heading", [0.0, 2.5, -2.0, 7.0])
+    def test_ahead_and_left_are_positive(self, heading):
+        ox, oy = 10.0, -4.0
+        c, s = math.cos(heading), math.sin(heading)
+        for ahead, left in ((5.0, 2.0), (-3.0, -1.0), (0.5, -4.0)):
+            x, y = ox + ahead * c - left * s, oy + ahead * s + left * c
+            assert sim.to_ego(x, y, ox, oy, heading) == pytest.approx((ahead, left))
+        assert sim.left_of(ox, oy, heading, 2.0) == pytest.approx((ox - 2.0 * s, oy + 2.0 * c))
+
+    @pytest.mark.parametrize("heading", [0.0, 2.0, -2.5])
+    @pytest.mark.parametrize("d", [2.0, -1.5, 0.25])
+    def test_left_of_a_route_point_projects_to_lateral_d(self, heading, d):
+        """On an interior straight stretch, the point d m left of the route
+        point at arc length s projects back to (s, d)."""
+        n = 41
+        pts = np.arange(n)[:, None] * 3.0 * np.array([math.cos(heading), math.sin(heading)])
+        route = sim.Route(pts + (5.0, -7.0), ["LaneFollow"] * (n - 1))
+        s, lateral = route.project(*sim.left_of(*route.point_at(50.0), d))
+        assert s == pytest.approx(50.0)
+        assert lateral == pytest.approx(d)
+
+
 class TestRoute:
     def test_projection_and_lookup(self):
         r = straight_route()
