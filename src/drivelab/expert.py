@@ -52,6 +52,7 @@ def idm_free_accel(v, v0, cfg):
 
 
 ROLLOUT_DT = 0.1    # planner rollout resolution; coarser than the sim tick
+STEPS_PER_WAYPOINT = int(round(WAYPOINT_DT / ROLLOUT_DT))
 
 
 @lru_cache(maxsize=4)
@@ -137,52 +138,6 @@ class _Forecast:
         return step, s.reshape(rows), lateral.reshape(rows)
 
 
-def leading_obstacle(route, ego_length, ego_s, forecast, step, stop_served):
-    """Nearest obstacle ahead in the lane corridor of an ego `ego_length` m
-    long at arc length `ego_s`, at rollout step `step` of `forecast`: a
-    current occupant, a predicted entrant (constant-velocity forecast), or
-    an unserved stop line.
-
-    Returns (gap from ego center along the route, leader speed along route)
-    or None.
-    """
-    best = None
-
-    def consider(gap, v_lead):
-        nonlocal best
-        # Slightly negative gaps (already overlapping along the arc) still
-        # demand a hard stop; the IDM gap floor turns them into a full brake.
-        if gap > -3.0 and (best is None or gap < best[0]):
-            best = (max(gap, 0.05), v_lead)
-
-    for a, (_, _, _, _, heading, speed, length, half) in enumerate(forecast.actors):
-        place = forecast.place(a, step)
-        if place is None:
-            continue
-        s_a, lat_a, tangent_heading = place
-        v_along = max(0.0, speed * math.cos(heading - tangent_heading))
-        if abs(lat_a) <= half and s_a > ego_s:
-            consider(sim.bumper_gap(s_a, ego_s, ego_length, length), v_along)
-            continue
-        # Not in the corridor yet: will its straight-line motion enter it ahead?
-        if speed < 1e-3 or s_a - ego_s > 80.0 or s_a - ego_s < -10.0:
-            continue
-        entry = forecast.corridor_entry(a, step)
-        if entry is None:
-            continue
-        s_f, lat_f = entry
-        hits = np.flatnonzero((np.abs(lat_f) <= half) & (s_f > ego_s))
-        if len(hits):
-            consider(sim.bumper_gap(s_f[hits[0]], ego_s, ego_length, length), v_along)
-
-    stop_line_s = route.stop_line_s
-    if stop_line_s is not None and not stop_served and stop_line_s > ego_s - sim.STOP_LATCH_RANGE:
-        # +1 m bias makes the IDM standstill settle ~1 m before the line,
-        # inside the 2 m latch window.
-        consider(stop_line_s - ego_s + 1.0, 0.0)
-    return best
-
-
 def pure_pursuit_steer(route, state, wheelbase, lookahead, ego_s):
     """Normalized steering command that bends an ego at `state` (x, y,
     heading, speed) toward the route point `lookahead` m ahead of its arc
@@ -204,25 +159,86 @@ def accel_to_command(accel, speed, steer):
     return control
 
 
-def _control_for(route, ego, state, ego_s, forecast, step, stop_served, cfg):
-    """(throttle, brake, steer) of the expert driving an ego of `ego`'s size
-    at `state` (x, y, heading, speed) and arc length `ego_s`."""
-    speed = state[3]
+def _rollout(w, cfg, n_steps):
+    """(ControlCommand, waypoints) of the expert over `n_steps` rollout
+    steps. Each step is IDM against the nearest obstacle ahead in the lane
+    corridor (an occupant, a forecast entrant or an unserved stop line) and
+    pure pursuit, then a kinematic step of the virtual ego, whose position
+    every STEPS_PER_WAYPOINT steps is a waypoint in the current ego frame.
+    The virtual ego and its controls are tuples of floats; only step 0's
+    control becomes a ControlCommand, and with n_steps = 1 the rollout
+    returns there, before any kinematic step."""
+    route, served, ego = w.route, w.stop_line_served, w.ego
+    forecast = _Forecast(w, cfg, n_steps)
+    actors, place, corridor_entry = forecast.actors, forecast.place, forecast.corridor_entry
+    project, step_kinematics = route.project, sim.step_kinematics
     v0 = min(cfg.desired_speed, route.speed_limit)
-    lead = leading_obstacle(route, ego.length, ego_s, forecast, step, stop_served)
-    if lead is None:
-        accel = idm_free_accel(speed, v0, cfg)
-    else:
-        accel = idm_accel(speed, v0, lead[0], lead[1], cfg)
-    steer = pure_pursuit_steer(route, state, ego.wheelbase, cfg.lookahead, ego_s)
-    return accel_to_command(accel, speed, steer)
+    ego_length, wheelbase, lookahead = ego.length, ego.wheelbase, cfg.lookahead
+    stop_line_s = route.stop_line_s
+    waypoints = np.zeros((n_steps // STEPS_PER_WAYPOINT, 2))
+    state, ego_s = ego.state, w.ego_projection()[0]
+    origin = state[:3]
+    for step in range(n_steps):
+        # (gap from the ego's front along the route, speed along the route)
+        # of each obstacle: current occupants, then predicted entrants.
+        candidates = []
+        for a, (_, _, _, _, heading, speed, length, half) in enumerate(actors):
+            where = place(a, step)
+            if where is None:
+                continue
+            s_a, lat_a, tangent_heading = where
+            if abs(lat_a) <= half and s_a > ego_s:
+                gap = sim.bumper_gap(s_a, ego_s, ego_length, length)
+            else:
+                # Not in the corridor yet: will its straight-line motion enter it ahead?
+                if speed < 1e-3 or s_a - ego_s > 80.0 or s_a - ego_s < -10.0:
+                    continue
+                entry = corridor_entry(a, step)
+                if entry is None:
+                    continue
+                s_f, lat_f = entry
+                hits = np.flatnonzero((np.abs(lat_f) <= half) & (s_f > ego_s))
+                if not len(hits):
+                    continue
+                gap = sim.bumper_gap(float(s_f[hits[0]]), ego_s, ego_length, length)
+            candidates.append((gap, max(0.0, speed * math.cos(heading - tangent_heading))))
+        if stop_line_s is not None and not served and stop_line_s > ego_s - sim.STOP_LATCH_RANGE:
+            # +1 m bias makes the IDM standstill settle ~1 m before the line,
+            # inside the 2 m latch window.
+            candidates.append((stop_line_s - ego_s + 1.0, 0.0))
+        # The nearest: a candidate must beat the best gap so far, floored at
+        # 0.05 m, strictly. Slightly negative gaps (already overlapping along
+        # the arc) still demand a hard stop, as the IDM gap floor brakes fully.
+        lead = None
+        for gap, v_lead in candidates:
+            if gap > -3.0 and (lead is None or gap < lead[0]):
+                lead = max(gap, 0.05), v_lead
+
+        v = state[3]
+        if lead is None:
+            accel = idm_free_accel(v, v0, cfg)
+        else:
+            accel = idm_accel(v, v0, lead[0], lead[1], cfg)
+        steer = pure_pursuit_steer(route, state, wheelbase, lookahead, ego_s)
+        control = accel_to_command(accel, v, steer)
+        if step == 0:
+            cmd = sim.ControlCommand(*control)
+            if n_steps == 1:
+                return cmd, waypoints
+        state = step_kinematics(state, control, wheelbase, dt=ROLLOUT_DT)
+        if step + 1 < n_steps:      # the next step's projection, shared by the served check
+            ego_s = project(state[0], state[1])[0]
+            if stop_line_s is not None and not served:
+                served = route.serves_stop_line(ego_s, state[3])
+        if (step + 1) % STEPS_PER_WAYPOINT == 0:
+            waypoints[step // STEPS_PER_WAYPOINT] = sim.to_ego(state[0], state[1], *origin)
+    return cmd, waypoints
 
 
 def expert_command(w, cfg):
     """The expert's control for the current frame (no trajectory rollout):
-    the command of expert_act's first rollout step."""
-    return sim.ControlCommand(*_control_for(w.route, w.ego, w.ego.state, w.ego_projection()[0],
-                                            _Forecast(w, cfg, 1), 0, w.stop_line_served, cfg))
+    step 0 of expert_act's rollout, through the same function."""
+    return _rollout(w, cfg, 1)[0]
 
 
 def expert_act(w, cfg):
@@ -232,26 +248,7 @@ def expert_act(w, cfg):
     with actors propagated at constant velocity, sampled every 0.5 s in the
     current ego frame. The command is the rollout's first step.
     """
-    route, served, ego = w.route, w.stop_line_served, w.ego
-    steps_per_wp = int(round(WAYPOINT_DT / ROLLOUT_DT))
-    n_steps = WAYPOINTS_PER_TRAJ * steps_per_wp
-    forecast = _Forecast(w, cfg, n_steps)
-    waypoints = np.zeros((WAYPOINTS_PER_TRAJ, 2))
-    # The virtual ego is (x, y, heading, speed) and its control (throttle,
-    # brake, steer); only step 0's control becomes a ControlCommand.
-    state, ego_s = ego.state, w.ego_projection()[0]
-    for step in range(n_steps):
-        control = _control_for(route, ego, state, ego_s, forecast, step, served, cfg)
-        if step == 0:
-            cmd = sim.ControlCommand(*control)
-        state = sim.step_kinematics(state, control, ego.wheelbase, dt=ROLLOUT_DT)
-        if step + 1 < n_steps:      # the next step's projection, shared by the served check
-            ego_s = route.project(state[0], state[1])[0]
-            if route.stop_line_s is not None and not served:
-                served = route.serves_stop_line(ego_s, state[3])
-        if (step + 1) % steps_per_wp == 0:
-            waypoints[step // steps_per_wp] = sim.to_ego(*state[:2], ego.x, ego.y, ego.heading)
-
+    cmd, waypoints = _rollout(w, cfg, WAYPOINTS_PER_TRAJ * STEPS_PER_WAYPOINT)
     return ExpertLabel(waypoints=waypoints, command=cmd)
 
 

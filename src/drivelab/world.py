@@ -181,22 +181,26 @@ def step_kinematics(state, control, wheelbase, dt=DT):
 
     # The rates depend on heading and speed only. Stage i is
     # (v cos h, v sin h, v / L tan(delta), accel - C_DRAG v^2) at the clamped
-    # speed v = max(v_i, 0), with (h_i, v_i) the state the stage samples.
+    # speed v = max(v_i, 0), with (h_i, v_i) the state the stage samples;
+    # `0.0 if v < 0.0 else v` is max(v, 0.0) for every v, -0.0 and nan too.
     half = 0.5 * dt
-    h, v = h0, max(v0, 0.0)
+    h, v = h0, 0.0 if v0 < 0.0 else v0
     x1, y1, h1, v1 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - C_DRAG * v * v
-    h, v = h0 + half * h1, max(v0 + half * v1, 0.0)
+    h, v = h0 + half * h1, v0 + half * v1
+    v = 0.0 if v < 0.0 else v
     x2, y2, h2, v2 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - C_DRAG * v * v
-    h, v = h0 + half * h2, max(v0 + half * v2, 0.0)
+    h, v = h0 + half * h2, v0 + half * v2
+    v = 0.0 if v < 0.0 else v
     x3, y3, h3, v3 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - C_DRAG * v * v
-    h, v = h0 + dt * h3, max(v0 + dt * v3, 0.0)
+    h, v = h0 + dt * h3, v0 + dt * v3
+    v = 0.0 if v < 0.0 else v
     x4, y4, h4, v4 = v * math.cos(h), v * math.sin(h), v / L * tan_delta, accel - C_DRAG * v * v
     w = dt / 6.0
     x = x0 + w * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
     y = y0 + w * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
     psi = h0 + w * (h1 + 2.0 * h2 + 2.0 * h3 + h4)
     v = v0 + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    return x, y, wrap_angle(psi), max(v, 0.0)
+    return x, y, wrap_angle(psi), 0.0 if v < 0.0 else v
 
 
 # -- oriented-rectangle collision (separating axis) -------------------------
@@ -418,14 +422,18 @@ class Route:
                 tx * ey[rows, j] - ty * ex[rows, j], dist2[rows, j])
 
     def segment_index(self, s):
-        i = bisect.bisect_right(self._cums, s) - 1
-        return min(max(i, 0), len(self._lens) - 1)
+        """The segment holding arc length s, the first before the route and
+        the last past it or for a nan: the search spans the inner breakpoints."""
+        return bisect.bisect_right(self._cums, s, 1, len(self._lens)) - 1
 
     def point_at(self, s):
-        """(x, y, heading) at arc length s; clamps to the route ends."""
-        s = min(max(float(s), 0.0), self.length)
-        i = self.segment_index(s)
-        t = (s - self._cums[i]) / self._lens[i]
+        """(x, y, heading) at arc length s; clamps to the route ends. The
+        comparisons are min(max(s, 0.0), length) for every s, -0.0 and nan
+        too, and the search is segment_index's, inlined for the rollout."""
+        s = 0.0 if s < 0.0 else (self.length if s > self.length else s)
+        cums = self._cums
+        i = bisect.bisect_right(cums, s, 1, len(self._lens)) - 1
+        t = (s - cums[i]) / self._lens[i]
         wx, wy, sx, sy, _ = self._segs[i]
         return wx + t * sx, wy + t * sy, self.headings[i]
 
@@ -756,5 +764,5 @@ def reset(spec):
         stop_s = 60.0 + rng.uniform(-8.0, 8.0)
         route = _make_route(rng, spec, stop_line_s=stop_s)
 
-    ego = EgoState(x=route.waypoints[0, 0], y=route.waypoints[0, 1], heading=route.headings[0])
+    ego = EgoState(*route.points[0], heading=route.headings[0])
     return World(spec, route, ego, actors)

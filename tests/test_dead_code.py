@@ -36,9 +36,11 @@ safety creep, at an episode's start and at a handback; one box test:
 contact; one rule for a failure's place: no `except` clause singles
 out `NonFiniteError`; and one home for each frame change: `world.to_ego`
 writes the only world-to-ego rotation and `world.left_of` the only offset
-along a heading's normal, besides `world.rects_collide`'s box axes. A
-`Policy` holds its parameters and its network, and nothing a call changes.
-A setting enters a run config one way, through `config.merge`.
+along a heading's normal, besides `world.rects_collide`'s box axes; and
+one rollout: `world.step_kinematics` moves the ego in `advance_world` and
+the virtual ego in `expert._rollout` only, and `expert_command` and
+`expert_act` both run that rollout. A `Policy` holds its parameters and
+its network, and nothing a call changes. A setting enters a run config one way, through `config.merge`.
 """
 
 import ast
@@ -145,6 +147,15 @@ def test_one_box_test():
     share one overlap test for two boxes."""
     assert call_sites("rects_collide") == [("expert", "forecast_collision"),
                                            ("world", "detect_collisions")]
+
+
+def test_one_rollout():
+    """The bicycle model steps the world's ego and the expert's virtual ego
+    and nothing else, and the expert's command is step 0 of the same
+    rollout that plans its trajectory, so the two cannot drift apart."""
+    assert call_sites("step_kinematics") == [("expert", "_rollout"),
+                                             ("world", "advance_world")]
+    assert call_sites("_rollout") == [("expert", "expert_command"), ("expert", "expert_act")]
 
 
 def test_one_tick_record():

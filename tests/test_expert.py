@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 
 import numpy as np
@@ -142,6 +143,49 @@ class TestClosedLoopExpert:
         assert not any(k.startswith("collision") for k in kinds)
 
 
+class TestStateStaysFloat:
+    """World and rollout state are Python floats from `reset` on; numpy is
+    for arrays. A numpy scalar, once in, would be carried through every
+    tick and every rollout step."""
+
+    @staticmethod
+    def assert_floats(w):
+        for body in [w.ego, *w.actors]:
+            for value in (body.x, body.y, body.heading, body.speed):
+                assert type(value) is float, (w.tick, body, type(value))
+
+    @pytest.mark.parametrize("kind", sim.SCENARIO_KINDS)
+    def test_world_and_rollout(self, kind, monkeypatch):
+        """The world's bodies after `reset` and after 50 expert ticks, and
+        every rollout's state, control and IDM inputs over the episode."""
+        values = []
+        step_kinematics, idm_accel = sim.step_kinematics, xp.idm_accel
+
+        def recorded_step(state, control, wheelbase, dt=sim.DT):
+            out = step_kinematics(state, control, wheelbase, dt=dt)
+            values.extend((*state, *control, *out))
+            return out
+
+        def recorded_idm(v, v0, gap, v_lead, cfg):
+            out = idm_accel(v, v0, gap, v_lead, cfg)
+            values.extend((v, v0, gap, v_lead, out))
+            return out
+
+        monkeypatch.setattr(sim, "step_kinematics", recorded_step)
+        monkeypatch.setattr(xp, "idm_accel", recorded_idm)
+        w = sim.reset(sim.ScenarioSpec(kind, 1))
+        self.assert_floats(w)
+        while not w.done:
+            values.clear()
+            label = xp.expert_act(w, CFG)
+            values += [label.command.throttle, label.command.brake, label.command.steer]
+            assert {type(v) for v in values} == {float}, w.tick
+            sim.advance_world(w, label.command)
+            if w.tick == 50:
+                self.assert_floats(w)
+        assert w.tick > 50 and w.termination == "completed"
+
+
 # -- the per-step rollout the forecast table replaced -------------------------
 #
 # Written out as it ran before the table: every rollout step moves the actors
@@ -172,6 +216,28 @@ def reference_step_kinematics(ego, cmd, dt):
         heading=sim.wrap_angle(ego.heading + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
         speed=max(ego.speed + w * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]), 0.0),
         wheelbase=ego.wheelbase, length=ego.length, width=ego.width)
+
+
+class TestKinematicsMatchesReference:
+    """`step_kinematics` clamps the speed with comparisons; the reference
+    clamps with max(). The two agree bit for bit."""
+
+    def test_random_inputs(self):
+        rng = random.Random(33)
+        specials = [0.0, -0.0, -1e-12, -0.3, -25.0, math.nan]
+        for i in range(100_000):
+            speed = rng.choice(specials) if i % 4 == 0 else rng.uniform(-2.0, 30.0)
+            brake = rng.uniform(0.0, 1.0) if i % 3 == 0 else (0.0 if i % 3 == 1 else 1.0)
+            ego = sim.EgoState(x=rng.uniform(-500.0, 500.0), y=rng.uniform(-500.0, 500.0),
+                               heading=rng.uniform(-4.0 * math.pi, 4.0 * math.pi), speed=speed,
+                               wheelbase=rng.uniform(1.5, 4.0))
+            throttle = 0.0 if i % 7 == 0 else rng.uniform(0.0, 1.0)
+            cmd = sim.ControlCommand(throttle, brake, rng.uniform(-1.0, 1.0))
+            dt = (sim.DT, xp.ROLLOUT_DT)[i % 2]
+            got = sim.step_kinematics(ego.state, (cmd.throttle, cmd.brake, cmd.steer),
+                                      ego.wheelbase, dt=dt)
+            want = reference_step_kinematics(ego, cmd, dt).state
+            assert [v.hex() for v in got] == [v.hex() for v in want], (ego, cmd, dt)
 
 
 def reference_leading_obstacle(route, ego, ego_s, actor_snaps, stop_served, cfg):

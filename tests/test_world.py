@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -271,6 +272,35 @@ class TestRoute:
             s, lat = r.project(x, y)
             assert s_vec[i] == s
             assert lat_vec[i] == lat
+
+    @staticmethod
+    def old_segment_index(route, s):
+        return min(max(bisect.bisect_right(route._cums, s) - 1, 0), len(route._lens) - 1)
+
+    def old_point_at(self, route, s):
+        """point_at as written with builtin clamps."""
+        s = min(max(float(s), 0.0), route.length)
+        i = self.old_segment_index(route, s)
+        t = (s - route._cums[i]) / route._lens[i]
+        wx, wy, sx, sy, _ = route._segs[i]
+        return wx + t * sx, wy + t * sy, route.headings[i]
+
+    @pytest.mark.parametrize("kind", sim.SCENARIO_KINDS)
+    def test_point_at_matches_the_builtin_clamps(self, kind):
+        """Below 0, past the end, at every breakpoint and beside it, and nan:
+        point_at's comparisons clamp as min(max(s, 0.0), length) did, and
+        its and segment_index's bounded search find the clamped index."""
+        route = sim.reset(sim.ScenarioSpec(kind, 4)).route
+        length = route.length
+        rng = np.random.default_rng(5)
+        arcs = [-1e9, -3.0, -1e-300, -0.0, 0.0, length, math.nextafter(length, math.inf),
+                length + 1e-9, length + 7.0, 1e9, math.inf, -math.inf, math.nan]
+        for c in route._cums:
+            arcs += [c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf)]
+        arcs += rng.uniform(-10.0, length + 10.0, 2000).tolist()
+        for s in arcs:
+            assert hexes(*route.point_at(s)) == hexes(*self.old_point_at(route, s)), s
+            assert route.segment_index(s) == self.old_segment_index(route, s), s
 
     def test_time_budget(self):
         r = straight_route(length=120.0)
