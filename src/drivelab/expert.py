@@ -30,6 +30,11 @@ class ExpertConfig:
                   "comfort_decel", "lookahead", "forecast_horizon", "yield_horizon"):
             if not 0.0 < getattr(self, f) < math.inf:
                 raise ValueError(f"ExpertConfig.{f} must be positive and finite")
+        # A horizon counts whole ticks (world.ticks_in); a shorter one has none.
+        for f in ("forecast_horizon", "yield_horizon"):
+            if getattr(self, f) < sim.DT:
+                raise ValueError(f"ExpertConfig.{f} must be at least one tick "
+                                 f"({sim.DT} s), got {getattr(self, f)}")
 
 
 @dataclass
@@ -58,84 +63,79 @@ STEPS_PER_WAYPOINT = int(round(WAYPOINT_DT / ROLLOUT_DT))
 @lru_cache(maxsize=4)
 def _yield_times(horizon):
     """Forecast instants (s) of the corridor-entry check, one per sim tick."""
-    times = np.arange(1, int(horizon / sim.DT) + 1) * sim.DT
+    times = np.arange(1, sim.ticks_in(horizon) + 1) * sim.DT
     times.flags.writeable = False
     return times
 
 
 class _Forecast:
     """The actors of one frame moved at constant velocity to each rollout
-    step m (m * ROLLOUT_DT s ahead): where each lies on the route, and the
-    route projections of its corridor-entry points, its position at step m
-    plus its velocity times each yield-horizon instant.
+    step m (m * ROLLOUT_DT s ahead).
 
-    An actor whose velocity is exactly (+-0, +-0) stands: x + vx * t has the
-    same bits for every t >= 0, so its place is computed once. A moving
-    actor is projected at every step.
+    `places[a][m]` is actor a's (s, lateral, route tangent heading) at step
+    m, or None once it has exited the route, all made up front. An actor
+    whose velocity is exactly (+-0, +-0) stands: x + vx * t has the same
+    bits for every t >= 0, so its place is projected once, at step 0, and
+    every step shares it.
 
-    An actor's corridor-entry projections are made the first time a step
-    asks for them, for that step and every later one, as one
-    `Route.project_many` pass over all their points.
-
-    Every point of an actor's table lies on the segment from its first
-    point to its last. An actor gets no table when `Route.clear_of` proves
-    that segment out of the corridor by |lateral| >= cos(theta) * dist(p, P*)
+    `first_entry` asks where an actor's straight-line motion enters the
+    lane corridor. Its corridor-entry points at step m are its position
+    there plus its velocity times each yield-horizon instant; their route
+    projections form the actor's table, made the first time a step asks,
+    for that step and every later one, as one `Route.project_many` pass.
+    Every point of the table lies on the segment from its first point to
+    its last. An actor gets no table when `Route.clear_of` proves that
+    segment out of the corridor by |lateral| >= cos(theta) * dist(p, P*)
     (see `Route`): it is farther than half / cos(theta) from the route.
     """
 
     def __init__(self, w, cfg, n_steps):
-        self.route, self.n_steps = w.route, n_steps
+        route = self.route = w.route
+        self.n_steps = n_steps
         self.times = _yield_times(cfg.yield_horizon)
         # (x, y, vx, vy, heading, speed, length, corridor half-width) per actor
         self.actors = [(a.x, a.y, *sim.velocity(a.speed, a.heading),
                         a.heading, a.speed, a.length, sim.corridor_half_width(a.width))
                        for a in w.actors]
-        # actor index -> place of a standing actor
-        self.standing = {}
-        # actor index -> (first step, s, lateral), or None
+
+        def place(x, y):
+            s, lateral = route.project(x, y)
+            return None if route.exited(s) else (s, lateral, route.point_at(s)[2])
+
+        self.places = []
+        for x, y, vx, vy, *_ in self.actors:
+            stands = vx == 0.0 and vy == 0.0
+            row = [place(x + vx * t, y + vy * t)
+                   for t in (step * ROLLOUT_DT for step in range(1 if stands else n_steps))]
+            self.places.append(row * n_steps if stands else row)
+        # actor index -> (first step, s, within the corridor half-width), or None
         self.tables = {}
 
-    def place(self, a, step):
-        """(s, lateral, route tangent heading) of actor a at `step`, or None
-        if it has exited the route."""
-        x, y, vx, vy = self.actors[a][:4]
-        stands = vx == 0.0 and vy == 0.0
-        if stands and a in self.standing:
-            return self.standing[a]
-        t = step * ROLLOUT_DT
-        s, lateral = self.route.project(x + vx * t, y + vy * t)
-        place = None if self.route.exited(s) else (s, lateral, self.route.point_at(s)[2])
-        if stands:
-            self.standing[a] = place
-        return place
-
-    def corridor_entry(self, a, step):
-        """(s, lateral) arrays of actor a's corridor-entry points at `step`,
-        or None if no point of its table can come within its corridor
-        half-width of the route."""
+    def first_entry(self, a, step, ego_s):
+        """Arc length of actor a's first corridor-entry point at `step` that
+        comes within its corridor half-width of the route ahead of `ego_s`,
+        or None: the earliest instant wins."""
+        x, y, vx, vy, _, _, _, half = self.actors[a]
         if a not in self.tables:
-            self.tables[a] = self._table(a, step)
+            table, times = None, self.times
+            # The table's first and last points, as the table computes them.
+            t0, t1 = step * ROLLOUT_DT, (self.n_steps - 1) * ROLLOUT_DT
+            p0 = (x + vx * t0 + vx * times[0], y + vy * t0 + vy * times[0])
+            p1 = (x + vx * t1 + vx * times[-1], y + vy * t1 + vy * times[-1])
+            if not self.route.clear_of(p0, p1, half):
+                t = np.arange(step, self.n_steps) * ROLLOUT_DT
+                points = np.stack([(x + vx * t)[:, None] + vx * times,
+                                   (y + vy * t)[:, None] + vy * times], axis=2)
+                s, lateral = self.route.project_many(points.reshape(-1, 2))
+                rows = (len(t), len(times))
+                table = step, s.reshape(rows), (np.abs(lateral) <= half).reshape(rows)
+            self.tables[a] = table
         if self.tables[a] is None:
             return None
-        first, s, lateral = self.tables[a]
-        return s[step - first], lateral[step - first]
-
-    def _table(self, a, step):
-        """Actor a's table from `step` on, or None if the route is clear of it."""
-        x, y, vx, vy, _, _, _, half = self.actors[a]
-        times = self.times
-        # The table's first and last points, as the table computes them.
-        t0, t1 = step * ROLLOUT_DT, (self.n_steps - 1) * ROLLOUT_DT
-        p0 = (x + vx * t0 + vx * times[0], y + vy * t0 + vy * times[0])
-        p1 = (x + vx * t1 + vx * times[-1], y + vy * t1 + vy * times[-1])
-        if self.route.clear_of(p0, p1, half):
-            return None
-        t = np.arange(step, self.n_steps) * ROLLOUT_DT
-        points = np.stack([(x + vx * t)[:, None] + vx * times,
-                           (y + vy * t)[:, None] + vy * times], axis=2)
-        s, lateral = self.route.project_many(points.reshape(-1, 2))
-        rows = (len(t), len(times))
-        return step, s.reshape(rows), lateral.reshape(rows)
+        first, s, inside = self.tables[a]
+        s = s[step - first]
+        hits = np.flatnonzero(inside[step - first] & (s > ego_s))
+        return float(s[hits[0]]) if len(hits) else None
 
 
 def pure_pursuit_steer(route, state, wheelbase, lookahead, ego_s):
@@ -160,7 +160,7 @@ def accel_to_command(accel, speed, steer):
 
 
 def _rollout(w, cfg, n_steps):
-    """(ControlCommand, waypoints) of the expert over `n_steps` rollout
+    """(ControlCommand, waypoint list) of the expert over `n_steps` rollout
     steps. Each step is IDM against the nearest obstacle ahead in the lane
     corridor (an occupant, a forecast entrant or an unserved stop line) and
     pure pursuit, then a kinematic step of the virtual ego, whose position
@@ -170,12 +170,12 @@ def _rollout(w, cfg, n_steps):
     returns there, before any kinematic step."""
     route, served, ego = w.route, w.stop_line_served, w.ego
     forecast = _Forecast(w, cfg, n_steps)
-    actors, place, corridor_entry = forecast.actors, forecast.place, forecast.corridor_entry
+    actors, places, first_entry = forecast.actors, forecast.places, forecast.first_entry
     project, step_kinematics = route.project, sim.step_kinematics
     v0 = min(cfg.desired_speed, route.speed_limit)
     ego_length, wheelbase, lookahead = ego.length, ego.wheelbase, cfg.lookahead
     stop_line_s = route.stop_line_s
-    waypoints = np.zeros((n_steps // STEPS_PER_WAYPOINT, 2))
+    waypoints = []
     state, ego_s = ego.state, w.ego_projection()[0]
     origin = state[:3]
     for step in range(n_steps):
@@ -183,25 +183,21 @@ def _rollout(w, cfg, n_steps):
         # of each obstacle: current occupants, then predicted entrants.
         candidates = []
         for a, (_, _, _, _, heading, speed, length, half) in enumerate(actors):
-            where = place(a, step)
+            where = places[a][step]
             if where is None:
                 continue
             s_a, lat_a, tangent_heading = where
             if abs(lat_a) <= half and s_a > ego_s:
-                gap = sim.bumper_gap(s_a, ego_s, ego_length, length)
+                s_lead = s_a
             else:
                 # Not in the corridor yet: will its straight-line motion enter it ahead?
                 if speed < 1e-3 or s_a - ego_s > 80.0 or s_a - ego_s < -10.0:
                     continue
-                entry = corridor_entry(a, step)
-                if entry is None:
+                s_lead = first_entry(a, step, ego_s)
+                if s_lead is None:
                     continue
-                s_f, lat_f = entry
-                hits = np.flatnonzero((np.abs(lat_f) <= half) & (s_f > ego_s))
-                if not len(hits):
-                    continue
-                gap = sim.bumper_gap(float(s_f[hits[0]]), ego_s, ego_length, length)
-            candidates.append((gap, max(0.0, speed * math.cos(heading - tangent_heading))))
+            candidates.append((sim.bumper_gap(s_lead, ego_s, ego_length, length),
+                               max(0.0, speed * math.cos(heading - tangent_heading))))
         if stop_line_s is not None and not served and stop_line_s > ego_s - sim.STOP_LATCH_RANGE:
             # +1 m bias makes the IDM standstill settle ~1 m before the line,
             # inside the 2 m latch window.
@@ -231,7 +227,7 @@ def _rollout(w, cfg, n_steps):
             if stop_line_s is not None and not served:
                 served = route.serves_stop_line(ego_s, state[3])
         if (step + 1) % STEPS_PER_WAYPOINT == 0:
-            waypoints[step // STEPS_PER_WAYPOINT] = sim.to_ego(state[0], state[1], *origin)
+            waypoints.append(sim.to_ego(state[0], state[1], *origin))
     return cmd, waypoints
 
 
@@ -249,7 +245,7 @@ def expert_act(w, cfg):
     current ego frame. The command is the rollout's first step.
     """
     cmd, waypoints = _rollout(w, cfg, WAYPOINTS_PER_TRAJ * STEPS_PER_WAYPOINT)
-    return ExpertLabel(waypoints=waypoints, command=cmd)
+    return ExpertLabel(waypoints=np.array(waypoints), command=cmd)
 
 
 def forecast_collision(w, horizon):
@@ -258,8 +254,7 @@ def forecast_collision(w, horizon):
     e = w.ego
     evx, evy = sim.velocity(e.speed, e.heading)
     actors = [(a, *sim.velocity(a.speed, a.heading)) for a in w.actors]
-    n = int(round(horizon / sim.DT))
-    for step in range(1, n + 1):
+    for step in range(1, sim.ticks_in(horizon) + 1):
         t = step * sim.DT
         ex, ey = e.x + evx * t, e.y + evy * t
         for a, vx, vy in actors:

@@ -444,7 +444,7 @@ class SafetyCreep:
         if self.still_ticks * sim.DT >= self.STILL_SECONDS:
             if world.leading_gap() is None:
                 self.still_ticks = 0
-                self.pulse_ticks_left = int(round(self.PULSE_SECONDS / sim.DT)) - 1
+                self.pulse_ticks_left = sim.ticks_in(self.PULSE_SECONDS) - 1
                 return sim.ControlCommand(throttle=self.PULSE_THROTTLE, brake=0.0,
                                           steer=policy_steer)
         return None

@@ -48,6 +48,12 @@ PENALTY = {
 TERMINAL_INFRACTIONS = ("route_deviation", "timeout", "blocked")
 
 
+def ticks_in(seconds):
+    """Whole simulator ticks in a span of `seconds`, rounded to the nearest:
+    the one rule by which a horizon or a pulse length becomes a tick count."""
+    return int(round(seconds / DT))
+
+
 def wrap_angle(a):
     """Normalize an angle to (-pi, pi]."""
     a = math.fmod(a + math.pi, 2.0 * math.pi)

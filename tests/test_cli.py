@@ -244,6 +244,20 @@ class TestDispatch:
                   if line.startswith("round_")]
         assert rounds == ["round_1", "round_2", "round_10"]
 
+    @pytest.mark.parametrize("field", ["yield_horizon", "forecast_horizon"])
+    def test_horizon_shorter_than_a_tick_exits_1_before_any_episode(
+            self, tmp_path, capsys, field):
+        """A horizon counts whole ticks, so one shorter than a tick is
+        refused where it is configured: it would leave the corridor-entry
+        table or the collision forecast without an instant."""
+        out = tmp_path / "x"
+        assert cli.main(["--set", f"expert.{field}=0.04", "--set",
+                         'suites.train={"kinds":["GiveWay"],"seeds":[0]}',
+                         "--out-dir", str(out), "collect-demos"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: ExpertConfig.{field} must be at least one tick (0.05 s), got 0.04" in err
+        assert not out.exists()
+
     def test_seed_overlap_exits_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tmp_path / "x",
                                 extra={"suites": {"test": {"seeds": [0]}}})

@@ -36,11 +36,13 @@ safety creep, at an episode's start and at a handback; one box test:
 contact; one rule for a failure's place: no `except` clause singles
 out `NonFiniteError`; and one home for each frame change: `world.to_ego`
 writes the only world-to-ego rotation and `world.left_of` the only offset
-along a heading's normal, besides `world.rects_collide`'s box axes; and
-one rollout: `world.step_kinematics` moves the ego in `advance_world` and
+along a heading's normal, besides `world.rects_collide`'s box axes; one
+rollout: `world.step_kinematics` moves the ego in `advance_world` and
 the virtual ego in `expert._rollout` only, and `expert_command` and
-`expert_act` both run that rollout. A `Policy` holds its parameters and
-its network, and nothing a call changes. A setting enters a run config one way, through `config.merge`.
+`expert_act` both run that rollout; and one corridor-entry query:
+`expert._Forecast` alone calls `Route.clear_of` and `Route.project_many`,
+and `expert._rollout` alone calls its `first_entry`. A `Policy` holds its
+parameters and its network, and nothing a call changes. A setting enters a run config one way, through `config.merge`.
 """
 
 import ast
@@ -156,6 +158,16 @@ def test_one_rollout():
     assert call_sites("step_kinematics") == [("expert", "_rollout"),
                                              ("world", "advance_world")]
     assert call_sites("_rollout") == [("expert", "expert_command"), ("expert", "expert_act")]
+
+
+def test_one_corridor_entry_query():
+    """Where an actor's straight-line motion enters the lane corridor is
+    decided in one place: only `expert._Forecast` certifies a clear actor
+    (`Route.clear_of`) or projects its table (`Route.project_many`), and
+    only `expert._rollout` asks it, through `first_entry`."""
+    for name in ("clear_of", "project_many"):
+        assert call_sites(name) == [("expert", "_Forecast")], name
+    assert call_sites("first_entry") == [("expert", "_rollout")]
 
 
 def test_one_tick_record():

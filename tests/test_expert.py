@@ -42,6 +42,20 @@ class TestIdm:
         with pytest.raises(ValueError, match=f"ExpertConfig.{field} must be positive and finite"):
             xp.ExpertConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["forecast_horizon", "yield_horizon"])
+    def test_config_rejects_a_horizon_shorter_than_a_tick(self, field):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ExpertConfig.{field} must be at least one tick (0.05 s), got 0.04")):
+            xp.ExpertConfig(**{field: 0.04})
+        xp.ExpertConfig(**{field: sim.DT})
+
+    @pytest.mark.parametrize("horizon, ticks", [(0.05, 1), (0.15, 3), (0.3, 6), (2.0, 40),
+                                                (4.0, 80)])
+    def test_a_horizon_counts_its_ticks_rounded(self, horizon, ticks):
+        # 0.3 / 0.05 is 5.999999999999999: truncating would count 5 ticks
+        assert sim.ticks_in(horizon) == ticks
+        assert xp._yield_times(horizon).tolist() == [i * sim.DT for i in range(1, ticks + 1)]
+
 
 class TestPurePursuit:
     def test_straight_route_zero_steer(self):
@@ -92,6 +106,9 @@ class TestForecast:
         assert t is not None
         # gap between bumpers is 12 - 4.5 = 7.5 m at 8 m/s -> just under 1 s
         assert 0.8 < t < 1.1
+        # the horizon counts whole ticks: the contact's own instant is its last
+        assert xp.forecast_collision(w, t) == t
+        assert xp.forecast_collision(w, t - sim.DT) is None
 
     def test_clear_road_none(self):
         route = sim.Route(np.array([[0.0, 0.0], [100.0, 0.0]]), ["LaneFollow"])
@@ -259,7 +276,7 @@ def reference_leading_obstacle(route, ego, ego_s, actor_snaps, stop_served, cfg)
             continue
         if speed < 1e-3 or s_a - ego_s > 80.0 or s_a - ego_s < -10.0:
             continue
-        times = np.arange(1, int(cfg.yield_horizon / sim.DT) + 1) * sim.DT
+        times = np.arange(1, int(round(cfg.yield_horizon / sim.DT)) + 1) * sim.DT
         fut = np.stack([x + speed * math.cos(heading) * times,
                         y + speed * math.sin(heading) * times], axis=1)
         s_f, lat_f = route.project_many(fut)

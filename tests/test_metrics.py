@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+from concurrent.futures import FIRST_COMPLETED, Future
 from functools import partial
 
 import numpy as np
@@ -451,8 +453,11 @@ def _marked_episode(spec, marks):
 
 def test_map_episodes_submits_no_episode_after_a_failure(tmp_path):
     """At jobs=2, a 7-episode suite whose first episode fails at tick 0
-    starts no episode past the first 2 and raises exactly what jobs=1
-    raises: the failure of the lowest suite index."""
+    raises exactly what jobs=1 raises: the failure of the lowest suite
+    index. Which episodes start depends on whether episode 1 finishes before
+    episode 0's failure reaches this process, so in real processes they are
+    only a prefix of the suite that holds the first 2; the scripted test
+    below fixes each order."""
     suite = [sim.ScenarioSpec("EmergencyBrake", seed, route_length=40.0) for seed in range(7)]
     raised, started = [], []
     for jobs in (1, 2):
@@ -463,7 +468,75 @@ def test_map_episodes_submits_no_episode_after_a_failure(tmp_path):
         raised.append((type(err.value), str(err.value)))
         started.append(sorted(m.name for m in marks.iterdir()))
     assert raised == [(LookupError, "EmergencyBrake:0 tick 0: injected fault")] * 2
-    assert started == [["EmergencyBrake:0"], ["EmergencyBrake:0", "EmergencyBrake:1"]]
+    ids = [bench.scenario_id(spec) for spec in suite]
+    assert started[0] == ids[:1]
+    assert len(started[1]) >= 2 and started[1] == ids[:len(started[1])]
+
+
+def _scripted_episode(spec):
+    if spec.seed == 0:
+        raise LookupError("injected fault")
+    return spec.seed
+
+
+class _Schedule:
+    """Stands in for `concurrent.futures`' ProcessPoolExecutor and `wait`.
+    `submit` records the seed it starts and returns a pending Future; `wait`
+    completes the running episode that `order` names next, by running it
+    here. Leaving the pool completes the rest, as a real pool's shutdown
+    waits for its running episodes."""
+
+    def __init__(self, order):
+        self.order, self.started, self.pending = list(order), [], {}
+
+    def __call__(self, max_workers):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for seed in list(self.pending):
+            self.complete(seed)
+
+    def submit(self, fn, spec):
+        self.started.append(spec.seed)
+        self.pending[spec.seed] = Future(), fn, spec
+        return self.pending[spec.seed][0]
+
+    def complete(self, seed):
+        future, fn, spec = self.pending.pop(seed)
+        try:
+            future.set_result(fn(spec))
+        except LookupError as e:
+            future.set_exception(e)
+        return future
+
+    def wait(self, running, return_when):
+        assert return_when == FIRST_COMPLETED
+        done = {self.complete(self.order.pop(0))}
+        assert done <= running
+        return done, running - done
+
+
+@pytest.mark.parametrize("order, started", [
+    pytest.param([0], [0, 1], id="failure-seen-first"),
+    pytest.param([1, 0], [0, 1, 2], id="episode-1-completes-first")])
+def test_map_episodes_starts_nothing_once_a_failure_is_seen(monkeypatch, order, started):
+    """At jobs=2, episodes 0 and 1 start, and a pool slot that frees starts
+    the next episode until a completed one has failed. If episode 0's
+    failure is seen first, nothing more starts; if episode 1 completes
+    first, episode 2 starts, and nothing after episode 0's failure is seen.
+    Either way the failure of the lowest suite index is raised."""
+    schedule = _Schedule(order)
+    # map_episodes imports both names at call time
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", schedule)
+    monkeypatch.setattr(concurrent.futures, "wait", schedule.wait)
+    suite = [sim.ScenarioSpec("EmergencyBrake", seed) for seed in range(7)]
+    with pytest.raises(LookupError, match="^injected fault$"):
+        bench.map_episodes(_scripted_episode, suite, jobs=2)
+    assert schedule.started == started
+    assert schedule.order == [] and schedule.pending == {}
 
 
 @pytest.mark.parametrize("path, jobs", [
